@@ -55,13 +55,11 @@ from .mdp import (
 )
 from .policies import (
     PolicyValue,
-    ReferenceOptimum,
     Trajectory,
     best_greedy,
     enumerate_trajectories,
     eval_q_greedy,
     eval_q_softmax,
-    reference_optimum,
     sample_trajectory,
     state_value_greedy,
     state_value_softmax,

@@ -6,7 +6,10 @@ Clauses are canonicalized at construction: literals sorted by key
 The clause universe lists every non-tautological clause of size 1-3 in
 block order (all 1-clauses, then 2-clauses, then 3-clauses), lexicographic
 by literal-key sequence within a block.  Its coordinates index the
-realizability feature and weight vectors built elsewhere.
+realizability feature and weight vectors built elsewhere.  The universe is
+stored packed, as a padded literal-key matrix plus each clause's smallest
+variable; clause-to-coordinate lookup is arithmetic, and ``Clause``
+objects for coordinates are built only on request.
 
 All arithmetic here is exact: counts are ints, fractions are
 ``fractions.Fraction``.
@@ -16,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 MAX_CLAUSE_SIZE = 3
 
@@ -193,7 +198,8 @@ def parse_dimacs(text: str) -> Formula:
     """Parse DIMACS CNF text into a canonicalized Formula.
 
     Clauses may span lines and are terminated by 0.  Comment lines start
-    with 'c'.  The declared clause count must match the clauses found.
+    with 'c'; a line starting with '%' ends the input.  The declared
+    clause count must match the clauses found.
     Duplicate literals inside one clause are dropped; complementary pairs,
     clauses with more than three distinct variables, and out-of-range
     variables are errors.
@@ -204,7 +210,9 @@ def parse_dimacs(text: str) -> Formula:
     pending: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break  # SATLIB trailer: '%' then a lone '0'
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if n is not None:
@@ -329,50 +337,84 @@ def universe_block_sizes(n: int) -> tuple[int, int, int]:
 class ClauseUniverse:
     """The ordered list of every valid clause of size 1-3 over n variables.
 
-    ``entries[i]`` is the clause at coordinate i; ``index_map`` inverts it.
     Blocks: 1-clauses, then 2-clauses, then 3-clauses; lexicographic by
-    literal-key sequence inside each block.
+    literal-key sequence inside each block.  Row i of ``keys`` holds the
+    literal keys of the clause at coordinate i, padded with -1, and
+    ``min_var[i]`` is its smallest variable index.  Both arrays are
+    read-only.  ``index_of`` inverts the order arithmetically: inside a
+    block, the clauses sharing all but their last literal sit at
+    consecutive coordinates, one per admissible last key, so a coordinate
+    is the offset of its leading keys plus its last key.  ``_offset[a][b]``
+    holds that offset for 3-clauses starting with keys a, b, and
+    ``_offset[-1][a]`` for 2-clauses starting with key a.
     """
 
     n: int
-    entries: tuple[Clause, ...]
-    index_map: dict[Clause, int] = field(repr=False)
     block_sizes: tuple[int, int, int]
+    keys: np.ndarray = field(repr=False)
+    min_var: np.ndarray = field(repr=False)
+    _offset: list[list[int]] = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
     def index_of(self, clause: Clause) -> int:
-        try:
-            return self.index_map[clause]
-        except KeyError:
-            raise CnfError(f"clause {clause} is not in the universe (n={self.n})") from None
+        """Coordinate of a clause; CnfError if it has a variable above n."""
+        lits = clause.literals
+        if lits[-1][0] > self.n:
+            raise CnfError(f"clause {clause} is not in the universe (n={self.n})")
+        # keys computed inline: Literal.key costs a property call per literal
+        if len(lits) == 3:
+            (v1, s1), (v2, s2), (v3, s3) = lits
+            return self._offset[2 * v1 - 2 + s1][2 * v2 - 2 + s2] + 2 * v3 - 2 + s3
+        if len(lits) == 2:
+            (v1, s1), (v2, s2) = lits
+            return self._offset[-1][2 * v1 - 2 + s1] + 2 * v2 - 2 + s2
+        ((v1, s1),) = lits
+        return 2 * v1 - 2 + s1
+
+    @property
+    def entries(self) -> tuple[Clause, ...]:
+        """Every clause in coordinate order, built on demand."""
+        return tuple(Clause.from_ints(c) for c in self.to_json()["clauses"])
 
     def to_json(self) -> dict:
-        return {"n": self.n, "clauses": [c.to_ints() for c in self.entries]}
+        # padding keys (-1) map to the signed literal 0
+        signed = np.where(self.keys & 1, -(self.keys >> 1) - 1, (self.keys >> 1) + 1)
+        return {"n": self.n, "clauses": [[v for v in row if v] for row in signed.tolist()]}
 
 
 def enumerate_universe(n: int) -> ClauseUniverse:
     """Enumerate the full valid-clause universe for n variables in canonical order."""
     sizes = universe_block_sizes(n)
-    keys = range(2 * n)
-    entries: list[Clause] = []
+    blocks = []
     for width in (1, 2, 3):
-        for combo in combinations(keys, width):
-            # two keys on the same variable differ only in the low bit
-            if any(combo[i] >> 1 == combo[i + 1] >> 1 for i in range(width - 1)):
-                continue
-            entries.append(Clause(tuple(Literal.from_key(k) for k in combo)))
-    universe = ClauseUniverse(
+        combos = np.fromiter(
+            chain.from_iterable(combinations(range(2 * n), width)),
+            dtype=np.int64,
+            count=comb(2 * n, width) * width,
+        ).reshape(-1, width)
+        # two keys on the same variable are adjacent and differ only in the low bit
+        distinct = (combos[:, 1:] >> 1 != combos[:, :-1] >> 1).all(axis=1)
+        block = np.full((int(distinct.sum()), 3), -1, dtype=np.int64)
+        block[:, :width] = combos[distinct]
+        blocks.append(block)
+    keys = np.concatenate(blocks)
+    if len(keys) != sum(sizes):
+        raise CnfError(f"universe size {len(keys)} disagrees with closed form {sum(sizes)}")
+    index = np.arange(len(keys))
+    pairs = slice(sizes[0], sizes[0] + sizes[1])
+    triples = slice(sizes[0] + sizes[1], None)
+    offset = np.zeros((2 * n + 1, 2 * n), dtype=np.int64)
+    offset[-1, keys[pairs, 0]] = index[pairs] - keys[pairs, 1]
+    offset[keys[triples, 0], keys[triples, 1]] = index[triples] - keys[triples, 2]
+    min_var = (keys[:, 0] >> 1) + 1
+    keys.flags.writeable = min_var.flags.writeable = False
+    return ClauseUniverse(
         n=n,
-        entries=tuple(entries),
-        index_map={clause: i for i, clause in enumerate(entries)},
         block_sizes=sizes,
+        keys=keys,
+        min_var=min_var,
+        _offset=offset.tolist(),
     )
-    if universe.size != sum(sizes):
-        raise CnfError(
-            f"universe size {universe.size} disagrees with closed form {sum(sizes)}"
-        )
-    return universe
-

@@ -16,8 +16,10 @@ Two vector families live here:
 
 Greedy-path arithmetic is exact (ints and Fractions); softmax entries are
 64-bit floats.  Weights never read the state or action: they are built
-from (formula, theta', h) alone, with the per-clause continuation results
-cached per (universe, policy) and sliced by stage.
+from (formula, theta', h) alone.  The per-clause continuation results are
+computed in one vectorized pass over the universe's literal-key matrix,
+cached per (universe, policy), and sliced by stage with its min-variable
+array.
 """
 
 from __future__ import annotations
@@ -291,22 +293,9 @@ class RealizabilityWeight:
 
 
 @lru_cache(maxsize=512)
-def _universe_arrays(universe: ClauseUniverse) -> tuple[np.ndarray, np.ndarray]:
-    """(padded literal-key matrix, min-variable array) for vectorized clause eval."""
-    size = universe.size
-    keys = np.full((size, 3), -1, dtype=np.int64)
-    min_var = np.empty(size, dtype=np.int64)
-    for i, clause in enumerate(universe.entries):
-        for j, lit in enumerate(clause.literals):
-            keys[i, j] = lit.key
-        min_var[i] = clause.min_variable
-    return keys, min_var
-
-
-@lru_cache(maxsize=512)
 def _greedy_continuation(universe: ClauseUniverse, pattern: tuple[int, ...]) -> np.ndarray:
     """Truth value of every universe clause under the full look-ahead assignment."""
-    keys, _ = _universe_arrays(universe)
+    keys = universe.keys
     valid = keys >= 0
     var0 = np.where(valid, keys >> 1, 0)
     neg = np.where(valid, keys & 1, 0)
@@ -318,7 +307,7 @@ def _greedy_continuation(universe: ClauseUniverse, pattern: tuple[int, ...]) -> 
 @lru_cache(maxsize=512)
 def _softmax_continuation(universe: ClauseUniverse, probs: tuple[float, ...]) -> np.ndarray:
     """Satisfaction probability of every universe clause under independent draws."""
-    keys, _ = _universe_arrays(universe)
+    keys = universe.keys
     valid = keys >= 0
     var0 = np.where(valid, keys >> 1, 0)
     neg = np.where(valid, keys & 1, 0)
@@ -341,18 +330,16 @@ def greedy_weight(instance: MdpInstance, params: PolicyParams, h: int) -> Realiz
     """Stage-h weight for the greedy policy induced by theta'. State-independent."""
     _check_weight_stage(instance, params, h)
     pattern = tuple(f_threshold(params, j) for j in range(1, instance.n + 1))
-    _, min_var = _universe_arrays(instance.universe)
     continuation = _greedy_continuation(instance.universe, pattern)
-    return RealizabilityWeight(kind=GREEDY, cutoff=h, _min_var=min_var, _continuation=continuation)
+    return RealizabilityWeight(GREEDY, h, instance.universe.min_var, continuation)
 
 
 def softmax_weight(instance: MdpInstance, params: PolicyParams, h: int) -> RealizabilityWeight:
     """Stage-h weight for the softmax policy induced by theta'. State-independent."""
     _check_weight_stage(instance, params, h)
     probs = tuple(softmax_prob(j, params) for j in range(1, instance.n + 1))
-    _, min_var = _universe_arrays(instance.universe)
     continuation = _softmax_continuation(instance.universe, probs)
-    return RealizabilityWeight(kind=SOFTMAX, cutoff=h, _min_var=min_var, _continuation=continuation)
+    return RealizabilityWeight(SOFTMAX, h, instance.universe.min_var, continuation)
 
 
 def lookahead_state(state: Sequence[int], action: int, params: PolicyParams) -> State:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cnf import eval_clause
+from .cnf import DEFAULT_BRUTE_FORCE_CAP, eval_clause
 from .features import PolicyParams, greedy_action, sign_patterns, softmax_prob
 from .mdp import (
     ACTIONS,
@@ -172,12 +172,9 @@ def sample_trajectory(
     return Trajectory(steps=tuple(steps), final=current, probability=probability)
 
 
-def sign_pattern_for_assignment(assignment: Sequence[int]) -> PolicyParams:
-    """The +-1 parameter vector whose greedy policy plays out the assignment."""
-    return PolicyParams.from_signs(assignment)
-
-
-def best_greedy(instance: MdpInstance, cap: int = 24) -> tuple[PolicyParams, Fraction]:
+def best_greedy(
+    instance: MdpInstance, cap: int = DEFAULT_BRUTE_FORCE_CAP
+) -> tuple[PolicyParams, Fraction]:
     """Sweep all 2^n sign patterns; return the first argmax and its value at the root.
 
     Every greedy policy behaves like one of these patterns (actions depend
@@ -194,30 +191,6 @@ def best_greedy(instance: MdpInstance, cap: int = 24) -> tuple[PolicyParams, Fra
             best_params, best_value = params, value
     assert best_params is not None
     return best_params, best_value
-
-
-@dataclass(frozen=True)
-class ReferenceOptimum:
-    """Best root value achievable inside a policy class.
-
-    The greedy class attains its max at a sign pattern.  The softmax class
-    only approaches the same value along saturation rays, so its optimum is
-    a supremum: ``attained`` is False and ``params`` gives the ray
-    direction.
-    """
-
-    value: Fraction
-    attained: bool
-    params: PolicyParams
-
-
-def reference_optimum(
-    instance: MdpInstance, policy_class: str = "greedy", cap: int = 24
-) -> ReferenceOptimum:
-    if policy_class not in ("greedy", "softmax"):
-        raise ValueError(f"unknown policy class {policy_class!r}")
-    params, value = best_greedy(instance, cap=cap)
-    return ReferenceOptimum(value=value, attained=policy_class == "greedy", params=params)
 
 
 @dataclass(frozen=True)

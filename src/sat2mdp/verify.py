@@ -221,7 +221,7 @@ def softmax_weight_by_enumeration(
     against.
     """
     n = instance.n
-    keys, min_var = ft._universe_arrays(instance.universe)
+    keys, min_var = instance.universe.keys, instance.universe.min_var
     valid = keys >= 0
     var0 = np.where(valid, keys >> 1, 0)
     neg = np.where(valid, keys & 1, 0)
@@ -354,10 +354,8 @@ def check_construction_scaling(
     cases = 0
     for n in range(1, size_check_max + 1):
         cases += 1
-        universe = enumerate_universe(n)
-        by_len = [0, 0, 0]
-        for clause in universe.entries:
-            by_len[len(clause) - 1] += 1
+        widths = (enumerate_universe(n).keys >= 0).sum(axis=1)
+        by_len = np.bincount(widths, minlength=4)[1:].tolist()
         if tuple(by_len) != universe_block_sizes(n):
             failures.append(
                 {"n": n, "kind": "universe_size", "counted": by_len,
@@ -383,7 +381,6 @@ def check_construction_scaling(
 
         def greedy_sweep() -> None:
             ft._greedy_continuation.cache_clear()
-            ft._universe_arrays.cache_clear()
             for h in range(1, n + 1):
                 ft.greedy_weight(instance, g_params, h)
 
@@ -391,7 +388,6 @@ def check_construction_scaling(
 
         def softmax_sweep() -> None:
             ft._softmax_continuation.cache_clear()
-            ft._universe_arrays.cache_clear()
             for h in range(1, n + 1):
                 ft.softmax_weight(instance, s_params, h)
 

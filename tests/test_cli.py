@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -133,6 +134,14 @@ class TestDecide:
         )
         assert code == 1
         assert json.loads(out)["achieved_fraction"] == "1/2"
+
+    def test_brute_force_cap_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "wide.cnf"
+        path.write_text("p cnf 25 25\n" + "".join(f"{v} 0\n" for v in range(1, 26)))
+        started = time.perf_counter()
+        code, _, err = run(capsys, ["decide", str(path), "--delta", "0.1"])
+        assert code == 2 and "cap" in err
+        assert time.perf_counter() - started < 5.0
 
     def test_precondition_exit_2(self, capsys, cnf_path):
         code, _, err = run(

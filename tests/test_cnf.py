@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sat2mdp import (
     Clause,
@@ -70,6 +72,12 @@ class TestParseDimacs:
         f = parse_dimacs("c header comment\np cnf 3 1\n1\n2 3 0\n")
         assert f.clauses[0].to_ints() == [1, 2, 3]
 
+    def test_satlib_trailer(self):
+        f = parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n%\n0\n")
+        assert [c.to_ints() for c in f.clauses] == [[1, -2, 3], [-1, 2, -3]]
+        with pytest.raises(CnfError, match="declares"):
+            parse_dimacs("p cnf 3 2\n1 -2 3 0\n%\n-1 2 -3 0\n")
+
     def test_errors(self):
         with pytest.raises(CnfError, match="header"):
             parse_dimacs("1 2 0\n")
@@ -119,15 +127,33 @@ class TestUniverse:
     def test_block_sizes_match_direct_enumeration(self, n):
         # independent recount: filter all literal subsets of each width
         expected = []
+        ordered = []
         for width in (1, 2, 3):
             count = 0
             for combo in combinations(range(2 * n), width):
                 variables = [k // 2 for k in combo]
                 if len(set(variables)) == width:
                     count += 1
+                    ordered.append(combo)
             expected.append(count)
         assert universe_block_sizes(n) == tuple(expected)
-        assert enumerate_universe(n).block_sizes == tuple(expected)
+        u = enumerate_universe(n)
+        assert u.block_sizes == tuple(expected)
+        assert [tuple(k for k in row if k >= 0) for row in u.keys.tolist()] == ordered
+        for i, clause in enumerate(u.entries):
+            assert clause.key == ordered[i]
+            assert u.index_of(clause) == i
+        with pytest.raises(CnfError, match="not in the universe"):
+            u.index_of(Clause.from_ints([1, -(n + 1)]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_index_of_inverts_key_rows(self, data):
+        n = data.draw(st.integers(1, 60), label="n")
+        u = enumerate_universe(n)
+        i = data.draw(st.integers(0, u.size - 1), label="i")
+        clause = Clause(tuple(Literal.from_key(int(k)) for k in u.keys[i] if k >= 0))
+        assert u.index_of(clause) == i
 
     def test_no_tautologies(self):
         u = enumerate_universe(5)

@@ -183,18 +183,6 @@ class TestBestGreedy:
         with pytest.raises(MdpError):
             best_greedy(instance, cap=3)
 
-    def test_reference_optimum_flags_softmax_sup(self, example1_instance):
-        from sat2mdp import reference_optimum
-
-        hard = reference_optimum(example1_instance, "greedy")
-        soft = reference_optimum(example1_instance, "softmax")
-        assert hard.value == soft.value == 1
-        assert hard.attained and not soft.attained
-        # the reported ray direction approaches the sup at saturation
-        scaled = PolicyParams(tuple(20.0 * v for v in soft.params.theta_prime))
-        approach = state_value_softmax(example1_instance, scaled, initial_state(3))
-        assert abs(approach - float(soft.value)) < 1e-6
-
 
 class TestIdentities:
     def test_decomposition(self, example1_instance):
