@@ -11,13 +11,11 @@ desk scale.
 from .cnf import (
     Assignment,
     Clause,
-    ClauseStatus,
     ClauseUniverse,
     CnfError,
     Formula,
     Literal,
     enumerate_universe,
-    eval_clause,
     is_zeta_satisfiable,
     occurrence_bound,
     parse_dimacs,
@@ -35,7 +33,6 @@ from .features import (
     lookahead_state,
     psp_feature,
     realizability_feature,
-    sign_patterns,
     softmax_prob,
     softmax_weight,
     undecided_multiset,

@@ -3,6 +3,12 @@ and the ordered universe of all valid clauses over n variables.
 
 Clauses are canonicalized at construction: literals sorted by key
 (2*(var-1) + negated), duplicates removed, complementary pairs rejected.
+A ``Formula`` also keeps each clause as its tuple of literal keys, and
+``Formula.split`` is the one clause evaluator: under an assigned prefix
+it counts the satisfied instances and returns the remaining keys of each
+undecided one.  ``is_zeta_satisfiable`` is the one exhaustive sweep over
+all 2^n assignments, vectorized in chunks of assignments.
+
 The clause universe lists every non-tautological clause of size 1-3 in
 block order (all 1-clauses, then 2-clauses, then 3-clauses), lexicographic
 by literal-key sequence within a block.  Its coordinates index the
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
@@ -30,6 +36,9 @@ MAX_CLAUSE_SIZE = 3
 # Exhaustive assignment sweeps refuse to run past this many variables
 # unless the caller raises the cap explicitly.
 DEFAULT_BRUTE_FORCE_CAP = 24
+
+# Assignments evaluated per numpy pass of the exhaustive sweep.
+SWEEP_CHUNK = 1 << 15
 
 
 class CnfError(ValueError):
@@ -60,10 +69,6 @@ class Literal(NamedTuple):
 
     def to_int(self) -> int:
         return -self.variable_index if self.negated else self.variable_index
-
-    def truth(self, value: int) -> bool:
-        """Truth of this literal when its variable is assigned value (0 or 1)."""
-        return value != (1 if self.negated else 0)
 
     def __str__(self) -> str:
         return ("~x%d" if self.negated else "x%d") % self.variable_index
@@ -125,35 +130,15 @@ class Clause:
 
 
 @dataclass(frozen=True)
-class ClauseStatus:
-    """Result of evaluating a clause under a partial assignment."""
-
-    kind: str  # "satisfied" | "falsified" | "undecided"
-    simplified: Clause | None = None
-
-    @property
-    def is_satisfied(self) -> bool:
-        return self.kind == "satisfied"
-
-    @property
-    def is_falsified(self) -> bool:
-        return self.kind == "falsified"
-
-    @property
-    def is_undecided(self) -> bool:
-        return self.kind == "undecided"
-
-
-SATISFIED = ClauseStatus("satisfied")
-FALSIFIED = ClauseStatus("falsified")
-
-
-@dataclass(frozen=True)
 class Formula:
-    """A multiset of clauses over variables x1..xn. Duplicate instances count."""
+    """A multiset of clauses over variables x1..xn. Duplicate instances count.
+
+    ``keys[i]`` is ``clauses[i].key``, the sorted literal keys of instance i.
+    """
 
     n: int
     clauses: tuple[Clause, ...]
+    keys: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -165,10 +150,32 @@ class Formula:
                 raise CnfError(
                     f"clause {i}: variable x{clause.max_variable} exceeds n={self.n}"
                 )
+        object.__setattr__(self, "keys", tuple(c.key for c in self.clauses))
 
     @property
     def clause_count(self) -> int:
         return len(self.clauses)
+
+    def split(self, prefix: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
+        """Evaluate every clause instance under an assigned prefix.
+
+        ``prefix[i]`` (0 or 1; callers check) is the value of variable i+1,
+        and variables past the prefix are unassigned.  Returns the number
+        of satisfied instances and, in formula order, the literal keys left
+        in each undecided instance.  Falsified instances appear in neither.
+        """
+        # literal key 2*i + neg is true iff x_{i+1} is assigned 1 - neg
+        true = {2 * i + 1 - v for i, v in enumerate(prefix)}
+        cut = 2 * len(prefix)
+        satisfied = 0
+        undecided = []
+        for key in self.keys:
+            if not true.isdisjoint(key):
+                satisfied += 1
+            elif key[-1] >= cut:
+                # keys are sorted, so the unassigned literals are a suffix
+                undecided.append(key if key[0] >= cut else tuple(k for k in key if k >= cut))
+        return satisfied, undecided
 
     @classmethod
     def from_ints(cls, n: int, clauses: Iterable[Iterable[int]]) -> "Formula":
@@ -256,40 +263,13 @@ def parse_dimacs(text: str) -> Formula:
     return Formula(n, tuple(clauses))
 
 
-def eval_clause(clause: Clause, prefix: Sequence[int]) -> ClauseStatus:
-    """Evaluate a clause under a partial assignment.
-
-    ``prefix[i]`` gives the value of variable i+1; entries of -1 and
-    positions beyond the sequence are unassigned.  Returns SATISFIED if any
-    assigned literal is true, FALSIFIED if every literal is assigned and
-    false, otherwise an undecided status carrying the canonical clause over
-    the remaining unassigned literals.
-    """
-    remaining: list[Literal] = []
-    for lit in clause.literals:
-        pos = lit.variable_index - 1
-        value = prefix[pos] if pos < len(prefix) else -1
-        if value == -1:
-            remaining.append(lit)
-        elif lit.truth(value):
-            return SATISFIED
-    if not remaining:
-        return FALSIFIED
-    return ClauseStatus("undecided", Clause(tuple(remaining)))
-
-
-def count_satisfied(formula: Formula, prefix: Sequence[int]) -> int:
-    """Number of clause instances already satisfied under a (partial) assignment."""
-    return sum(1 for c in formula.clauses if eval_clause(c, prefix).is_satisfied)
-
-
 def satisfied_fraction(formula: Formula, assignment: Sequence[int]) -> Fraction:
     """Exact fraction of clause instances satisfied by a full assignment."""
     if len(assignment) != formula.n:
         raise CnfError(f"assignment length {len(assignment)} != n={formula.n}")
     if any(v not in (0, 1) for v in assignment):
         raise CnfError("assignment entries must be 0 or 1")
-    return Fraction(count_satisfied(formula, assignment), formula.clause_count)
+    return Fraction(formula.split(assignment)[0], formula.clause_count)
 
 
 def occurrence_bound(formula: Formula) -> int:
@@ -310,15 +290,26 @@ def is_zeta_satisfiable(
 
     Returns (max >= zeta, argmax assignment, max fraction).  The argmax is
     the lexicographically first maximizer over tuples ordered 0 < 1.
+    Assignments are swept as the integers 0..2^n - 1 with x1 the most
+    significant bit, which is that lexicographic order.
     """
-    if formula.n > cap:
-        raise CnfError(f"brute-force cap exceeded: n={formula.n} > {cap}")
+    n = formula.n
+    if n > cap:
+        raise CnfError(f"brute-force cap exceeded: n={n} > {cap}")
+    shifts = np.arange(n - 1, -1, -1)
     best_count = -1
     best: Assignment = ()
-    for assignment in product((0, 1), repeat=formula.n):
-        got = count_satisfied(formula, assignment)
-        if got > best_count:
-            best_count, best = got, assignment
+    for start in range(0, 1 << n, SWEEP_CHUNK):
+        rows = (np.arange(start, min(start + SWEEP_CHUNK, 1 << n))[:, None] >> shifts) & 1
+        count = np.zeros(len(rows), dtype=np.int64)
+        for key in formula.keys:
+            hit = np.zeros(len(rows), dtype=bool)
+            for k in key:
+                hit |= rows[:, k >> 1] != (k & 1)
+            count += hit
+        i = int(count.argmax())  # first maximizer in the chunk
+        if count[i] > best_count:
+            best_count, best = int(count[i]), tuple(rows[i].tolist())
     value = Fraction(best_count, formula.clause_count)
     return value >= zeta, best, value
 
@@ -359,20 +350,20 @@ class ClauseUniverse:
     def size(self) -> int:
         return len(self.keys)
 
-    def index_of(self, clause: Clause) -> int:
-        """Coordinate of a clause; CnfError if it has a variable above n."""
-        lits = clause.literals
-        if lits[-1][0] > self.n:
-            raise CnfError(f"clause {clause} is not in the universe (n={self.n})")
-        # keys computed inline: Literal.key costs a property call per literal
-        if len(lits) == 3:
-            (v1, s1), (v2, s2), (v3, s3) = lits
-            return self._offset[2 * v1 - 2 + s1][2 * v2 - 2 + s2] + 2 * v3 - 2 + s3
-        if len(lits) == 2:
-            (v1, s1), (v2, s2) = lits
-            return self._offset[-1][2 * v1 - 2 + s1] + 2 * v2 - 2 + s2
-        ((v1, s1),) = lits
-        return 2 * v1 - 2 + s1
+    def index_of(self, key: tuple[int, ...]) -> int:
+        """Coordinate of the clause with these sorted literal keys (``Clause.key``).
+
+        CnfError if the clause has a variable above n.
+        """
+        if key[-1] >= 2 * self.n:
+            raise CnfError(f"clause with literal keys {key} is not in the universe (n={self.n})")
+        if len(key) == 3:
+            a, b, c = key
+            return self._offset[a][b] + c
+        if len(key) == 2:
+            a, b = key
+            return self._offset[-1][a] + b
+        return key[0]
 
     @property
     def entries(self) -> tuple[Clause, ...]:

@@ -8,11 +8,12 @@ Two vector families live here:
 
 * realizability vectors: for a state-action pair, the feature packs
   [satisfied-count, undecided-clause multiplicities] / |C| over the clause
-  universe; the stage weight packs [1, per-clause continuation result],
-  where the continuation entry of a clause on wholly-unassigned variables
-  is its truth value (greedy) or satisfaction probability (softmax) under
-  the policy's roll-out, and 0 for any clause touching an assigned
-  variable.
+  universe, read off ``Formula.split`` of the extended prefix and located
+  with the universe's arithmetic ``index_of``; the stage weight packs
+  [1, per-clause continuation result], where the continuation entry of a
+  clause on wholly-unassigned variables is its truth value (greedy) or
+  satisfaction probability (softmax) under the policy's roll-out, and 0
+  for any clause touching an assigned variable.
 
 Greedy-path arithmetic is exact (ints and Fractions); softmax entries are
 64-bit floats.  Weights never read the state or action: they are built
@@ -25,15 +26,15 @@ array.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .cnf import Clause, ClauseUniverse, Formula, eval_clause
+from .cnf import Clause, ClauseUniverse, CnfError, Formula, Literal
 from .mdp import MdpInstance, MdpError, State, assigned_prefix, is_terminal, stage, validate_state
 
 GREEDY = "greedy"
@@ -88,12 +89,6 @@ class PspFeature:
     vector: tuple[int, ...]
 
 
-def sign_patterns(n: int):
-    """All 2^n canonical +-1 parameter vectors, in assignment order."""
-    for bits in product((0, 1), repeat=n):
-        yield PolicyParams.from_signs(bits)
-
-
 def psp_feature(h: int, action: int, d_prime: int) -> PspFeature:
     if not 1 <= h <= d_prime:
         raise ValueError(f"stage h={h} out of range [1, {d_prime}]")
@@ -136,14 +131,12 @@ def undecided_multiset(formula: Formula, prefix: Sequence[int]) -> list[Clause]:
     """Simplified undecided clause instances after assigning the prefix.
 
     One entry per surviving clause instance, in formula order; satisfied
-    and falsified instances are dropped.
+    and falsified instances are dropped.  Every prefix entry must be an
+    assigned value, 0 or 1.
     """
-    out = []
-    for clause in formula.clauses:
-        status = eval_clause(clause, prefix)
-        if status.is_undecided:
-            out.append(status.simplified)
-    return out
+    if any(v not in (0, 1) for v in prefix):
+        raise CnfError("prefix entries must be 0 or 1")
+    return [Clause(tuple(map(Literal.from_key, key))) for key in formula.split(prefix)[1]]
 
 
 @dataclass(frozen=True)
@@ -218,19 +211,10 @@ def realizability_feature(
         raise MdpError(f"terminal state {values} has no feature")
     if action not in (0, 1):
         raise MdpError(f"action must be 0 or 1, got {action!r}")
-    prefix = assigned_prefix(values) + (action,)
-    b = 0
-    counts: dict[int, int] = {}
-    for clause in instance.formula.clauses:
-        status = eval_clause(clause, prefix)
-        if status.is_satisfied:
-            b += 1
-        elif status.is_undecided:
-            idx = instance.universe.index_of(status.simplified)
-            counts[idx] = counts.get(idx, 0) + 1
+    b, undecided = instance.formula.split(assigned_prefix(values) + (action,))
     return RealizabilityFeature(
         b=b,
-        y_counts=counts,
+        y_counts=Counter(map(instance.universe.index_of, undecided)),
         clause_count=instance.formula.clause_count,
         dim=instance.d,
     )

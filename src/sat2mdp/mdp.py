@@ -5,16 +5,26 @@ stage h has h-1 assigned variables.  Taking action a at stage h writes a
 into the first unassigned slot.  Reward is 0 everywhere except terminal
 states, which pay the exact satisfied fraction of the formula.  The
 2^(n+1) - 1 states are never materialized; everything is computed on
-demand from the formula.
+demand from the formula.  An ``MdpInstance`` holds only the formula: its
+dimensions are closed forms, and the Theta(n^3) clause universe is
+enumerated on first use, so paths that never read it (the exhaustive
+solver, and its cap check) never pay for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .cnf import ClauseUniverse, Formula, enumerate_universe, satisfied_fraction
+from .cnf import (
+    ClauseUniverse,
+    Formula,
+    enumerate_universe,
+    satisfied_fraction,
+    universe_block_sizes,
+)
 
 State = tuple[int, ...]
 ACTIONS = (0, 1)
@@ -26,22 +36,36 @@ class MdpError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MdpInstance:
-    """Immutable bundle: formula, clause universe, and derived dimensions.
+    """A formula and the dimensions of its MDP.
 
     horizon H = n + 1, policy-parameter dimension d_prime = n, and
-    realizability dimension d = 1 + |universe|.
+    realizability dimension d = 1 + |universe|, from the closed-form block
+    sizes.  The clause universe itself is enumerated on first access.
     """
 
     formula: Formula
-    universe: ClauseUniverse
-    horizon: int
-    d: int
-    d_prime: int
-    action_count: int = 2
+
+    action_count = len(ACTIONS)
 
     @property
     def n(self) -> int:
         return self.formula.n
+
+    @property
+    def horizon(self) -> int:
+        return self.n + 1
+
+    @property
+    def d_prime(self) -> int:
+        return self.n
+
+    @property
+    def d(self) -> int:
+        return 1 + sum(universe_block_sizes(self.n))
+
+    @cached_property
+    def universe(self) -> ClauseUniverse:
+        return enumerate_universe(self.n)
 
     @property
     def implied_state_count(self) -> int:
@@ -60,15 +84,8 @@ class MdpInstance:
 
 
 def build_mdp(formula: Formula) -> MdpInstance:
-    """Construct the MDP instance for a formula, enumerating its clause universe."""
-    universe = enumerate_universe(formula.n)
-    return MdpInstance(
-        formula=formula,
-        universe=universe,
-        horizon=formula.n + 1,
-        d=1 + universe.size,
-        d_prime=formula.n,
-    )
+    """Construct the MDP instance for a formula; its universe is built on first use."""
+    return MdpInstance(formula)
 
 
 def initial_state(n: int) -> State:

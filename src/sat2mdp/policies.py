@@ -2,9 +2,11 @@
 
 Greedy values are computed by deterministic roll-out and returned as exact
 Fractions.  Softmax values default to the per-clause probability path
-(polynomial) with an exhaustive trajectory sum available as the oracle
-route.  ``best_greedy`` sweeps all 2^n sign patterns, which covers every
-distinct greedy behavior because actions depend on the stage only.
+(polynomial, over ``Formula.split`` of the prefix) with an exhaustive
+trajectory sum available as the oracle route.  ``best_greedy`` reads the
+best sign pattern off ``cnf.is_zeta_satisfiable``: sign pattern x plays
+assignment x, and actions depend on the stage only, so the best assignment
+is the best greedy policy.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cnf import DEFAULT_BRUTE_FORCE_CAP, eval_clause
-from .features import PolicyParams, greedy_action, sign_patterns, softmax_prob
+from .cnf import DEFAULT_BRUTE_FORCE_CAP, is_zeta_satisfiable
+from .features import PolicyParams, greedy_action, softmax_prob
 from .mdp import (
     ACTIONS,
     MdpError,
@@ -90,20 +92,16 @@ def eval_q_softmax(
         raise MdpError(f"terminal state {values} has no q-value")
     prefix = assigned_prefix(values) + (action,)
     h = len(prefix)
-    probs = [0.0] * (instance.n + 1)
-    for j in range(h + 1, instance.n + 1):
-        probs[j] = softmax_prob(j, params)
-    acc = 0.0
-    for clause in instance.formula.clauses:
-        status = eval_clause(clause, prefix)
-        if status.is_satisfied:
-            acc += 1.0
-        elif status.is_undecided:
-            p_all_false = 1.0
-            for lit in status.simplified.literals:
-                p_true = probs[lit.variable_index]
-                p_all_false *= p_true if lit.negated else 1.0 - p_true
-            acc += 1.0 - p_all_false
+    # indexed by variable - 1, the variable of literal key k being k >> 1
+    probs = [0.0] * h + [softmax_prob(j, params) for j in range(h + 1, instance.n + 1)]
+    satisfied, undecided = instance.formula.split(prefix)
+    acc = float(satisfied)
+    for key in undecided:
+        p_all_false = 1.0
+        for k in key:
+            p_true = probs[k >> 1]
+            p_all_false *= p_true if k & 1 else 1.0 - p_true
+        acc += 1.0 - p_all_false
     return acc / instance.formula.clause_count
 
 
@@ -175,22 +173,18 @@ def sample_trajectory(
 def best_greedy(
     instance: MdpInstance, cap: int = DEFAULT_BRUTE_FORCE_CAP
 ) -> tuple[PolicyParams, Fraction]:
-    """Sweep all 2^n sign patterns; return the first argmax and its value at the root.
+    """The first best of all 2^n sign patterns and its value at the root.
 
     Every greedy policy behaves like one of these patterns (actions depend
-    only on the stage), so the sweep is exact over the whole class.
+    only on the stage), and pattern x rolls out to assignment x, so the
+    exhaustive assignment sweep is exact over the whole class; its
+    lexicographically first argmax is the first best pattern in
+    ``itertools.product`` order.
     """
     if instance.n > cap:
         raise MdpError(f"brute-force cap exceeded: n={instance.n} > {cap}")
-    root = initial_state(instance.n)
-    best_params: PolicyParams | None = None
-    best_value = Fraction(-1)
-    for params in sign_patterns(instance.n):
-        value = state_value_greedy(instance, params, root)
-        if value > best_value:
-            best_params, best_value = params, value
-    assert best_params is not None
-    return best_params, best_value
+    _, argmax, value = is_zeta_satisfiable(instance.formula, 0, cap)
+    return PolicyParams.from_signs(argmax), value
 
 
 @dataclass(frozen=True)

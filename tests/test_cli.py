@@ -143,6 +143,17 @@ class TestDecide:
         assert code == 2 and "cap" in err
         assert time.perf_counter() - started < 5.0
 
+    def test_cap_exit_2_before_universe(self, capsys, tmp_path, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"clause universe built for n={n}")
+
+        monkeypatch.setattr("sat2mdp.mdp.enumerate_universe", refuse)
+        path = tmp_path / "wide.cnf"
+        path.write_text("p cnf 30 30\n" + "".join(f"{v} 0\n" for v in range(1, 31)))
+        for argv in (["decide", str(path), "--delta", "0.1"], ["solve", str(path)]):
+            code, _, err = run(capsys, argv)
+            assert code == 2 and "cap" in err
+
     def test_precondition_exit_2(self, capsys, cnf_path):
         code, _, err = run(
             capsys, ["decide", cnf_path, "--delta", "0.1", "--epsilon", "0.2"]

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,15 +12,37 @@ from sat2mdp import (
     Formula,
     Literal,
     enumerate_universe,
-    eval_clause,
     is_zeta_satisfiable,
     occurrence_bound,
     parse_dimacs,
     satisfied_fraction,
+    undecided_multiset,
     universe_block_sizes,
 )
-from sat2mdp.cnf import FALSIFIED, SATISFIED
+from sat2mdp.cnf import SWEEP_CHUNK
 from sat2mdp.verify import random_formula
+
+
+@st.composite
+def formulas(draw, max_n=8, max_clauses=12):
+    """Random formulas with 1-3 distinct variables per clause, duplicates allowed."""
+    n = draw(st.integers(1, max_n))
+    clause = st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs))
+    )
+    return Formula.from_ints(n, draw(st.lists(clause, min_size=1, max_size=max_clauses)))
+
+
+def split_by_signed_ints(formula, prefix):
+    """Oracle for Formula.split: satisfied count and undecided remainders as signed ints."""
+    satisfied, undecided = 0, []
+    for clause in formula.clauses:
+        lits = clause.to_ints()
+        if any(abs(v) <= len(prefix) and prefix[abs(v) - 1] == (v > 0) for v in lits):
+            satisfied += 1
+        elif any(abs(v) > len(prefix) for v in lits):
+            undecided.append([v for v in lits if abs(v) > len(prefix)])
+    return satisfied, undecided
 
 
 class TestLiteralAndClause:
@@ -112,7 +134,7 @@ class TestUniverse:
     def test_index_map_roundtrip(self):
         u = enumerate_universe(4)
         for i, clause in enumerate(u.entries):
-            assert u.index_of(clause) == i
+            assert u.index_of(clause.key) == i
 
     def test_block_order(self):
         u = enumerate_universe(3)
@@ -142,9 +164,9 @@ class TestUniverse:
         assert [tuple(k for k in row if k >= 0) for row in u.keys.tolist()] == ordered
         for i, clause in enumerate(u.entries):
             assert clause.key == ordered[i]
-            assert u.index_of(clause) == i
+            assert u.index_of(clause.key) == i
         with pytest.raises(CnfError, match="not in the universe"):
-            u.index_of(Clause.from_ints([1, -(n + 1)]))
+            u.index_of(Clause.from_ints([1, -(n + 1)]).key)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -153,7 +175,7 @@ class TestUniverse:
         u = enumerate_universe(n)
         i = data.draw(st.integers(0, u.size - 1), label="i")
         clause = Clause(tuple(Literal.from_key(int(k)) for k in u.keys[i] if k >= 0))
-        assert u.index_of(clause) == i
+        assert u.index_of(clause.key) == i
 
     def test_no_tautologies(self):
         u = enumerate_universe(5)
@@ -167,36 +189,39 @@ class TestUniverse:
 
 
 class TestEvalClause:
+    """Clause evaluation through Formula.split."""
+
     def test_decided_by_prefix(self):
         # (~x1 | ~x2) is decided once x1 = x2 = 0
-        assert eval_clause(Clause.from_ints([-1, -2]), (0, 0)) == SATISFIED
+        assert Formula.from_ints(2, [[-1, -2]]).split((0, 0)) == (1, [])
 
     def test_shrinks_and_simplifies(self):
-        got = eval_clause(Clause.from_ints([1, -4, 5]), (0, 0))
-        assert got.is_undecided
-        assert got.simplified.to_ints() == [-4, 5]
+        got = Formula.from_ints(5, [[1, -4, 5]]).split((0, 0))
+        assert got == (0, [Clause.from_ints([-4, 5]).key])
 
     def test_falsified_unit(self):
-        assert eval_clause(Clause.from_ints([1]), (0,)) == FALSIFIED
+        assert Formula.from_ints(1, [[1]]).split((0,)) == (0, [])
 
     def test_unassigned_markers(self):
-        got = eval_clause(Clause.from_ints([1, 2]), (-1, -1))
-        assert got.simplified.to_ints() == [1, 2]
+        # split takes assigned prefixes only; the public multiset rejects markers
+        formula = Formula.from_ints(2, [[1, 2]])
+        for prefix in ((-1, -1), (0, -1), (2,)):
+            with pytest.raises(CnfError, match="0 or 1"):
+                undecided_multiset(formula, prefix)
 
-    def test_monotone_under_extension(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            n = int(rng.integers(2, 7))
-            formula = random_formula(n, rng)
-            prefix = [int(v) for v in rng.integers(0, 2, size=int(rng.integers(0, n)))]
-            for clause in formula.clauses:
-                before = eval_clause(clause, tuple(prefix))
-                extended = prefix + [int(rng.integers(0, 2))] if len(prefix) < n else prefix
-                after = eval_clause(clause, tuple(extended))
-                if before.is_satisfied:
-                    assert after.is_satisfied
-                if before.is_falsified:
-                    assert after.is_falsified
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(), st.data())
+    def test_split_matches_signed_oracle(self, formula, data):
+        prefix = tuple(data.draw(st.lists(st.sampled_from((0, 1)), max_size=formula.n)))
+        satisfied, undecided = formula.split(prefix)
+        decoded = [[-(k // 2 + 1) if k % 2 else k // 2 + 1 for k in key] for key in undecided]
+        assert (satisfied, decoded) == split_by_signed_ints(formula, prefix)
+        if len(prefix) < formula.n:
+            # extending the prefix never undoes a satisfied or falsified instance
+            longer, rest = formula.split(prefix + (data.draw(st.sampled_from((0, 1))),))
+            assert longer >= satisfied
+            falsified = formula.clause_count - satisfied - len(undecided)
+            assert formula.clause_count - longer - len(rest) >= falsified
 
 
 class TestSatisfiedFraction:
@@ -276,13 +301,23 @@ class TestZetaSatisfiability:
         with pytest.raises(CnfError, match="cap"):
             is_zeta_satisfiable(example1, 1, cap=2)
 
+    def test_sweep_spans_chunks(self):
+        n = SWEEP_CHUNK.bit_length()
+        assert 2 ** n == 2 * SWEEP_CHUNK
+        # x1 = 1 first at assignment index 2^(n-1), the first of the second chunk
+        _, argmax, value = is_zeta_satisfiable(Formula.from_ints(n, [[1]]), 1)
+        assert argmax == (1,) + (0,) * (n - 1) and value == 1
+        # xn = 1 first at index 1, and tied throughout the second chunk
+        _, argmax, value = is_zeta_satisfiable(Formula.from_ints(n, [[n]]), 1)
+        assert argmax == (0,) * (n - 1) + (1,) and value == 1
+
     @pytest.mark.parametrize("seed", range(6))
     def test_against_bitmask_oracle(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 11))
         formula = random_formula(n, rng, max_occurrences=5, clause_count=2 * n)
         # independent oracle: per-clause satisfying-assignment bitmasks
-        best = 0
+        hits = []
         for x in range(2 ** n):
             hit = 0
             for clause in formula.clauses:
@@ -293,10 +328,24 @@ class TestZetaSatisfiability:
                         sat = True
                         break
                 hit += sat
-            best = max(best, hit)
+            hits.append(hit)
+        best = max(hits)
         _, argmax, value = is_zeta_satisfiable(formula, 0)
         assert value == Fraction(best, formula.clause_count)
         assert satisfied_fraction(formula, argmax) == value
+        # tie rule: the first maximizer in itertools.product order
+        first = next(
+            a for a in product((0, 1), repeat=n)
+            if hits[sum(bit << i for i, bit in enumerate(a))] == best
+        )
+        assert argmax == first
+
+
+class TestDimacsRoundtrip:
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(max_n=30, max_clauses=40))
+    def test_parse_inverts_to_dimacs(self, formula):
+        assert parse_dimacs(formula.to_dimacs()) == formula
 
 
 class TestFormulaValidation:

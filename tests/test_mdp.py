@@ -42,6 +42,7 @@ class TestBuild:
         for n in (1, 5, 9):
             inst = build_mdp(Formula.from_ints(n, [[1]]))
             assert inst.horizon == n + 1
+            assert inst.d == 1 + inst.universe.size
 
     def test_json_descriptor(self, example1_instance):
         data = example1_instance.to_json()

@@ -14,7 +14,6 @@ from sat2mdp import (
     eval_q_greedy,
     eval_q_softmax,
     greedy_weight,
-    is_zeta_satisfiable,
     lookahead_state,
     realizability_feature,
     reward,
@@ -170,13 +169,21 @@ class TestBestGreedy:
         assert value == Fraction(1, 2)
 
     def test_matches_assignment_brute_force(self):
+        # roll-out oracle: every sign pattern played through the MDP, first best kept
         rng = np.random.default_rng(42)
         for _ in range(50):
             n = int(rng.integers(1, 9))
             formula = random_formula(n, rng, clause_count=2 * n)
-            _, value = best_greedy(build_mdp(formula))
-            _, _, zmax = is_zeta_satisfiable(formula, 0)
-            assert value == zmax
+            instance = build_mdp(formula)
+            values = {
+                bits: state_value_greedy(instance, PolicyParams.from_signs(bits), initial_state(n))
+                for bits in product((0, 1), repeat=n)
+            }
+            best_value = max(values.values())
+            first = next(bits for bits, value in values.items() if value == best_value)
+            params, value = best_greedy(instance)
+            assert params == PolicyParams.from_signs(first)
+            assert value == best_value
 
     def test_cap(self):
         instance = build_mdp(Formula.from_ints(4, [[1]]))
