@@ -22,7 +22,7 @@ from .features import (
     realizability_feature,
     softmax_weight,
 )
-from .mdp import MdpError, build_mdp, stage, validate_state
+from .mdp import MdpError, build_mdp, stage
 from .policies import (
     best_greedy,
     eval_q_greedy,
@@ -79,8 +79,13 @@ def parse_theta(text: str, n: int | None = None) -> PolicyParams:
     return params
 
 
-def parse_state(text: str) -> tuple[int, ...]:
-    return validate_state(tuple(int(v) for v in text.split(",")))
+def parse_state(text: str, n: int) -> tuple[int, ...]:
+    """A comma-separated state of n entries, in prefix form."""
+    state = tuple(int(v) for v in text.split(","))
+    if len(state) != n:
+        raise ValueError(f"state has {len(state)} entries, formula needs {n}")
+    stage(state)
+    return state
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
@@ -109,7 +114,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     formula = parse_dimacs(_read_input(args.cnf))
     instance = build_mdp(formula)
     params = parse_theta(args.theta, formula.n)
-    state = parse_state(args.state)
+    state = parse_state(args.state, formula.n)
     h = stage(state)
     phi = realizability_feature(instance, state, args.action)
     if args.policy_class == "greedy":

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .cnf import Clause, ClauseUniverse, CnfError, Formula, Literal
-from .mdp import MdpInstance, MdpError, State, assigned_prefix, is_terminal, stage, validate_state
+from .mdp import MdpInstance, MdpError, State, stage
 
 GREEDY = "greedy"
 SOFTMAX = "softmax"
@@ -206,12 +206,13 @@ def realizability_feature(
     instance: MdpInstance, state: Sequence[int], action: int
 ) -> RealizabilityFeature:
     """Feature of (state, action): counts after extending the prefix by the action."""
-    values = validate_state(state)
-    if is_terminal(values):
+    values = tuple(state)
+    h = stage(values)
+    if h > len(values):
         raise MdpError(f"terminal state {values} has no feature")
     if action not in (0, 1):
         raise MdpError(f"action must be 0 or 1, got {action!r}")
-    b, undecided = instance.formula.split(assigned_prefix(values) + (action,))
+    b, undecided = instance.formula.split(values[: h - 1] + (action,))
     return RealizabilityFeature(
         b=b,
         y_counts=Counter(map(instance.universe.index_of, undecided)),
@@ -331,10 +332,10 @@ def lookahead_state(state: Sequence[int], action: int, params: PolicyParams) -> 
 
     A terminal input is returned unchanged.
     """
-    values = validate_state(state)
-    if is_terminal(values):
-        return values
+    values = tuple(state)
     h = stage(values)
+    if h > len(values):
+        return values
     tail = tuple(f_threshold(params, j) for j in range(h + 1, len(values) + 1))
     if action not in (0, 1):
         raise MdpError(f"action must be 0 or 1, got {action!r}")

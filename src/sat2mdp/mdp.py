@@ -1,14 +1,16 @@
 """The assignment-tree MDP built from a formula.
 
 States are n-tuples over {-1, 0, 1} whose assigned entries form a prefix;
-stage h has h-1 assigned variables.  Taking action a at stage h writes a
-into the first unassigned slot.  Reward is 0 everywhere except terminal
-states, which pay the exact satisfied fraction of the formula.  The
-2^(n+1) - 1 states are never materialized; everything is computed on
-demand from the formula.  An ``MdpInstance`` holds only the formula: its
-dimensions are closed forms, and the Theta(n^3) clause universe is
-enumerated on first use, so paths that never read it (the exhaustive
-solver, and its cap check) never pay for it.
+stage h has h-1 assigned variables.  ``stage`` is the one state check:
+every function that takes a state gets h from it, reads the prefix as
+``values[:h - 1]``, and treats h > n as terminal.  Taking action a at
+stage h writes a into the first unassigned slot.  Reward is 0 everywhere
+except terminal states, which pay the exact satisfied fraction of the
+formula.  The 2^(n+1) - 1 states are never materialized; everything is
+computed on demand from the formula.  An ``MdpInstance`` holds only the
+formula: its dimensions are closed forms, and the Theta(n^3) clause
+universe is enumerated on first use, so paths that never read it (the
+exhaustive solver, and its cap check) never pay for it.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class MdpInstance:
     def d_prime(self) -> int:
         return self.n
 
-    @property
+    @cached_property
     def d(self) -> int:
         return 1 + sum(universe_block_sizes(self.n))
 
@@ -92,55 +94,45 @@ def initial_state(n: int) -> State:
     return (-1,) * n
 
 
-def validate_state(state: Sequence[int]) -> State:
-    """Check prefix form: assigned 0/1 entries, then all -1."""
-    values = tuple(state)
-    seen_unassigned = False
-    for i, v in enumerate(values):
-        if v not in (-1, 0, 1):
-            raise MdpError(f"state entry {i} is {v}, expected -1, 0, or 1")
-        if v == -1:
-            seen_unassigned = True
-        elif seen_unassigned:
-            raise MdpError(f"state {values} is not in prefix form")
-    return values
-
-
 def stage(state: Sequence[int]) -> int:
-    """1 + number of assigned entries; ranges over [1, n+1]."""
-    assigned = 0
-    for v in state:
-        if v == -1:
-            break
-        assigned += 1
-    return 1 + assigned
+    """1 + number of assigned entries; ranges over [1, n+1].
+
+    The MDP's one state check: raises ``MdpError`` unless the state is a
+    run of 0/1 entries followed only by -1 entries.  The assigned prefix
+    is ``values[:h - 1]``, and the state is terminal when h > len(values).
+    """
+    values = tuple(state)
+    h = values.index(-1) + 1 if -1 in values else len(values) + 1
+    if (
+        values.count(-1) != len(values) + 1 - h
+        or values.count(0) + values.count(1) != h - 1
+    ):
+        raise MdpError(f"state {values} is not in prefix form: 0/1 entries, then only -1")
+    return h
 
 
 def is_terminal(state: Sequence[int]) -> bool:
-    return -1 not in state
-
-
-def assigned_prefix(state: Sequence[int]) -> tuple[int, ...]:
-    return tuple(state[: stage(state) - 1])
+    return stage(state) > len(state)
 
 
 def transition(state: Sequence[int], action: int) -> State:
     """Deterministic next state: the first -1 entry becomes the action value."""
-    values = validate_state(state)
+    values = tuple(state)
+    h = stage(values)
     if action not in ACTIONS:
         raise MdpError(f"action must be 0 or 1, got {action!r}")
-    if is_terminal(values):
+    if h > len(values):
         raise MdpError(f"cannot transition from terminal state {values}")
-    h = stage(values)
     return values[: h - 1] + (action,) + values[h:]
 
 
 def reward(instance: MdpInstance, state: Sequence[int]) -> Fraction:
     """0 before the final stage; exact satisfied fraction at a terminal state."""
-    values = validate_state(state)
+    values = tuple(state)
+    h = stage(values)
     if len(values) != instance.n:
         raise MdpError(f"state length {len(values)} != n={instance.n}")
-    if not is_terminal(values):
+    if h <= instance.n:
         return Fraction(0)
     return satisfied_fraction(instance.formula, values)
 

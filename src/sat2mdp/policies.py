@@ -1,9 +1,10 @@
 """Exact policy evaluation on the assignment-tree MDP.
 
 Greedy values are computed by deterministic roll-out and returned as exact
-Fractions.  Softmax values default to the per-clause probability path
-(polynomial, over ``Formula.split`` of the prefix) with an exhaustive
-trajectory sum available as the oracle route.  ``best_greedy`` reads the
+Fractions.  Softmax values sum per-clause satisfaction probabilities
+(polynomial, over ``Formula.split`` of the prefix); ``enumerate_trajectories``
+lists every continuation with its probability and is the independent
+oracle they are checked against.  ``best_greedy`` reads the
 best sign pattern off ``cnf.is_zeta_satisfiable``: sign pattern x plays
 assignment x, and actions depend on the stage only, so the best assignment
 is the best greedy policy.
@@ -25,13 +26,10 @@ from .mdp import (
     MdpError,
     MdpInstance,
     State,
-    assigned_prefix,
     initial_state,
-    is_terminal,
     reward,
     stage,
     transition,
-    validate_state,
 )
 
 DEFAULT_ENUMERATION_CAP = 20
@@ -55,8 +53,8 @@ def eval_q_greedy(
 ) -> Fraction:
     """q(state, action) under the greedy policy: apply the action, then roll out."""
     current = transition(state, action)
-    while not is_terminal(current):
-        current = transition(current, greedy_action(stage(current), params))
+    for h in range(stage(state) + 1, len(current) + 1):
+        current = transition(current, greedy_action(h, params))
     return reward(instance, current)
 
 
@@ -71,27 +69,17 @@ def eval_q_softmax(
     params: PolicyParams,
     state: Sequence[int],
     action: int,
-    method: str = "dp",
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Expected terminal reward after (state, action) under the softmax policy.
 
-    method="dp" sums per-clause satisfaction probabilities (default);
-    method="enumerate" sums over all remaining trajectories and is meant as
-    the independent cross-check.
+    Sums per-clause satisfaction probabilities: a clause left undecided by
+    the prefix is satisfied unless every one of its literals draws false.
     """
-    if method == "enumerate":
-        total = 0.0
-        for traj in enumerate_trajectories(instance, params, state, action, cap=cap):
-            total += traj.probability * float(reward(instance, traj.final))
-        return total
-    if method != "dp":
-        raise ValueError(f"unknown method {method!r}")
-    values = validate_state(state)
-    if is_terminal(values):
+    values = tuple(state)
+    h = stage(values)
+    if h > len(values):
         raise MdpError(f"terminal state {values} has no q-value")
-    prefix = assigned_prefix(values) + (action,)
-    h = len(prefix)
+    prefix = values[: h - 1] + (action,)
     # indexed by variable - 1, the variable of literal key k being k >> 1
     probs = [0.0] * h + [softmax_prob(j, params) for j in range(h + 1, instance.n + 1)]
     satisfied, undecided = instance.formula.split(prefix)
@@ -106,12 +94,12 @@ def eval_q_softmax(
 
 
 def state_value_softmax(
-    instance: MdpInstance, params: PolicyParams, state: Sequence[int], method: str = "dp"
+    instance: MdpInstance, params: PolicyParams, state: Sequence[int]
 ) -> float:
     h = stage(state)
     p1 = softmax_prob(h, params)
-    q0 = eval_q_softmax(instance, params, state, 0, method=method)
-    q1 = eval_q_softmax(instance, params, state, 1, method=method)
+    q0 = eval_q_softmax(instance, params, state, 0)
+    q1 = eval_q_softmax(instance, params, state, 1)
     return (1.0 - p1) * q0 + p1 * q1
 
 
@@ -127,10 +115,10 @@ def enumerate_trajectories(
     The given action is taken with probability 1; only the later stages
     contribute probability factors.
     """
-    values = validate_state(state)
-    if is_terminal(values):
-        raise MdpError(f"terminal state {values} has no trajectories")
+    values = tuple(state)
     h = stage(values)
+    if h > len(values):
+        raise MdpError(f"terminal state {values} has no trajectories")
     free = instance.n - h
     if free > cap:
         raise MdpError(f"{free} free stages exceed the enumeration cap {cap}")

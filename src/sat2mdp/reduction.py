@@ -118,19 +118,20 @@ def exact_solver(
     """Brute-force reference solver: 0-optimal, so epsilon-optimal for any epsilon.
 
     Sweeps every sign pattern and evaluates each one purely through the
-    generative access.  For the softmax class the winning pattern is scaled
-    to saturation so extraction recovers the same assignment.
+    generative access, n queries per pattern: the greedy policy of pattern
+    x plays x_h at stage h, so the bits are played as actions directly.
+    For the softmax class the winning pattern is scaled to saturation so
+    extraction recovers the same assignment.
     """
     if instance.n > DEFAULT_BRUTE_FORCE_CAP:
         raise ReductionError(f"brute-force cap exceeded: n={instance.n} > {DEFAULT_BRUTE_FORCE_CAP}")
     best_bits: tuple[int, ...] | None = None
     best_value = Fraction(-1)
     for bits in product((0, 1), repeat=instance.n):
-        params = PolicyParams.from_signs(bits)
         state = initial_state(instance.n)
         total = Fraction(0)
-        for h in range(1, instance.n + 1):
-            state, r = query(state, greedy_action(h, params))
+        for action in bits:
+            state, r = query(state, action)
             total += r
         if total > best_value:
             best_bits, best_value = bits, total

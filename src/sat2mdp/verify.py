@@ -24,6 +24,7 @@ from .features import PolicyParams, f_threshold, greedy_action
 from .mdp import ACTIONS, MdpInstance, build_mdp, generative_query, reward, stage
 from .policies import (
     best_greedy,
+    enumerate_trajectories,
     eval_q_greedy,
     eval_q_softmax,
     iter_states,
@@ -285,7 +286,9 @@ def check_realizability_softmax(
                 for action in ACTIONS:
                     cases += 1
                     dp = eval_q_softmax(instance, params, root, action)
-                    brute = eval_q_softmax(instance, params, root, action, method="enumerate")
+                    brute = 0.0
+                    for traj in enumerate_trajectories(instance, params, root, action):
+                        brute += traj.probability * float(reward(instance, traj.final))
                     if abs(dp - brute) > weight_tol:
                         failures.append(
                             {**repro, "action": action, "kind": "dp_vs_enumeration",

@@ -1,0 +1,45 @@
+"""The traced benchmark names package functions; renaming one breaks it.
+
+``bench/run.py --trace 1`` reads ``stats[name]`` for every span in
+``CALL_COUNTS`` and ``SELF_TIMES``; a span whose function was deleted,
+renamed, made private or listed as a tracer leaf raises ``KeyError`` there.
+These tests load the benchmark files without running them and check each
+span against the package.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RUN = _load("run")
+SPANS = sorted(set(RUN.CALL_COUNTS) | set(RUN.SELF_TIMES))
+
+
+@pytest.mark.parametrize("span", SPANS)
+def test_span_resolves_to_package_function(span):
+    layer, *path = span.split(".")
+    module = importlib.import_module(f"sat2mdp.{layer}")
+    owner = module
+    for part in path[:-1]:
+        owner = getattr(owner, part)
+    fn = vars(owner).get(path[-1])
+    assert inspect.isfunction(fn), f"{span} is not a function of sat2mdp.{layer}"
+    assert fn.__module__ == module.__name__, f"{span} is defined in {fn.__module__}"
+
+
+def test_tracer_wraps_every_span():
+    discovered = {name for name, *_ in _load("tracer").Tracer._discover()}
+    assert not set(SPANS) - discovered

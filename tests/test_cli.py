@@ -46,7 +46,11 @@ class TestThetaParsing:
             parse_theta("+-", 3)
 
     def test_state_parsing(self):
-        assert parse_state("1,-1,-1") == (1, -1, -1)
+        assert parse_state("1,-1,-1", 3) == (1, -1, -1)
+        with pytest.raises(ValueError, match="state has 2 entries, formula needs 3"):
+            parse_state("-1,-1", 3)
+        with pytest.raises(ValueError, match="prefix form"):
+            parse_state("-1,1,-1", 3)
 
 
 class TestReduce:
@@ -116,6 +120,16 @@ class TestEval:
             ["eval", cnf_path, "--theta", "+++", "--state=1,0,1", "--action", "0"],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("policy_class", ["greedy", "softmax"])
+    def test_wrong_length_state_exit_2(self, capsys, cnf_path, policy_class):
+        code, out, err = run(
+            capsys,
+            ["eval", cnf_path, "--theta", "0.5,0.5,0.5", "--class", policy_class,
+             "--state=-1,-1", "--action", "1"],
+        )
+        assert code == 2 and out == ""
+        assert "state has 2 entries, formula needs 3" in err
 
 
 class TestDecide:

@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sat2mdp import (
     Formula,
@@ -16,7 +18,6 @@ from sat2mdp import (
     stage,
     transition,
 )
-from sat2mdp.mdp import validate_state
 from sat2mdp.verify import random_formula
 
 
@@ -57,11 +58,29 @@ class TestStates:
         assert stage((0, 1, -1)) == 3
         assert stage((0, 1, 1)) == 4
 
-    def test_prefix_form_enforced(self):
-        with pytest.raises(MdpError, match="prefix"):
-            validate_state((-1, 0, -1))
-        with pytest.raises(MdpError):
-            validate_state((2, -1, -1))
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-2, 2), min_size=1, max_size=8).map(tuple))
+    @example((-1, 0, -1))
+    @example((2, -1, -1))
+    def test_prefix_form_enforced(self, state):
+        # oracle: reject an entry outside {-1, 0, 1} or a 0/1 after a -1;
+        # otherwise h = 1 + the number of leading assigned entries
+        seen_unassigned = False
+        valid = True
+        for v in state:
+            if v not in (-1, 0, 1) or (v != -1 and seen_unassigned):
+                valid = False
+            seen_unassigned = seen_unassigned or v == -1
+        if not valid:
+            with pytest.raises(MdpError, match="prefix form"):
+                stage(state)
+            return
+        leading = 0
+        while leading < len(state) and state[leading] != -1:
+            leading += 1
+        assert stage(state) == 1 + leading
+        assert stage(list(state)) == 1 + leading
+        assert is_terminal(state) == (leading == len(state))
 
     def test_terminal_detection(self):
         assert not is_terminal((-1, -1))

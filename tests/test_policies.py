@@ -87,12 +87,11 @@ class TestEvalQSoftmax:
             state = tuple(int(v) for v in rng.integers(0, 2, size=h - 1)) + (-1,) * (n - h + 1)
             action = int(rng.integers(0, 2))
             dp = eval_q_softmax(instance, params, state, action)
-            brute = eval_q_softmax(instance, params, state, action, method="enumerate")
+            brute = sum(
+                t.probability * float(reward(instance, t.final))
+                for t in enumerate_trajectories(instance, params, state, action)
+            )
             assert abs(dp - brute) <= 1e-12
-
-    def test_unknown_method(self, example1_instance):
-        with pytest.raises(ValueError):
-            eval_q_softmax(example1_instance, ALL_TRUE, (-1, -1, -1), 1, method="guess")
 
 
 class TestTrajectories:

@@ -8,6 +8,7 @@ from sat2mdp import (
     Formula,
     PolicyParams,
     ReductionError,
+    best_greedy,
     build_mdp,
     calibration_t,
     decide_max3sat,
@@ -146,6 +147,21 @@ class TestDecide:
         assert calls, "solver must interact through the generative access"
         assert extract_assignment_greedy(params, 3) in {(0, 0, 0), (1, 1, 1), (0, 0, 1),
                                                         (0, 1, 1), (1, 0, 0), (1, 1, 0)}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_solver_query_count_and_argmax(self, n):
+        # n queries per sign pattern, n * 2^n in all, and the first best pattern
+        instance = build_mdp(random_formula(n, np.random.default_rng(100 + n)))
+        calls = 0
+
+        def counting_query(state, action):
+            nonlocal calls
+            calls += 1
+            return generative_query(instance, state, action)
+
+        params = exact_solver(instance, counting_query, Fraction(1, 20), "greedy")
+        assert calls == n * 2**n
+        assert params == best_greedy(instance)[0]
 
 
 class TestBounds:
