@@ -210,6 +210,8 @@ def realizability_feature(
     h = stage(values)
     if h > len(values):
         raise MdpError(f"terminal state {values} has no feature")
+    if len(values) != instance.n:
+        raise MdpError(f"state length {len(values)} != n={instance.n}")
     if action not in (0, 1):
         raise MdpError(f"action must be 0 or 1, got {action!r}")
     b, undecided = instance.formula.split(values[: h - 1] + (action,))

@@ -6,7 +6,11 @@ every function that takes a state gets h from it, reads the prefix as
 ``values[:h - 1]``, and treats h > n as terminal.  Taking action a at
 stage h writes a into the first unassigned slot.  Reward is 0 everywhere
 except terminal states, which pay the exact satisfied fraction of the
-formula.  The 2^(n+1) - 1 states are never materialized; everything is
+formula; every reward before the leaf is one shared exact zero.
+``generative_query`` is one checked step: it calls ``stage`` once and
+returns what ``transition`` followed by ``reward`` would, with the same
+errors, which is why those two stay as its reference.  The 2^(n+1) - 1
+states are never materialized; everything is
 computed on demand from the formula.  An ``MdpInstance`` holds only the
 formula: its dimensions are closed forms, and the Theta(n^3) clause
 universe is enumerated on first use, so paths that never read it (the
@@ -30,6 +34,10 @@ from .cnf import (
 
 State = tuple[int, ...]
 ACTIONS = (0, 1)
+
+# The reward of every non-terminal state; Fractions are immutable, so one
+# shared instance spares a construction per query.
+_ZERO = Fraction(0)
 
 
 class MdpError(ValueError):
@@ -133,13 +141,29 @@ def reward(instance: MdpInstance, state: Sequence[int]) -> Fraction:
     if len(values) != instance.n:
         raise MdpError(f"state length {len(values)} != n={instance.n}")
     if h <= instance.n:
-        return Fraction(0)
+        return _ZERO
     return satisfied_fraction(instance.formula, values)
 
 
 def generative_query(
     instance: MdpInstance, state: Sequence[int], action: int
 ) -> tuple[State, Fraction]:
-    """Simulator access: (next state, reward of the next state). Deterministic."""
-    nxt = transition(state, action)
-    return nxt, reward(instance, nxt)
+    """Simulator access: (next state, reward of the next state). Deterministic.
+
+    Equal to ``(nxt, reward(instance, nxt))`` for ``nxt = transition(state,
+    action)``, raising the same errors in the same order, with one state
+    check: the next state of a valid step is in prefix form by construction.
+    """
+    values = tuple(state)
+    h = stage(values)
+    if action not in ACTIONS:
+        raise MdpError(f"action must be 0 or 1, got {action!r}")
+    if h > len(values):
+        raise MdpError(f"cannot transition from terminal state {values}")
+    n = instance.n
+    if len(values) != n:
+        raise MdpError(f"state length {len(values)} != n={n}")
+    nxt = values[: h - 1] + (action,) + values[h:]
+    if h < n:
+        return nxt, _ZERO
+    return nxt, satisfied_fraction(instance.formula, nxt)

@@ -79,6 +79,8 @@ def eval_q_softmax(
     h = stage(values)
     if h > len(values):
         raise MdpError(f"terminal state {values} has no q-value")
+    if len(values) != instance.n:
+        raise MdpError(f"state length {len(values)} != n={instance.n}")
     prefix = values[: h - 1] + (action,)
     # indexed by variable - 1, the variable of literal key k being k >> 1
     probs = [0.0] * h + [softmax_prob(j, params) for j in range(h + 1, instance.n + 1)]
@@ -119,6 +121,8 @@ def enumerate_trajectories(
     h = stage(values)
     if h > len(values):
         raise MdpError(f"terminal state {values} has no trajectories")
+    if len(values) != instance.n:
+        raise MdpError(f"state length {len(values)} != n={instance.n}")
     free = instance.n - h
     if free > cap:
         raise MdpError(f"{free} free stages exceed the enumeration cap {cap}")

@@ -22,7 +22,7 @@ import numpy as np
 from .cnf import DEFAULT_BRUTE_FORCE_CAP, Assignment, Formula, occurrence_bound, satisfied_fraction
 from .features import PolicyParams, greedy_action, softmax_prob
 from .mdp import MdpInstance, State, build_mdp, generative_query, initial_state
-from .policies import sample_trajectory, state_value_softmax
+from .policies import state_value_softmax
 
 # Sign patterns handed to softmax extraction are scaled this far out so the
 # per-stage action probabilities are saturated to ~1e-18 of 0 or 1.
@@ -120,6 +120,8 @@ def exact_solver(
     Sweeps every sign pattern and evaluates each one purely through the
     generative access, n queries per pattern: the greedy policy of pattern
     x plays x_h at stage h, so the bits are played as actions directly.
+    Every nonzero reward received is summed; zero ones are skipped, which
+    spares an exact addition on each query before the leaf.
     For the softmax class the winning pattern is scaled to saturation so
     extraction recovers the same assignment.
     """
@@ -132,7 +134,8 @@ def exact_solver(
         total = Fraction(0)
         for action in bits:
             state, r = query(state, action)
-            total += r
+            if r:
+                total += r
         if total > best_value:
             best_bits, best_value = bits, total
     assert best_bits is not None
@@ -318,10 +321,15 @@ def empirical_mcdiarmid(
     C = instance.formula.clause_count
     bound = mcdiarmid_tail(t, instance.horizon, b, C)
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
+    # The episode's leaf is all the check reads.  ``random(n)`` yields the
+    # same doubles as n single draws, so each leaf is the final state of
+    # ``sample_trajectory`` at the same seed, without the episode around it.
+    probs = np.array([softmax_prob(h, params) for h in range(1, instance.n + 1)])
     hits = 0
     for s in trial_seeds:
-        traj = sample_trajectory(instance, params, int(s))
-        if float(satisfied_fraction(instance.formula, traj.final)) <= threshold:
+        draws = np.random.default_rng(int(s)).random(instance.n)
+        leaf = tuple((draws < probs).astype(int).tolist())
+        if float(satisfied_fraction(instance.formula, leaf)) <= threshold:
             hits += 1
     empirical = hits / trials
     slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials)

@@ -28,6 +28,7 @@ from .policies import (
     eval_q_greedy,
     eval_q_softmax,
     iter_states,
+    sample_trajectory,
 )
 from .reduction import (
     calibration_t,
@@ -505,7 +506,10 @@ def check_reduction_roundtrip(
     soft = decide_max3sat(sample_formula, d, exact_solver, "softmax", eps, seed=seed,
                           extraction_mode="sample")
     rounded = extract_assignment_softmax(soft_params, n, mode="round")
-    if not soft.decision or rounded != extract_assignment_greedy(soft_params, n):
+    # sampled extraction draws as one softmax episode does, so it is that episode's leaf
+    sampled_leaf = sample_trajectory(inst, soft_params, seed).final
+    if (not soft.decision or rounded != extract_assignment_greedy(soft_params, n)
+            or soft.extracted != sampled_leaf):
         failures.append({"kind": "softmax_decide",
                          "achieved": frac_str(soft.achieved_fraction)})
     cases += 1

@@ -162,6 +162,13 @@ class TestRealizabilityFeature:
         with pytest.raises(MdpError):
             realizability_feature(example1_instance, (1, 0, 1), 0)
 
+    def test_wrong_length_rejected(self, example1_instance):
+        # a prefix-form state of length 5 is not a state of the 3-variable MDP
+        with pytest.raises(MdpError, match="state length 5 != n=3"):
+            realizability_feature(example1_instance, (0, 0, 0, 0, -1), 1)
+        with pytest.raises(MdpError, match="state length 2 != n=3"):
+            realizability_feature(example1_instance, (-1, -1), 1)
+
     def test_json_export(self, example1_instance):
         phi = realizability_feature(example1_instance, (1, -1, -1), 0)
         data = phi.to_json()

@@ -136,6 +136,53 @@ class TestGenerativeQuery:
         )
 
 
+def _oracle_query(instance, state, action):
+    """transition followed by reward: the pair, or the MdpError message."""
+    try:
+        nxt = transition(state, action)
+        return nxt, reward(instance, nxt)
+    except MdpError as exc:
+        return str(exc)
+
+
+@st.composite
+def _query_inputs(draw):
+    n = draw(st.integers(1, 6))
+    length = draw(st.sampled_from((n, n, n, n - 1, n + 1)))
+    assigned = draw(st.integers(0, length))
+    prefix_form = tuple(draw(st.lists(st.integers(0, 1), min_size=assigned, max_size=assigned)))
+    prefix_form += (-1,) * (length - assigned)
+    arbitrary = tuple(draw(st.lists(st.integers(-2, 2), min_size=length, max_size=length)))
+    state = draw(st.sampled_from((prefix_form, prefix_form, arbitrary)))
+    action = draw(st.sampled_from((0, 1, 0, 1, -1, 2, None, "1")))
+    return n, draw(st.integers(0, 2**16)), state, action
+
+
+class TestFusedQueryOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_query_inputs())
+    @example((3, 0, (0, -1, -1), 1))  # valid, reward 0
+    @example((3, 0, (0, 1, -1), 0))  # valid, leaf reward
+    @example((3, 0, (-1, 0, -1), 1))  # not in prefix form
+    @example((3, 0, (0, -1, -1), 2))  # bad action
+    @example((3, 0, (0, 1, 1), 0))  # terminal
+    @example((3, 0, (0, 1), 2))  # bad action checked before length
+    @example((3, 0, (0, 1), 1))  # terminal of the wrong length
+    @example((3, 0, (-1, -1), 1))  # wrong length
+    def test_matches_transition_then_reward(self, case):
+        n, seed, state, action = case
+        instance = build_mdp(random_formula(n, np.random.default_rng(seed)))
+        expected = _oracle_query(instance, state, action)
+        if isinstance(expected, str):
+            with pytest.raises(MdpError) as info:
+                generative_query(instance, state, action)
+            assert str(info.value) == expected
+        else:
+            got = generative_query(instance, state, action)
+            assert got == expected
+            assert type(got[0]) is tuple and type(got[1]) is Fraction
+
+
 class TestPathStructure:
     @pytest.mark.parametrize("seed", range(4))
     def test_every_path_pays_its_leaf(self, seed):

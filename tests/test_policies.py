@@ -76,6 +76,13 @@ class TestEvalQSoftmax:
                 hard = float(eval_q_greedy(example1_instance, ALL_TRUE, state, action))
                 assert abs(soft - hard) < 1e-6
 
+    def test_wrong_length_rejected(self, example1_instance):
+        params = PolicyParams((0.5,) * 3)
+        with pytest.raises(MdpError, match="state length 2 != n=3"):
+            eval_q_softmax(example1_instance, params, (-1, -1), 1)
+        with pytest.raises(MdpError, match="state length 4 != n=3"):
+            eval_q_softmax(example1_instance, params, (0, -1, -1, -1), 1)
+
     def test_dp_equals_enumeration(self):
         rng = np.random.default_rng(21)
         for _ in range(40):
@@ -125,6 +132,11 @@ class TestTrajectories:
     def test_cap(self, example1_instance):
         with pytest.raises(MdpError, match="cap"):
             enumerate_trajectories(example1_instance, ALL_TRUE, (-1, -1, -1), 1, cap=1)
+
+    def test_wrong_length_rejected(self, example1_instance):
+        for state in ((-1, -1), (0, 0, 0, 0, -1)):
+            with pytest.raises(MdpError, match=f"state length {len(state)} != n=3"):
+                enumerate_trajectories(example1_instance, ALL_TRUE, state, 1)
 
 
 class TestSampleTrajectory:

@@ -25,8 +25,9 @@ from sat2mdp import (
     planted_instance,
     satisfied_fraction,
 )
+from sat2mdp import mdp, reduction
 from sat2mdp.mdp import generative_query, initial_state
-from sat2mdp.policies import state_value_softmax
+from sat2mdp.policies import sample_trajectory, state_value_softmax
 from sat2mdp.verify import random_formula
 
 
@@ -163,6 +164,46 @@ class TestDecide:
         assert calls == n * 2**n
         assert params == best_greedy(instance)[0]
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exact_solver_checks_each_query_state_once(self, n, monkeypatch):
+        # one stage() call per generative query: the step is checked once,
+        # not once in transition and again in reward
+        instance = build_mdp(random_formula(n, np.random.default_rng(200 + n)))
+        counts = {"stage": 0, "query": 0}
+        real_stage = mdp.stage
+
+        def counting_stage(state):
+            counts["stage"] += 1
+            return real_stage(state)
+
+        def counting_query(state, action):
+            counts["query"] += 1
+            return generative_query(instance, state, action)
+
+        monkeypatch.setattr(mdp, "stage", counting_stage)
+        exact_solver(instance, counting_query, Fraction(1, 20), "greedy")
+        assert counts["query"] == n * 2**n
+        assert counts["stage"] == counts["query"]
+
+    def test_exact_solver_sums_rewards_before_the_leaf(self):
+        # only patterns (0, 0) and (0, 1) satisfy (~x1); a query that pays 2
+        # for action 1 at the root outweighs that, so the sum, not the leaf
+        # reward alone, must decide the argmax
+        instance = build_mdp(Formula.from_ints(2, [[-1]]))
+
+        def paying_query(state, action):
+            nxt, r = generative_query(instance, state, action)
+            if state == initial_state(2) and action == 1:
+                r += 2
+            return nxt, r
+
+        plain = exact_solver(
+            instance, lambda s, a: generative_query(instance, s, a), Fraction(1, 20), "greedy"
+        )
+        paid = exact_solver(instance, paying_query, Fraction(1, 20), "greedy")
+        assert extract_assignment_greedy(plain, 2) == (0, 0)
+        assert extract_assignment_greedy(paid, 2) == (1, 0)
+
 
 class TestBounds:
     def test_greedy_epsilon(self):
@@ -258,6 +299,37 @@ class TestPlantedInstances:
 
 
 class TestEmpiricalMcdiarmid:
+    def test_leaves_are_sampled_trajectory_finals(self, monkeypatch):
+        # the leaves the check scores are exactly the final states of
+        # sample_trajectory at the per-trial seeds, and the result is the one
+        # a trajectory-by-trajectory count gives
+        rng = np.random.default_rng(11)
+        formula = random_formula(9, rng)
+        instance = build_mdp(formula)
+        params = PolicyParams(tuple(float(v) for v in rng.uniform(-2, 2, size=9)))
+        trials, t, seed = 300, 0.05, 3
+        scored = []
+        real = reduction.satisfied_fraction
+
+        def recording(f, assignment):
+            scored.append(assignment)
+            return real(f, assignment)
+
+        monkeypatch.setattr(reduction, "satisfied_fraction", recording)
+        got = empirical_mcdiarmid(instance, params, trials, t, seed=seed)
+        monkeypatch.undo()
+
+        trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
+        finals = [sample_trajectory(instance, params, int(s)).final for s in trial_seeds]
+        assert scored == finals
+        assert all(type(v) is int for leaf in scored for v in leaf)
+        threshold = state_value_softmax(instance, params, initial_state(9)) - t
+        hits = sum(float(satisfied_fraction(formula, leaf)) <= threshold for leaf in finals)
+        assert got[0] == hits / trials
+        assert got[1] == mcdiarmid_tail(
+            t, instance.horizon, occurrence_bound(formula), formula.clause_count
+        )
+
     def test_deviation_one_never_hit(self, example1_instance):
         params = PolicyParams((0.2, -0.3, 0.4))
         empirical, _, ok = empirical_mcdiarmid(example1_instance, params, 500, 1.0, seed=1)
