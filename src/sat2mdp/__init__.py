@@ -51,7 +51,6 @@ from .mdp import (
     transition,
 )
 from .policies import (
-    PolicyValue,
     Trajectory,
     best_greedy,
     enumerate_trajectories,
@@ -60,7 +59,6 @@ from .policies import (
     sample_trajectory,
     state_value_greedy,
     state_value_softmax,
-    tabulate_policy_value,
 )
 from .reduction import (
     ReductionError,

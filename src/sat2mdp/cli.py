@@ -41,7 +41,7 @@ from .reduction import (
     frac_str,
     mcdiarmid_tail,
 )
-from .verify import SUITES, run_suites
+from .verify import SOFTMAX_SUITE_N_MAX, SUITES, run_suites
 
 USER_ERRORS = (CnfError, MdpError, ReductionError, ValueError, OSError)
 
@@ -207,7 +207,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     flag_map = {
         "greedy": {"n_max": args.n_max, "formulas_per_n": args.formulas, "seed": args.seed},
         "softmax": {
-            "n_max": min(args.n_max, 5) if args.n_max is not None else None,
+            "n_max": min(args.n_max, SOFTMAX_SUITE_N_MAX) if args.n_max is not None else None,
             "formulas_per_n": args.formulas,
             "thetas_per_formula": args.thetas,
             "tol": args.tol,

@@ -33,9 +33,11 @@ import numpy as np
 
 MAX_CLAUSE_SIZE = 3
 
-# Exhaustive assignment sweeps refuse to run past this many variables
-# unless the caller raises the cap explicitly.
-DEFAULT_BRUTE_FORCE_CAP = 24
+# The caps on exponential work, named once.  Sweeps over all 2^n
+# assignments refuse n above BRUTE_FORCE_CAP; enumerations of the 2^(n-h)
+# continuations of a stage-h state refuse n - h above ENUMERATION_CAP.
+BRUTE_FORCE_CAP = 24
+ENUMERATION_CAP = 20
 
 # Assignments evaluated per numpy pass of the exhaustive sweep.
 SWEEP_CHUNK = 1 << 15
@@ -86,17 +88,12 @@ class Clause:
             raise CnfError(f"clause must have 1..{MAX_CLAUSE_SIZE} literals, got {len(lits)}")
         if list(lits) != sorted(lits):
             raise CnfError("clause literals must be sorted by canonical key")
-        seen_vars = [lit.variable_index for lit in lits]
-        if len(set(seen_vars)) != len(seen_vars):
-            # same variable twice: either a duplicate literal or x with ~x
-            a, b = sorted(lits)[0], None
-            for i in range(1, len(lits)):
-                if lits[i].variable_index == lits[i - 1].variable_index:
-                    a, b = lits[i - 1], lits[i]
-                    break
+        # sorted, so two literals on one variable are adjacent
+        for a, b in zip(lits, lits[1:]):
             if a == b:
                 raise CnfError(f"duplicate literal {a} in clause")
-            raise CnfError(f"tautological clause: contains both {a} and {b}")
+            if a.variable_index == b.variable_index:
+                raise CnfError(f"tautological clause: contains both {a} and {b}")
 
     @classmethod
     def from_literals(cls, literals: Iterable[Literal]) -> "Clause":
@@ -282,20 +279,19 @@ def occurrence_bound(formula: Formula) -> int:
 
 
 def is_zeta_satisfiable(
-    formula: Formula,
-    zeta: Fraction | float | int,
-    cap: int = DEFAULT_BRUTE_FORCE_CAP,
+    formula: Formula, zeta: Fraction | float | int
 ) -> tuple[bool, Assignment, Fraction]:
     """Exhaustively maximize the satisfied fraction over all 2^n assignments.
 
     Returns (max >= zeta, argmax assignment, max fraction).  The argmax is
     the lexicographically first maximizer over tuples ordered 0 < 1.
     Assignments are swept as the integers 0..2^n - 1 with x1 the most
-    significant bit, which is that lexicographic order.
+    significant bit, which is that lexicographic order.  CnfError above
+    ``BRUTE_FORCE_CAP`` variables.
     """
     n = formula.n
-    if n > cap:
-        raise CnfError(f"brute-force cap exceeded: n={n} > {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise CnfError(f"brute-force cap exceeded: n={n} > {BRUTE_FORCE_CAP}")
     shifts = np.arange(n - 1, -1, -1)
     best_count = -1
     best: Assignment = ()

@@ -181,15 +181,16 @@ class RealizabilityFeature:
         """Inner product with a stage weight, including the 1/|C| scale.
 
         Exact Fraction against greedy weights, float against softmax ones.
+        The weight's head coordinate is 1, so the sum starts at b.
         """
         if weight.dim != self.dim:
             raise ValueError(f"dimension mismatch: feature {self.dim} vs weight {weight.dim}")
         if weight.kind == GREEDY:
-            acc = weight.head_int * self.b
+            acc = self.b
             for idx, mult in self.y_counts.items():
                 acc += mult * weight.entry_int(idx)
             return Fraction(acc, self.clause_count)
-        acc = weight.head * float(self.b)
+        acc = float(self.b)
         for idx, mult in self.y_counts.items():
             acc += mult * weight.entry(idx)
         return acc / self.clause_count
@@ -239,14 +240,6 @@ class RealizabilityWeight:
     cutoff: int
     _min_var: np.ndarray = field(repr=False)
     _continuation: np.ndarray = field(repr=False)
-
-    @property
-    def head(self) -> float:
-        return 1.0
-
-    @property
-    def head_int(self) -> int:
-        return 1
 
     @property
     def dim(self) -> int:

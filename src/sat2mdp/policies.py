@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cnf import DEFAULT_BRUTE_FORCE_CAP, is_zeta_satisfiable
+from .cnf import ENUMERATION_CAP, is_zeta_satisfiable
 from .features import PolicyParams, greedy_action, softmax_prob
 from .mdp import (
     ACTIONS,
@@ -32,8 +32,6 @@ from .mdp import (
     transition,
 )
 
-DEFAULT_ENUMERATION_CAP = 20
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -42,10 +40,6 @@ class Trajectory:
     steps: tuple[tuple[State, int], ...]
     final: State
     probability: float
-
-    @property
-    def actions(self) -> tuple[int, ...]:
-        return tuple(a for _, a in self.steps)
 
 
 def eval_q_greedy(
@@ -110,12 +104,12 @@ def enumerate_trajectories(
     params: PolicyParams,
     state: Sequence[int],
     action: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[Trajectory]:
     """All 2^(H-h-1) continuations of (state, action), with their probabilities.
 
     The given action is taken with probability 1; only the later stages
-    contribute probability factors.
+    contribute probability factors.  MdpError above ``ENUMERATION_CAP``
+    free stages.
     """
     values = tuple(state)
     h = stage(values)
@@ -124,8 +118,8 @@ def enumerate_trajectories(
     if len(values) != instance.n:
         raise MdpError(f"state length {len(values)} != n={instance.n}")
     free = instance.n - h
-    if free > cap:
-        raise MdpError(f"{free} free stages exceed the enumeration cap {cap}")
+    if free > ENUMERATION_CAP:
+        raise MdpError(f"{free} free stages exceed the enumeration cap {ENUMERATION_CAP}")
     p1 = [softmax_prob(j, params) for j in range(h + 1, instance.n + 1)]
     out: list[Trajectory] = []
     for suffix in product(ACTIONS, repeat=free):
@@ -162,58 +156,21 @@ def sample_trajectory(
     return Trajectory(steps=tuple(steps), final=current, probability=probability)
 
 
-def best_greedy(
-    instance: MdpInstance, cap: int = DEFAULT_BRUTE_FORCE_CAP
-) -> tuple[PolicyParams, Fraction]:
+def best_greedy(instance: MdpInstance) -> tuple[PolicyParams, Fraction]:
     """The first best of all 2^n sign patterns and its value at the root.
 
     Every greedy policy behaves like one of these patterns (actions depend
     only on the stage), and pattern x rolls out to assignment x, so the
     exhaustive assignment sweep is exact over the whole class; its
     lexicographically first argmax is the first best pattern in
-    ``itertools.product`` order.
+    ``itertools.product`` order.  The sweep raises CnfError above its cap.
     """
-    if instance.n > cap:
-        raise MdpError(f"brute-force cap exceeded: n={instance.n} > {cap}")
-    _, argmax, value = is_zeta_satisfiable(instance.formula, 0, cap)
+    _, argmax, value = is_zeta_satisfiable(instance.formula, 0)
     return PolicyParams.from_signs(argmax), value
 
 
-@dataclass(frozen=True)
-class PolicyValue:
-    """Tabulated q and v over every non-terminal state of a small instance."""
-
-    q: dict[tuple[State, int], Fraction | float]
-    v: dict[State, Fraction | float]
-
-
-def iter_states(n: int, terminal: bool = False) -> Iterable[State]:
-    """All states in stage order; terminal ones only if requested."""
-    top = n + 1 if terminal else n
-    for h in range(1, top + 1):
+def iter_states(n: int) -> Iterable[State]:
+    """All non-terminal states in stage order."""
+    for h in range(1, n + 1):
         for prefix in product((0, 1), repeat=h - 1):
             yield prefix + (-1,) * (n - h + 1)
-
-
-def tabulate_policy_value(
-    instance: MdpInstance, params: PolicyParams, policy_class: str = "greedy", cap: int = 16
-) -> PolicyValue:
-    """Materialize q/v maps for every non-terminal state. Desk scale only."""
-    if instance.n > cap:
-        raise MdpError(f"tabulation cap exceeded: n={instance.n} > {cap}")
-    q: dict[tuple[State, int], Fraction | float] = {}
-    v: dict[State, Fraction | float] = {}
-    for state in iter_states(instance.n):
-        for action in ACTIONS:
-            if policy_class == "greedy":
-                q[(state, action)] = eval_q_greedy(instance, params, state, action)
-            elif policy_class == "softmax":
-                q[(state, action)] = eval_q_softmax(instance, params, state, action)
-            else:
-                raise ValueError(f"unknown policy class {policy_class!r}")
-        if policy_class == "greedy":
-            v[state] = q[(state, greedy_action(stage(state), params))]
-        else:
-            p1 = softmax_prob(stage(state), params)
-            v[state] = (1.0 - p1) * q[(state, 0)] + p1 * q[(state, 1)]
-    return PolicyValue(q=q, v=v)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cnf import DEFAULT_BRUTE_FORCE_CAP, Assignment, Formula, occurrence_bound, satisfied_fraction
+from .cnf import BRUTE_FORCE_CAP, Assignment, Formula, occurrence_bound, satisfied_fraction
 from .features import PolicyParams, greedy_action, softmax_prob
 from .mdp import MdpInstance, State, build_mdp, generative_query, initial_state
 from .policies import state_value_softmax
@@ -125,8 +125,8 @@ def exact_solver(
     For the softmax class the winning pattern is scaled to saturation so
     extraction recovers the same assignment.
     """
-    if instance.n > DEFAULT_BRUTE_FORCE_CAP:
-        raise ReductionError(f"brute-force cap exceeded: n={instance.n} > {DEFAULT_BRUTE_FORCE_CAP}")
+    if instance.n > BRUTE_FORCE_CAP:
+        raise ReductionError(f"brute-force cap exceeded: n={instance.n} > {BRUTE_FORCE_CAP}")
     best_bits: tuple[int, ...] | None = None
     best_value = Fraction(-1)
     for bits in product((0, 1), repeat=instance.n):

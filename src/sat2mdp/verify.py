@@ -19,9 +19,16 @@ from typing import Sequence
 import numpy as np
 
 from . import features as ft
-from .cnf import Formula, enumerate_universe, occurrence_bound, universe_block_sizes
+from .cnf import (
+    ENUMERATION_CAP,
+    Formula,
+    enumerate_universe,
+    is_zeta_satisfiable,
+    occurrence_bound,
+    universe_block_sizes,
+)
 from .features import PolicyParams, f_threshold, greedy_action
-from .mdp import ACTIONS, MdpInstance, build_mdp, generative_query, reward, stage
+from .mdp import ACTIONS, MdpError, MdpInstance, build_mdp, generative_query, reward, stage
 from .policies import (
     best_greedy,
     enumerate_trajectories,
@@ -31,6 +38,7 @@ from .policies import (
     sample_trajectory,
 )
 from .reduction import (
+    as_fraction,
     calibration_t,
     decide_max3sat,
     empirical_mcdiarmid,
@@ -44,7 +52,12 @@ from .reduction import (
     mcdiarmid_tail,
     planted_instance,
 )
-from .cnf import is_zeta_satisfiable
+
+# Largest n_max each exhaustive suite accepts: the greedy sweep is O(4^n)
+# per formula, and the softmax suite's weight oracle enumerates 2^(n-h)
+# continuations per stage on top of that.
+GREEDY_SUITE_N_MAX = 8
+SOFTMAX_SUITE_N_MAX = 5
 
 
 @dataclass
@@ -129,8 +142,8 @@ def check_realizability_greedy(
     identity is checked along each greedy trajectory, and the two
     tie-breaking rules are checked to agree.
     """
-    if n_max > 8:
-        raise ValueError(f"full greedy sweep is O(4^n); n_max={n_max} > 8")
+    if n_max > GREEDY_SUITE_N_MAX:
+        raise ValueError(f"full greedy sweep is O(4^n); n_max={n_max} > {GREEDY_SUITE_N_MAX}")
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures: list[dict] = []
@@ -220,9 +233,11 @@ def softmax_weight_by_enumeration(
     continuations of the per-continuation 0/1 weight vectors.
 
     Exponential in n - h; this is the oracle the closed form is checked
-    against.
+    against.  MdpError above ``ENUMERATION_CAP`` free stages.
     """
     n = instance.n
+    if n - h > ENUMERATION_CAP:
+        raise MdpError(f"{n - h} free stages exceed the enumeration cap {ENUMERATION_CAP}")
     keys, min_var = instance.universe.keys, instance.universe.min_var
     valid = keys >= 0
     var0 = np.where(valid, keys >> 1, 0)
@@ -258,8 +273,10 @@ def check_realizability_softmax(
     product within tol on every non-terminal cell, and the closed-form
     weights must match the enumeration-defined weights within weight_tol.
     """
-    if n_max > 5:
-        raise ValueError(f"trajectory-sum oracle is exponential; n_max={n_max} > 5")
+    if n_max > SOFTMAX_SUITE_N_MAX:
+        raise ValueError(
+            f"trajectory-sum oracle is exponential; n_max={n_max} > {SOFTMAX_SUITE_N_MAX}"
+        )
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures: list[dict] = []
@@ -441,8 +458,6 @@ def check_reduction_roundtrip(
     answer No, and the bound helpers and both extraction modes are
     exercised on the side.
     """
-    from .reduction import as_fraction
-
     d, eps = as_fraction(delta), as_fraction(epsilon)
     if eps > d / 2:
         raise ValueError(f"roundtrip premise needs epsilon <= delta/2, got {eps} > {d / 2}")
@@ -534,19 +549,24 @@ def check_reduction_roundtrip(
     )
 
 
-# which suites exercise which operations; tests assert this map is complete
+# which suites reach which operations, [] for none; a test runs every suite
+# with a call counter on each op and asserts this map exactly
 SUITE_COVERAGE: dict[str, list[str]] = {
-    "features.psp_feature": ["realizability_greedy"],
-    "features.greedy_action": ["realizability_greedy"],
-    "features.f_threshold": ["realizability_greedy"],
-    "features.softmax_prob": ["realizability_softmax"],
-    "features.undecided_multiset": ["realizability_greedy"],
-    "features.realizability_feature": ["realizability_greedy", "realizability_softmax"],
+    "features.psp_feature": [],
+    "features.greedy_action": ["realizability_greedy", "reduction_roundtrip"],
+    "features.f_threshold": ["realizability_greedy", "construction_scaling"],
+    "features.softmax_prob": [
+        "realizability_softmax", "construction_scaling", "reduction_roundtrip"
+    ],
+    "features.undecided_multiset": [],
+    "features.realizability_feature": [
+        "realizability_greedy", "realizability_softmax", "construction_scaling"
+    ],
     "features.greedy_weight": ["realizability_greedy", "construction_scaling"],
     "features.softmax_weight": ["realizability_softmax", "construction_scaling"],
     "features.lookahead_state": ["realizability_greedy"],
     "policies.eval_q_greedy": ["realizability_greedy"],
-    "policies.eval_q_softmax": ["realizability_softmax"],
+    "policies.eval_q_softmax": ["realizability_softmax", "reduction_roundtrip"],
     "policies.enumerate_trajectories": ["realizability_softmax"],
     "policies.best_greedy": ["reduction_roundtrip"],
     "policies.sample_trajectory": ["reduction_roundtrip"],

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from sat2mdp import Formula, build_mdp, parse_dimacs
 
@@ -27,3 +28,13 @@ def shrink_formula():
 @pytest.fixture
 def contradiction():
     return Formula.from_ints(1, [[1], [-1]])
+
+
+@st.composite
+def formulas(draw, max_n=8, max_clauses=12):
+    """Random formulas with 1-3 distinct variables per clause, duplicates allowed."""
+    n = draw(st.integers(1, max_n))
+    clause = st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs))
+    )
+    return Formula.from_ints(n, draw(st.lists(clause, min_size=1, max_size=max_clauses)))

@@ -22,15 +22,7 @@ from sat2mdp import (
 from sat2mdp.cnf import SWEEP_CHUNK
 from sat2mdp.verify import random_formula
 
-
-@st.composite
-def formulas(draw, max_n=8, max_clauses=12):
-    """Random formulas with 1-3 distinct variables per clause, duplicates allowed."""
-    n = draw(st.integers(1, max_n))
-    clause = st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True).flatmap(
-        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs))
-    )
-    return Formula.from_ints(n, draw(st.lists(clause, min_size=1, max_size=max_clauses)))
+from conftest import formulas
 
 
 def split_by_signed_ints(formula, prefix):
@@ -64,6 +56,14 @@ class TestLiteralAndClause:
     def test_clause_rejects_tautology(self):
         with pytest.raises(CnfError, match="tautolog"):
             Clause.from_ints([1, -1])
+
+    def test_clause_repeated_variable_messages(self):
+        x1, not_x1 = Literal(1, False), Literal(1, True)
+        x2 = Literal(2, False)
+        with pytest.raises(CnfError, match=r"^duplicate literal x1 in clause$"):
+            Clause((x1, x1, x2))
+        with pytest.raises(CnfError, match=r"^tautological clause: contains both x1 and ~x1$"):
+            Clause((x1, not_x1, x2))
 
     def test_clause_rejects_oversize(self):
         with pytest.raises(CnfError):
@@ -297,9 +297,9 @@ class TestZetaSatisfiability:
         ok, _, value = is_zeta_satisfiable(contradiction, 1)
         assert not ok and value == Fraction(1, 2)
 
-    def test_cap(self, example1):
+    def test_cap(self):
         with pytest.raises(CnfError, match="cap"):
-            is_zeta_satisfiable(example1, 1, cap=2)
+            is_zeta_satisfiable(Formula.from_ints(25, [[25]]), 1)
 
     def test_sweep_spans_chunks(self):
         n = SWEEP_CHUNK.bit_length()

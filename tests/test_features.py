@@ -5,12 +5,16 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sat2mdp import (
     Clause,
     Formula,
     PolicyParams,
     build_mdp,
+    eval_q_greedy,
+    eval_q_softmax,
     f_threshold,
     greedy_action,
     greedy_weight,
@@ -24,7 +28,10 @@ from sat2mdp import (
 )
 from sat2mdp.mdp import MdpError, is_terminal, stage
 from sat2mdp.policies import iter_states
+from sat2mdp.reduction import SOFTMAX_SATURATION
 from sat2mdp.verify import random_formula
+
+from conftest import formulas
 
 
 def satisfied_by(clause, prefix):
@@ -226,7 +233,7 @@ class TestGreedyWeight:
         params = PolicyParams((-1.0, 1.0, -1.0))
         for h in (1, 2, 3):
             w = greedy_weight(example1_instance, params, h)
-            assert w.head_int == 1
+            assert w.to_json()["entries"][0] == 1
             assert set(np.unique(w.m_dense())) <= {0, 1}
 
     def test_live_entries_match_lookahead_truth(self, example1_instance):
@@ -258,7 +265,7 @@ class TestSoftmaxWeight:
 
     def test_head_is_exactly_one(self, example1_instance):
         w = softmax_weight(example1_instance, PolicyParams((0.3, -0.7, 2.0)), 2)
-        assert w.head == 1.0
+        assert w.to_json()["entries"][0] == "1"
 
     def test_entries_are_probabilities(self, example1_instance):
         w = softmax_weight(example1_instance, PolicyParams((1.5, -2.5, 0.1)), 1)
@@ -278,6 +285,51 @@ class TestSoftmaxWeight:
         data = w.to_json()
         assert data["entries"][0] == "1"
         assert all(isinstance(e, str) for e in data["entries"])
+
+
+@st.composite
+def cells(draw):
+    """A small instance, one non-terminal state, an action and a sign pattern."""
+    formula = draw(formulas(max_n=6))
+    n = formula.n
+    h = draw(st.integers(1, n))
+    prefix = draw(st.lists(st.sampled_from((0, 1)), min_size=h - 1, max_size=h - 1))
+    state = tuple(prefix) + (-1,) * (n - h + 1)
+    bits = tuple(draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n)))
+    return build_mdp(formula), state, draw(st.sampled_from((0, 1))), bits
+
+
+class TestRealizabilityProperties:
+    # the tolerances are those of the softmax suite (1e-9) and criterion 8 (1e-6)
+    @settings(max_examples=100, deadline=None)
+    @given(cells())
+    def test_greedy_q_is_dot_exactly(self, cell):
+        instance, state, action, bits = cell
+        params = PolicyParams.from_signs(bits)
+        phi = realizability_feature(instance, state, action)
+        w = greedy_weight(instance, params, stage(state))
+        assert eval_q_greedy(instance, params, state, action) == phi.dot(w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cells(), st.data())
+    def test_softmax_q_is_dot(self, cell, data):
+        instance, state, action, _ = cell
+        theta = data.draw(
+            st.lists(st.floats(-3.0, 3.0), min_size=instance.n, max_size=instance.n)
+        )
+        params = PolicyParams.from_values(theta)
+        phi = realizability_feature(instance, state, action)
+        w = softmax_weight(instance, params, stage(state))
+        assert abs(eval_q_softmax(instance, params, state, action) - phi.dot(w)) <= 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(cells())
+    def test_saturated_softmax_q_is_greedy_q(self, cell):
+        instance, state, action, bits = cell
+        soft = PolicyParams.from_signs(bits, SOFTMAX_SATURATION)
+        hard = PolicyParams.from_signs(bits)
+        greedy_q = eval_q_greedy(instance, hard, state, action)
+        assert abs(eval_q_softmax(instance, soft, state, action) - float(greedy_q)) <= 1e-6
 
 
 class TestPolicyParams:

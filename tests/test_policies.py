@@ -20,8 +20,8 @@ from sat2mdp import (
     sample_trajectory,
     state_value_greedy,
     state_value_softmax,
-    tabulate_policy_value,
 )
+from sat2mdp.cnf import CnfError
 from sat2mdp.features import greedy_action
 from sat2mdp.mdp import MdpError, initial_state, stage
 from sat2mdp.policies import iter_states
@@ -129,9 +129,11 @@ class TestTrajectories:
                 state = state[: stage(state) - 1] + (action,) + state[stage(state):]
             assert state == traj.final
 
-    def test_cap(self, example1_instance):
+    def test_cap(self):
+        # 21 free stages after the root action, one over the cap
+        instance = build_mdp(Formula.from_ints(22, [[22]]))
         with pytest.raises(MdpError, match="cap"):
-            enumerate_trajectories(example1_instance, ALL_TRUE, (-1, -1, -1), 1, cap=1)
+            enumerate_trajectories(instance, PolicyParams((1.0,) * 22), initial_state(22), 1)
 
     def test_wrong_length_rejected(self, example1_instance):
         for state in ((-1, -1), (0, 0, 0, 0, -1)):
@@ -197,9 +199,9 @@ class TestBestGreedy:
             assert value == best_value
 
     def test_cap(self):
-        instance = build_mdp(Formula.from_ints(4, [[1]]))
-        with pytest.raises(MdpError):
-            best_greedy(instance, cap=3)
+        instance = build_mdp(Formula.from_ints(25, [[25]]))
+        with pytest.raises(CnfError, match="cap"):
+            best_greedy(instance)
 
 
 class TestIdentities:
@@ -240,20 +242,19 @@ class TestIdentities:
                     assert in_prev - in_cur == b_cur - b_prev
 
 
-class TestPolicyValue:
-    def test_greedy_tabulation_consistent(self, example1_instance):
-        table = tabulate_policy_value(example1_instance, ALL_TRUE, "greedy")
-        assert len(table.q) == 2 * 7 and len(table.v) == 7
+class TestStateValue:
+    def test_greedy_v_is_q_at_greedy_action(self, example1_instance):
         for state in iter_states(3):
-            assert table.v[state] == table.q[(state, greedy_action(stage(state), ALL_TRUE))]
-            assert 0 <= table.v[state] <= 1
-        assert table.v[(-1, -1, -1)] == state_value_greedy(
-            example1_instance, ALL_TRUE, (-1, -1, -1)
-        )
+            action = greedy_action(stage(state), ALL_TRUE)
+            v = state_value_greedy(example1_instance, ALL_TRUE, state)
+            assert v == eval_q_greedy(example1_instance, ALL_TRUE, state, action)
+            assert 0 <= v <= 1
 
-    def test_softmax_tabulation_mixes_actions(self, example1_instance):
+    def test_softmax_v_mixes_q(self, example1_instance):
         params = PolicyParams((0.0, 0.0, 0.0))
-        table = tabulate_policy_value(example1_instance, params, "softmax")
         for state in iter_states(3):
-            mix = 0.5 * table.q[(state, 0)] + 0.5 * table.q[(state, 1)]
-            assert table.v[state] == pytest.approx(mix, abs=1e-15)
+            mix = 0.5 * eval_q_softmax(example1_instance, params, state, 0)
+            mix += 0.5 * eval_q_softmax(example1_instance, params, state, 1)
+            assert state_value_softmax(example1_instance, params, state) == pytest.approx(
+                mix, abs=1e-15
+            )

@@ -1,10 +1,13 @@
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
 import sat2mdp
-from sat2mdp import PolicyParams, build_mdp, occurrence_bound, softmax_weight
+from sat2mdp import Formula, PolicyParams, build_mdp, occurrence_bound, softmax_weight
+from sat2mdp.mdp import MdpError
 from sat2mdp.verify import (
     SUITE_COVERAGE,
     SUITES,
@@ -47,6 +50,15 @@ class TestWeightEnumerationOracle:
                 assert abs(head - 1.0) <= 1e-12
                 closed = softmax_weight(instance, params, h).m_dense()
                 assert float(np.max(np.abs(closed - m))) <= 1e-12
+
+    def test_cap_before_universe(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("the universe was built before the cap check")
+
+        monkeypatch.setattr("sat2mdp.mdp.enumerate_universe", refuse)
+        instance = build_mdp(Formula.from_ints(22, [[22]]))
+        with pytest.raises(MdpError, match="cap"):
+            softmax_weight_by_enumeration(instance, PolicyParams((0.5,) * 22), 1)
 
 
 class TestGreedySuite:
@@ -123,7 +135,51 @@ class TestSuiteResult:
             run_suites(["nope"])
 
 
+# each suite at the smallest parameters that still reach its last two stages
+SMALLEST_SUITE_RUNS = {
+    "realizability_greedy": lambda: check_realizability_greedy(n_max=2, formulas_per_n=1),
+    "realizability_softmax": lambda: check_realizability_softmax(
+        n_max=2, formulas_per_n=1, thetas_per_formula=1
+    ),
+    "construction_scaling": lambda: check_construction_scaling(n_list=(1, 2), size_check_max=1),
+    "reduction_roundtrip": lambda: check_reduction_roundtrip(count=1, n=3),
+}
+
+
 class TestCoverageManifest:
+    def test_listed_suites_reach_each_operation(self, monkeypatch):
+        modules = [sat2mdp] + [
+            importlib.import_module(f"sat2mdp.{info.name}")
+            for info in pkgutil.iter_modules(sat2mdp.__path__)
+        ]
+        called: set[str] = set()
+
+        def counting(dotted, fn):
+            def wrapper(*args, **kwargs):
+                called.add(dotted)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for dotted in SUITE_COVERAGE:
+            module_name, op = dotted.split(".")
+            original = getattr(importlib.import_module(f"sat2mdp.{module_name}"), op)
+            wrapper = counting(dotted, original)
+            # bind the wrapper wherever the op was imported, not only where it is defined
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+        reached = {dotted: [] for dotted in SUITE_COVERAGE}
+        for suite, run in SMALLEST_SUITE_RUNS.items():
+            called.clear()
+            assert run().suite == suite
+            for dotted in called:
+                reached[dotted].append(suite)
+        assert {k: sorted(v) for k, v in SUITE_COVERAGE.items()} == {
+            k: sorted(v) for k, v in reached.items()
+        }
+
     def test_every_listed_operation_exists(self):
         for dotted in SUITE_COVERAGE:
             module_name, op = dotted.split(".")
