@@ -48,6 +48,7 @@ from .mdp import (
     is_terminal,
     reward,
     stage,
+    step,
     transition,
 )
 from .policies import (

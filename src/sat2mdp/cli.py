@@ -203,6 +203,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = [s.strip() for s in args.suites.split(",") if s.strip()]
+    if not names:
+        raise ValueError(f"no suites named; available: {','.join(SUITES)}")
+    if "softmax" in names and args.n_max is not None and args.n_max > SOFTMAX_SUITE_N_MAX:
+        _say(f"note: the softmax suite runs at --n-max {SOFTMAX_SUITE_N_MAX}, not {args.n_max}")
     overrides: dict[str, dict] = {name: {} for name in names}
     flag_map = {
         "greedy": {"n_max": args.n_max, "formulas_per_n": args.formulas, "seed": args.seed},

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .cnf import Clause, ClauseUniverse, CnfError, Formula, Literal
-from .mdp import MdpInstance, MdpError, State, stage
+from .mdp import MdpInstance, MdpError, State, stage, step
 
 GREEDY = "greedy"
 SOFTMAX = "softmax"
@@ -160,22 +160,8 @@ class RealizabilityFeature:
             )
 
     @property
-    def scale(self) -> Fraction:
-        return Fraction(1, self.clause_count)
-
-    @property
     def y_sum(self) -> int:
         return sum(self.y_counts.values())
-
-    def y_dense(self) -> list[int]:
-        dense = [0] * (self.dim - 1)
-        for idx, mult in self.y_counts.items():
-            dense[idx] = mult
-        return dense
-
-    def dense_unscaled(self) -> list[int]:
-        """[b, y_1, ..., y_{d-1}] without the 1/|C| scaling."""
-        return [self.b] + self.y_dense()
 
     def dot(self, weight: "RealizabilityWeight") -> Fraction | float:
         """Inner product with a stage weight, including the 1/|C| scale.
@@ -196,26 +182,19 @@ class RealizabilityFeature:
         return acc / self.clause_count
 
     def to_json(self) -> dict:
-        return {
-            "scale_num": 1,
-            "scale_den": self.clause_count,
-            "entries": self.dense_unscaled(),
-        }
+        """The scale 1/|C| and the dense unscaled entries [b, y_1, ..., y_{d-1}]."""
+        entries = [self.b] + [0] * (self.dim - 1)
+        for idx, mult in self.y_counts.items():
+            entries[1 + idx] = mult
+        return {"scale_num": 1, "scale_den": self.clause_count, "entries": entries}
 
 
 def realizability_feature(
     instance: MdpInstance, state: Sequence[int], action: int
 ) -> RealizabilityFeature:
     """Feature of (state, action): counts after extending the prefix by the action."""
-    values = tuple(state)
-    h = stage(values)
-    if h > len(values):
-        raise MdpError(f"terminal state {values} has no feature")
-    if len(values) != instance.n:
-        raise MdpError(f"state length {len(values)} != n={instance.n}")
-    if action not in (0, 1):
-        raise MdpError(f"action must be 0 or 1, got {action!r}")
-    b, undecided = instance.formula.split(values[: h - 1] + (action,))
+    h, nxt = step(instance, state, action)
+    b, undecided = instance.formula.split(nxt[:h])
     return RealizabilityFeature(
         b=b,
         y_counts=Counter(map(instance.universe.index_of, undecided)),
@@ -297,11 +276,16 @@ def _softmax_continuation(universe: ClauseUniverse, probs: tuple[float, ...]) ->
     return 1.0 - p_lit_false.prod(axis=1)
 
 
-def _check_weight_stage(instance: MdpInstance, params: PolicyParams, h: int) -> None:
+def check_theta(instance: MdpInstance, params: PolicyParams) -> None:
+    """ValueError unless theta' has one entry per stage of the instance."""
     if params.d_prime != instance.d_prime:
         raise ValueError(
             f"theta' has {params.d_prime} entries, instance needs {instance.d_prime}"
         )
+
+
+def _check_weight_stage(instance: MdpInstance, params: PolicyParams, h: int) -> None:
+    check_theta(instance, params)
     if not 1 <= h <= instance.horizon - 1:
         raise ValueError(f"stage h={h} out of range [1, {instance.horizon - 1}]")
 

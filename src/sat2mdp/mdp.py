@@ -7,14 +7,16 @@ every function that takes a state gets h from it, reads the prefix as
 stage h writes a into the first unassigned slot.  Reward is 0 everywhere
 except terminal states, which pay the exact satisfied fraction of the
 formula; every reward before the leaf is one shared exact zero.
-``generative_query`` is one checked step: it calls ``stage`` once and
-returns what ``transition`` followed by ``reward`` would, with the same
-errors, which is why those two stay as its reference.  The 2^(n+1) - 1
-states are never materialized; everything is
-computed on demand from the formula.  An ``MdpInstance`` holds only the
-formula: its dimensions are closed forms, and the Theta(n^3) clause
-universe is enumerated on first use, so paths that never read it (the
-exhaustive solver, and its cap check) never pay for it.
+``step`` is the one (state, action) check: every function that takes a
+state-action pair calls it for the stage and the next state, so all of
+them raise the same errors in the same order.  ``generative_query`` is
+``step`` plus the leaf count, and returns what ``transition`` followed by
+``reward`` would, with the same errors, which is why those two stay as
+its reference.  The 2^(n+1) - 1 states are never materialized;
+everything is computed on demand from the formula.  An ``MdpInstance``
+holds only the formula: its dimensions are closed forms, and the
+Theta(n^3) clause universe is enumerated on first use, so paths that
+never read it (the exhaustive solver, and its cap check) never pay for it.
 """
 
 from __future__ import annotations
@@ -145,14 +147,13 @@ def reward(instance: MdpInstance, state: Sequence[int]) -> Fraction:
     return satisfied_fraction(instance.formula, values)
 
 
-def generative_query(
-    instance: MdpInstance, state: Sequence[int], action: int
-) -> tuple[State, Fraction]:
-    """Simulator access: (next state, reward of the next state). Deterministic.
+def step(instance: MdpInstance, state: Sequence[int], action: int) -> tuple[int, State]:
+    """The one checked (state, action) step: (stage h of the state, next state).
 
-    Equal to ``(nxt, reward(instance, nxt))`` for ``nxt = transition(state,
-    action)``, raising the same errors in the same order, with one state
-    check: the next state of a valid step is in prefix form by construction.
+    Raises ``MdpError`` when the state is not in prefix form, the action is
+    not in ``ACTIONS``, the state is terminal, or its length is not n, in
+    that order: the order of ``transition`` followed by ``reward``.  The
+    next state of a valid step is in prefix form by construction.
     """
     values = tuple(state)
     h = stage(values)
@@ -160,10 +161,22 @@ def generative_query(
         raise MdpError(f"action must be 0 or 1, got {action!r}")
     if h > len(values):
         raise MdpError(f"cannot transition from terminal state {values}")
-    n = instance.n
-    if len(values) != n:
-        raise MdpError(f"state length {len(values)} != n={n}")
-    nxt = values[: h - 1] + (action,) + values[h:]
-    if h < n:
+    if len(values) != instance.n:
+        raise MdpError(f"state length {len(values)} != n={instance.n}")
+    return h, values[: h - 1] + (action,) + values[h:]
+
+
+def generative_query(
+    instance: MdpInstance, state: Sequence[int], action: int
+) -> tuple[State, Fraction]:
+    """Simulator access: (next state, reward of the next state). Deterministic.
+
+    Equal to ``(nxt, reward(instance, nxt))`` for ``nxt = transition(state,
+    action)``, raising the same errors in the same order through ``step``.
+    The leaf is counted directly: ``step`` has just built and checked it.
+    """
+    h, nxt = step(instance, state, action)
+    if h < len(nxt):
         return nxt, _ZERO
-    return nxt, satisfied_fraction(instance.formula, nxt)
+    formula = instance.formula
+    return nxt, Fraction(formula.split(nxt)[0], formula.clause_count)

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cnf import ENUMERATION_CAP, is_zeta_satisfiable
-from .features import PolicyParams, greedy_action, softmax_prob
+from .features import PolicyParams, check_theta, greedy_action, softmax_prob
 from .mdp import (
     ACTIONS,
     MdpError,
@@ -29,6 +29,7 @@ from .mdp import (
     initial_state,
     reward,
     stage,
+    step,
     transition,
 )
 
@@ -46,9 +47,10 @@ def eval_q_greedy(
     instance: MdpInstance, params: PolicyParams, state: Sequence[int], action: int
 ) -> Fraction:
     """q(state, action) under the greedy policy: apply the action, then roll out."""
-    current = transition(state, action)
-    for h in range(stage(state) + 1, len(current) + 1):
-        current = transition(current, greedy_action(h, params))
+    h, current = step(instance, state, action)
+    check_theta(instance, params)
+    for j in range(h + 1, len(current) + 1):
+        current = transition(current, greedy_action(j, params))
     return reward(instance, current)
 
 
@@ -69,16 +71,11 @@ def eval_q_softmax(
     Sums per-clause satisfaction probabilities: a clause left undecided by
     the prefix is satisfied unless every one of its literals draws false.
     """
-    values = tuple(state)
-    h = stage(values)
-    if h > len(values):
-        raise MdpError(f"terminal state {values} has no q-value")
-    if len(values) != instance.n:
-        raise MdpError(f"state length {len(values)} != n={instance.n}")
-    prefix = values[: h - 1] + (action,)
+    h, nxt = step(instance, state, action)
+    check_theta(instance, params)
     # indexed by variable - 1, the variable of literal key k being k >> 1
     probs = [0.0] * h + [softmax_prob(j, params) for j in range(h + 1, instance.n + 1)]
-    satisfied, undecided = instance.formula.split(prefix)
+    satisfied, undecided = instance.formula.split(nxt[:h])
     acc = float(satisfied)
     for key in undecided:
         p_all_false = 1.0
@@ -111,20 +108,17 @@ def enumerate_trajectories(
     contribute probability factors.  MdpError above ``ENUMERATION_CAP``
     free stages.
     """
-    values = tuple(state)
-    h = stage(values)
-    if h > len(values):
-        raise MdpError(f"terminal state {values} has no trajectories")
-    if len(values) != instance.n:
-        raise MdpError(f"state length {len(values)} != n={instance.n}")
+    h, nxt = step(instance, state, action)
+    check_theta(instance, params)
     free = instance.n - h
     if free > ENUMERATION_CAP:
         raise MdpError(f"{free} free stages exceed the enumeration cap {ENUMERATION_CAP}")
     p1 = [softmax_prob(j, params) for j in range(h + 1, instance.n + 1)]
+    first = (tuple(state), action)
     out: list[Trajectory] = []
     for suffix in product(ACTIONS, repeat=free):
-        steps = [(values, action)]
-        current = transition(values, action)
+        steps = [first]
+        current = nxt
         probability = 1.0
         for offset, a in enumerate(suffix):
             steps.append((current, a))
@@ -143,6 +137,7 @@ def sample_trajectory(
 
     Reproducible: the same integer seed always yields the same trajectory.
     """
+    check_theta(instance, params)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     current = initial_state(instance.n)
     steps: list[tuple[State, int]] = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import Callable
 
@@ -269,11 +270,8 @@ def decide_max3sat(
             details["epsilon_budget"] = None
             details["budget_check"] = "skipped: v* not supplied"
 
-    def query(state: State, action: int) -> tuple[State, Fraction]:
-        return generative_query(instance, state, action)
-
     try:
-        params = solver(instance, query, eps, policy_class)
+        params = solver(instance, partial(generative_query, instance), eps, policy_class)
     except ReductionError:
         raise
     except Exception as exc:  # solver is third-party code; keep the context
@@ -352,6 +350,8 @@ def planted_instance(
     set, no variable is used in more clauses than that; generation raises
     if the capacity cannot accommodate clause_count clauses.
     """
+    if n < 1:
+        raise ReductionError(f"need n >= 1, got {n}")
     z = as_fraction(zeta)
     if not 0 <= z <= 1:
         raise ReductionError(f"zeta must be in [0, 1], got {z}")

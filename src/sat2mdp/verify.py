@@ -124,10 +124,6 @@ def random_formula(
     return Formula.from_ints(n, clauses)
 
 
-def _formula_repro(formula: Formula) -> list[list[int]]:
-    return [c.to_ints() for c in formula.clauses]
-
-
 def check_realizability_greedy(
     n_max: int = 6,
     formulas_per_n: int = 20,
@@ -155,7 +151,7 @@ def check_realizability_greedy(
             C = formula.clause_count
             for bits in product((0, 1), repeat=n):
                 params = PolicyParams.from_signs(bits)
-                repro = {"formula": _formula_repro(formula), "n": n, "signs": list(bits)}
+                repro = {"formula": formula.to_json()["clauses"], "n": n, "signs": list(bits)}
                 weights = {h: ft.greedy_weight(instance, params, h) for h in range(1, n + 1)}
                 for h in range(1, n + 1):
                     cases += 1
@@ -288,7 +284,7 @@ def check_realizability_softmax(
             for _ in range(thetas_per_formula):
                 theta = tuple(float(v) for v in rng.uniform(-3.0, 3.0, size=n))
                 params = PolicyParams(theta)
-                repro = {"formula": _formula_repro(formula), "n": n, "theta": list(theta)}
+                repro = {"formula": formula.to_json()["clauses"], "n": n, "theta": list(theta)}
                 weights = {h: ft.softmax_weight(instance, params, h) for h in range(1, n + 1)}
                 for h in range(1, n + 1):
                     cases += 1
@@ -469,7 +465,7 @@ def check_reduction_roundtrip(
         cases += 1
         formula, planted = planted_instance(n, clause_count=3 * n, zeta=zeta, seed=seed + i)
         report = decide_max3sat(formula, d, exact_solver, "greedy", eps)
-        repro = {"formula": _formula_repro(formula), "planted": list(planted), "i": i}
+        repro = {"formula": formula.to_json()["clauses"], "planted": list(planted), "i": i}
         if not report.decision:
             failures.append({**repro, "kind": "expected_yes",
                              "achieved": frac_str(report.achieved_fraction)})
@@ -499,7 +495,7 @@ def check_reduction_roundtrip(
     contradiction = Formula.from_ints(1, [[1], [-1]])
     report = decide_max3sat(contradiction, d, exact_solver, "greedy", eps)
     if report.decision or report.achieved_fraction != Fraction(1, 2):
-        failures.append({"kind": "expected_no", "formula": _formula_repro(contradiction)})
+        failures.append({"kind": "expected_no", "formula": contradiction.to_json()["clauses"]})
 
     # side checks: bounds, transforms, extraction modes, concentration
     cases += 1

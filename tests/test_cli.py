@@ -251,6 +251,22 @@ class TestVerifyCommand:
         assert code == 2
         assert "unknown suite" in err
 
+    @pytest.mark.parametrize("suites", ["", ","])
+    def test_no_suites_exit_2(self, capsys, suites):
+        code, out, err = run(capsys, ["verify", "--suites", suites])
+        assert code == 2 and out == ""
+        assert "no suites" in err
+
+    def test_softmax_clamp_named(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["verify", "--suites", "softmax", "--n-max", "6", "--formulas", "1",
+             "--thetas", "1"],
+        )
+        assert code == 0
+        assert json.loads(out)[0]["params"]["n_max"] == 5
+        assert "--n-max 5, not 6" in err
+
 
 class TestDeterminism:
     def test_exact_paths_byte_identical(self, capsys, cnf_path):

@@ -135,7 +135,7 @@ class TestRealizabilityFeature:
         assert phi.b == 1
         neg_x3 = example1_instance.universe.index_of(Clause.from_ints([-3]).key)
         assert phi.y_counts == {neg_x3: 1}
-        assert phi.scale == Fraction(1, 2)
+        assert phi.to_json()["scale_den"] == 2
         assert phi.dim == 27
 
     def test_no_clause_on_x1_gives_zero_b(self):

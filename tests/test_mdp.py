@@ -9,10 +9,15 @@ from hypothesis import strategies as st
 from sat2mdp import (
     Formula,
     MdpError,
+    PolicyParams,
     build_mdp,
+    enumerate_trajectories,
+    eval_q_greedy,
+    eval_q_softmax,
     generative_query,
     initial_state,
     is_terminal,
+    realizability_feature,
     reward,
     satisfied_fraction,
     stage,
@@ -181,6 +186,41 @@ class TestFusedQueryOracle:
             got = generative_query(instance, state, action)
             assert got == expected
             assert type(got[0]) is tuple and type(got[1]) is Fraction
+
+
+# Every (state, action) entry point, called with a theta' of length n.
+_STATE_ACTION_FUNCTIONS = {
+    "realizability_feature": lambda instance, params, s, a: realizability_feature(instance, s, a),
+    "eval_q_greedy": eval_q_greedy,
+    "eval_q_softmax": eval_q_softmax,
+    "enumerate_trajectories": enumerate_trajectories,
+}
+
+
+class TestStepErrorParity:
+    @pytest.mark.parametrize("name", sorted(_STATE_ACTION_FUNCTIONS))
+    @settings(max_examples=150, deadline=None)
+    @given(_query_inputs())
+    @example((3, 0, (0, -1, -1), 2))  # bad action
+    @example((3, 0, (0, -1, -1), -1))  # bad action
+    @example((3, 0, (0, 1, 1), 0))  # terminal
+    @example((3, 0, (0, 1, 1), 2))  # bad action checked before terminal
+    @example((3, 0, (-1, 0, -1), 5))  # prefix form checked before action
+    @example((3, 0, (-1, -1, -1, -1), 1))  # too long
+    @example((3, 0, (-1, -1), 1))  # too short
+    def test_same_errors_as_transition_then_reward(self, name, case):
+        n, seed, state, action = case
+        rng = np.random.default_rng(seed)
+        instance = build_mdp(random_formula(n, rng))
+        params = PolicyParams.from_values(rng.uniform(-2.0, 2.0, size=n))
+        expected = _oracle_query(instance, state, action)
+        fn = _STATE_ACTION_FUNCTIONS[name]
+        if isinstance(expected, str):
+            with pytest.raises(MdpError) as info:
+                fn(instance, params, state, action)
+            assert str(info.value) == expected
+        else:
+            fn(instance, params, state, action)
 
 
 class TestPathStructure:

@@ -22,7 +22,7 @@ from sat2mdp import (
     state_value_softmax,
 )
 from sat2mdp.cnf import CnfError
-from sat2mdp.features import greedy_action
+from sat2mdp.features import greedy_action, softmax_weight
 from sat2mdp.mdp import MdpError, initial_state, stage
 from sat2mdp.policies import iter_states
 from sat2mdp.verify import random_formula
@@ -258,3 +258,24 @@ class TestStateValue:
             assert state_value_softmax(example1_instance, params, state) == pytest.approx(
                 mix, abs=1e-15
             )
+
+
+class TestThetaLength:
+    @pytest.mark.parametrize("entries", [2, 4])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda inst, p: eval_q_greedy(inst, p, (1, -1, -1), 0),
+            lambda inst, p: eval_q_softmax(inst, p, (1, -1, -1), 0),
+            lambda inst, p: enumerate_trajectories(inst, p, (1, -1, -1), 0),
+            lambda inst, p: sample_trajectory(inst, p, 0),
+            lambda inst, p: greedy_weight(inst, p, 2),
+            lambda inst, p: softmax_weight(inst, p, 2),
+        ],
+        ids=["eval_q_greedy", "eval_q_softmax", "enumerate_trajectories",
+             "sample_trajectory", "greedy_weight", "softmax_weight"],
+    )
+    def test_wrong_length_rejected(self, example1_instance, call, entries):
+        params = PolicyParams((1.0,) * entries)
+        with pytest.raises(ValueError, match=f"theta' has {entries} entries, instance needs 3"):
+            call(example1_instance, params)

@@ -292,6 +292,11 @@ class TestPlantedInstances:
         with pytest.raises(ReductionError, match="capacity"):
             planted_instance(2, 10, Fraction(1), seed=0, max_occurrences=1)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_variables_rejected(self, n):
+        with pytest.raises(ReductionError, match=f"need n >= 1, got {n}"):
+            planted_instance(n, 5, Fraction(1), seed=0)
+
     def test_unsatisfied_tail_present(self):
         # zeta < 1 leaves clauses the planted assignment falsifies
         formula, planted = planted_instance(10, 30, Fraction(8, 10), seed=3)
