@@ -35,7 +35,6 @@ from .features import (
     realizability_feature,
     softmax_prob,
     softmax_weight,
-    undecided_multiset,
 )
 from .mdp import (
     ACTIONS,

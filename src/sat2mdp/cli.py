@@ -79,6 +79,15 @@ def parse_theta(text: str, n: int | None = None) -> PolicyParams:
     return params
 
 
+class _ThetaAction(argparse.Action):
+    """Store --theta as given.  argparse drops a lone '--' value as the
+    end-of-options marker, so ``--theta=--``, the all-negative pattern for
+    n = 2, arrives as an empty list; store it as '--'."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values if isinstance(values, str) else "--")
+
+
 def parse_state(text: str, n: int) -> tuple[int, ...]:
     """A comma-separated state of n entries, in prefix form."""
     state = tuple(int(v) for v in text.split(","))
@@ -258,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate q/v at a state-action pair")
     p.add_argument("cnf")
-    p.add_argument("--theta", required=True, help="theta' as '+-+', comma list, or @file.json")
+    p.add_argument("--theta", required=True, action=_ThetaAction,
+                   help="theta' as '+-+', comma list, or @file.json")
     p.add_argument("--class", dest="policy_class", choices=("greedy", "softmax"), default="greedy")
     p.add_argument("--state", required=True,
                    help="comma-separated -1/0/1 tuple; use --state=-1,-1,-1 form")
@@ -285,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("extract", help="read an assignment out of theta'")
-    p.add_argument("--theta", required=True)
+    p.add_argument("--theta", required=True, action=_ThetaAction)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--class", dest="policy_class", choices=("greedy", "softmax"), default="greedy")
     p.add_argument("--mode", choices=("round", "sample"), default="round")

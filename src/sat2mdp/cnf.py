@@ -6,8 +6,14 @@ Clauses are canonicalized at construction: literals sorted by key
 A ``Formula`` also keeps each clause as its tuple of literal keys, and
 ``Formula.split`` is the one clause evaluator: under an assigned prefix
 it counts the satisfied instances and returns the remaining keys of each
-undecided one.  ``is_zeta_satisfiable`` is the one exhaustive sweep over
-all 2^n assignments, vectorized in chunks of assignments.
+undecided one.  A full assignment leaves nothing undecided, so there
+``split`` only counts: each formula holds, per variable value, the bitset
+of clause instances that value makes true, and the count is the popcount
+of the OR of one bitset per variable.  Each formula also holds the table
+of its C + 1 possible satisfied fractions, k / C for k = 0..C, which
+every satisfied fraction is read from.  ``is_zeta_satisfiable`` is the
+one exhaustive sweep over all 2^n assignments, vectorized in chunks of
+assignments.
 
 The clause universe lists every non-tautological clause of size 1-3 in
 block order (all 1-clauses, then 2-clauses, then 3-clauses), lexicographic
@@ -131,11 +137,16 @@ class Formula:
     """A multiset of clauses over variables x1..xn. Duplicate instances count.
 
     ``keys[i]`` is ``clauses[i].key``, the sorted literal keys of instance i.
+    ``value_bits[j][v]`` is the bitset of the instances that x_{j+1} = v
+    makes true: bit i is set when instance i holds that literal.
+    ``fraction_of[k]`` is ``Fraction(k, clause_count)``.
     """
 
     n: int
     clauses: tuple[Clause, ...]
     keys: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    value_bits: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+    fraction_of: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -147,7 +158,18 @@ class Formula:
                 raise CnfError(
                     f"clause {i}: variable x{clause.max_variable} exceeds n={self.n}"
                 )
-        object.__setattr__(self, "keys", tuple(c.key for c in self.clauses))
+        keys = tuple(c.key for c in self.clauses)
+        # literal key 2*j + neg is true iff x_{j+1} is assigned 1 - neg
+        bits = [0] * (2 * self.n)
+        for i, key in enumerate(keys):
+            for k in key:
+                bits[k ^ 1] |= 1 << i
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "value_bits", tuple(zip(bits[::2], bits[1::2])))
+        count = len(keys)
+        object.__setattr__(
+            self, "fraction_of", tuple(Fraction(k, count) for k in range(count + 1))
+        )
 
     @property
     def clause_count(self) -> int:
@@ -160,7 +182,16 @@ class Formula:
         and variables past the prefix are unassigned.  Returns the number
         of satisfied instances and, in formula order, the literal keys left
         in each undecided instance.  Falsified instances appear in neither.
+        A full assignment leaves no instance undecided, so its count is the
+        popcount of the OR of one ``value_bits`` entry per variable; entries
+        are read by truthiness, so bools, numpy integers and 0.0/1.0 count
+        as their 0/1 values.
         """
+        if len(prefix) == self.n:
+            acc = 0
+            for bits, v in zip(self.value_bits, prefix):
+                acc |= bits[1] if v else bits[0]
+            return acc.bit_count(), []
         # literal key 2*i + neg is true iff x_{i+1} is assigned 1 - neg
         true = {2 * i + 1 - v for i, v in enumerate(prefix)}
         cut = 2 * len(prefix)
@@ -266,7 +297,7 @@ def satisfied_fraction(formula: Formula, assignment: Sequence[int]) -> Fraction:
         raise CnfError(f"assignment length {len(assignment)} != n={formula.n}")
     if any(v not in (0, 1) for v in assignment):
         raise CnfError("assignment entries must be 0 or 1")
-    return Fraction(formula.split(assignment)[0], formula.clause_count)
+    return formula.fraction_of[formula.split(assignment)[0]]
 
 
 def occurrence_bound(formula: Formula) -> int:
@@ -306,7 +337,7 @@ def is_zeta_satisfiable(
         i = int(count.argmax())  # first maximizer in the chunk
         if count[i] > best_count:
             best_count, best = int(count[i]), tuple(rows[i].tolist())
-    value = Fraction(best_count, formula.clause_count)
+    value = formula.fraction_of[best_count]
     return value >= zeta, best, value
 
 

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cnf import Clause, ClauseUniverse, CnfError, Formula, Literal
+from .cnf import ClauseUniverse
 from .mdp import MdpInstance, MdpError, State, stage, step
 
 GREEDY = "greedy"
@@ -125,18 +125,6 @@ def softmax_prob(h: int, params: PolicyParams) -> float:
 def _check_stage(h: int, params: PolicyParams) -> None:
     if not 1 <= h <= params.d_prime:
         raise ValueError(f"stage h={h} out of range [1, {params.d_prime}]")
-
-
-def undecided_multiset(formula: Formula, prefix: Sequence[int]) -> list[Clause]:
-    """Simplified undecided clause instances after assigning the prefix.
-
-    One entry per surviving clause instance, in formula order; satisfied
-    and falsified instances are dropped.  Every prefix entry must be an
-    assigned value, 0 or 1.
-    """
-    if any(v not in (0, 1) for v in prefix):
-        raise CnfError("prefix entries must be 0 or 1")
-    return [Clause(tuple(map(Literal.from_key, key))) for key in formula.split(prefix)[1]]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ formula; every reward before the leaf is one shared exact zero.
 ``step`` is the one (state, action) check: every function that takes a
 state-action pair calls it for the stage and the next state, so all of
 them raise the same errors in the same order.  ``generative_query`` is
-``step`` plus the leaf count, and returns what ``transition`` followed by
+``step`` plus the leaf reward: ``Formula.split``'s count of the leaf, a
+popcount over the formula's clause bitsets, looked up in the formula's
+table of satisfied fractions.  It returns what ``transition`` followed by
 ``reward`` would, with the same errors, which is why those two stay as
 its reference.  The 2^(n+1) - 1 states are never materialized;
 everything is computed on demand from the formula.  An ``MdpInstance``
@@ -179,4 +181,4 @@ def generative_query(
     if h < len(nxt):
         return nxt, _ZERO
     formula = instance.formula
-    return nxt, Fraction(formula.split(nxt)[0], formula.clause_count)
+    return nxt, formula.fraction_of[formula.split(nxt)[0]]

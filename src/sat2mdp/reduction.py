@@ -29,6 +29,10 @@ from .policies import state_value_softmax
 # per-stage action probabilities are saturated to ~1e-18 of 0 or 1.
 SOFTMAX_SATURATION = 20.0
 
+# The starting total of every pattern the exact solver sweeps; Fractions are
+# immutable, so one shared instance spares a construction per pattern.
+_ZERO = Fraction(0)
+
 GenerativeAccess = Callable[[State, int], tuple[State, Fraction]]
 RlSolver = Callable[[MdpInstance, GenerativeAccess, Fraction, str], PolicyParams]
 
@@ -122,7 +126,10 @@ def exact_solver(
     generative access, n queries per pattern: the greedy policy of pattern
     x plays x_h at stage h, so the bits are played as actions directly.
     Every nonzero reward received is summed; zero ones are skipped, which
-    spares an exact addition on each query before the leaf.
+    spares an exact addition on each query before the leaf.  Each total
+    starts at one shared exact zero and takes its first nonzero reward as
+    is, so a pattern whose only nonzero reward is the leaf's costs no
+    addition at all.
     For the softmax class the winning pattern is scaled to saturation so
     extraction recovers the same assignment.
     """
@@ -132,11 +139,11 @@ def exact_solver(
     best_value = Fraction(-1)
     for bits in product((0, 1), repeat=instance.n):
         state = initial_state(instance.n)
-        total = Fraction(0)
+        total = _ZERO
         for action in bits:
             state, r = query(state, action)
             if r:
-                total += r
+                total = r if not total else total + r
         if total > best_value:
             best_bits, best_value = bits, total
     assert best_bits is not None

@@ -33,9 +33,8 @@ from sat2mdp import (
     softmax_weight,
     state_value_greedy,
     state_value_softmax,
-    undecided_multiset,
 )
-from sat2mdp.cnf import Formula
+from sat2mdp.cnf import Clause, Formula
 from sat2mdp.features import f_threshold, greedy_action
 from sat2mdp.mdp import initial_state
 from sat2mdp.policies import iter_states
@@ -80,8 +79,7 @@ def test_criterion_1_worked_example_fidelity():
     params = PolicyParams((1.0, 1.0, 1.0))
     phi = realizability_feature(instance, (1, -1, -1), 0)
     ok = ok and phi.b == 1
-    survivors = undecided_multiset(formula, (1, 0))
-    ok = ok and [c.to_ints() for c in survivors] == [[-3]]
+    ok = ok and formula.split((1, 0)) == (1, [Clause.from_ints([-3]).key])
     q = eval_q_greedy(instance, params, (1, -1, -1), 0)
     dot = phi.dot(greedy_weight(instance, params, 2))
     ok = ok and q == dot == Fraction(1, 2)

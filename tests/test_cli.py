@@ -131,6 +131,16 @@ class TestEval:
         assert code == 2 and out == ""
         assert "state has 2 entries, formula needs 3" in err
 
+    @pytest.mark.parametrize("policy_class", ["greedy", "softmax"])
+    def test_all_negative_signs_for_two_variables(self, capsys, tmp_path, policy_class):
+        # argparse reads a lone '--' as the end of options; --theta=-- is still theta
+        path = tmp_path / "two.cnf"
+        path.write_text("p cnf 2 2\n1 2 0\n-1 -2 0\n")
+        tail = ["--class", policy_class, "--state=-1,-1", "--action", "0"]
+        code, out, err = run(capsys, ["eval", str(path), "--theta=--"] + tail)
+        assert code == 0, err
+        assert run(capsys, ["eval", str(path), "--theta=-1,-1"] + tail) == (code, out, err)
+
 
 class TestDecide:
     def test_yes_exit_0(self, capsys, cnf_path):
@@ -197,6 +207,11 @@ class TestSolveAndExtract:
         code, out, _ = run(capsys, ["extract", "--theta=-+-", "--n", "3"])
         assert code == 0
         assert json.loads(out)["assignment"] == [0, 1, 0]
+
+    def test_extract_all_negative_signs_for_two_variables(self, capsys):
+        code, out, err = run(capsys, ["extract", "--theta=--", "--n", "2"])
+        assert code == 0, err
+        assert json.loads(out)["assignment"] == [0, 0]
 
     def test_extract_softmax_sample(self, capsys):
         code, out, _ = run(

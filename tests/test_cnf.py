@@ -16,7 +16,6 @@ from sat2mdp import (
     occurrence_bound,
     parse_dimacs,
     satisfied_fraction,
-    undecided_multiset,
     universe_block_sizes,
 )
 from sat2mdp.cnf import SWEEP_CHUNK
@@ -203,11 +202,11 @@ class TestEvalClause:
         assert Formula.from_ints(1, [[1]]).split((0,)) == (0, [])
 
     def test_unassigned_markers(self):
-        # split takes assigned prefixes only; the public multiset rejects markers
+        # split takes assigned prefixes only; the public satisfied_fraction rejects markers
         formula = Formula.from_ints(2, [[1, 2]])
-        for prefix in ((-1, -1), (0, -1), (2,)):
-            with pytest.raises(CnfError, match="0 or 1"):
-                undecided_multiset(formula, prefix)
+        for assignment in ((-1, -1), (0, -1), (2, 0)):
+            with pytest.raises(CnfError, match=r"^assignment entries must be 0 or 1$"):
+                satisfied_fraction(formula, assignment)
 
     @settings(max_examples=200, deadline=None)
     @given(formulas(), st.data())
@@ -222,6 +221,23 @@ class TestEvalClause:
             assert longer >= satisfied
             falsified = formula.clause_count - satisfied - len(undecided)
             assert formula.clause_count - longer - len(rest) >= falsified
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(), st.data())
+    def test_full_assignment_count_matches_signed_oracle(self, formula, data):
+        n = formula.n
+        assignment = tuple(data.draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n)))
+        want = split_by_signed_ints(formula, assignment)
+        assert want[1] == [] and formula.split(assignment) == want
+        # entries are read by truthiness, so every 0/1 spelling counts alike
+        for spelled in (
+            tuple(map(bool, assignment)),
+            tuple(map(np.int64, assignment)),
+            tuple(map(float, assignment)),
+            np.array(assignment),
+        ):
+            assert formula.split(spelled) == want
+            assert satisfied_fraction(formula, spelled) == Fraction(want[0], formula.clause_count)
 
 
 class TestSatisfiedFraction:
@@ -261,7 +277,7 @@ class TestSatisfiedFraction:
             assert formula.clause_count % frac.denominator == 0
 
     def test_length_checked(self, example1):
-        with pytest.raises(CnfError):
+        with pytest.raises(CnfError, match=r"^assignment length 2 != n=3$"):
             satisfied_fraction(example1, (1, 1))
 
 

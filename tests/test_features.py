@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sat2mdp import (
     Clause,
     Formula,
+    Literal,
     PolicyParams,
     build_mdp,
     eval_q_greedy,
@@ -24,7 +25,6 @@ from sat2mdp import (
     softmax_prob,
     softmax_weight,
     transition,
-    undecided_multiset,
 )
 from sat2mdp.mdp import MdpError, is_terminal, stage
 from sat2mdp.policies import iter_states
@@ -115,18 +115,18 @@ class TestSoftmaxProb:
 
 
 class TestUndecidedMultiset:
+    """The undecided instances, as ``Formula.split`` returns their remaining keys."""
+
     def test_shrinking_example(self, shrink_formula):
-        got = undecided_multiset(shrink_formula, (0, 0))
-        counted = Counter(tuple(c.to_ints()) for c in got)
+        _, got = shrink_formula.split((0, 0))
+        counted = Counter(tuple(Literal.from_key(k).to_int() for k in key) for key in got)
         assert counted == Counter({(-4, 5): 2, (3, -6, 7): 1})
 
     def test_example1_after_10(self, example1):
-        got = undecided_multiset(example1, (1, 0))
-        assert [c.to_ints() for c in got] == [[-3]]
+        assert example1.split((1, 0))[1] == [Clause.from_ints([-3]).key]
 
     def test_empty_prefix_keeps_all_clauses(self, example1):
-        got = undecided_multiset(example1, ())
-        assert got == list(example1.clauses)
+        assert example1.split(()) == (0, list(example1.keys))
 
 
 class TestRealizabilityFeature:

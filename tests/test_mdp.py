@@ -25,6 +25,8 @@ from sat2mdp import (
 )
 from sat2mdp.verify import random_formula
 
+from conftest import formulas
+
 
 class TestBuild:
     def test_example1_dimensions(self, example1_instance):
@@ -186,6 +188,29 @@ class TestFusedQueryOracle:
             got = generative_query(instance, state, action)
             assert got == expected
             assert type(got[0]) is tuple and type(got[1]) is Fraction
+
+
+def _recount(formula, assignment):
+    """Satisfied instances under a full assignment, straight off the signed ints."""
+    return sum(
+        any((v > 0) == bool(assignment[abs(v) - 1]) for v in clause.to_ints())
+        for clause in formula.clauses
+    )
+
+
+class TestRewardTable:
+    """Leaf rewards and satisfied fractions are read from a per-formula table."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas())
+    def test_every_leaf_pays_its_recount(self, formula):
+        instance = build_mdp(formula)
+        for leaf in product((0, 1), repeat=formula.n):
+            want = Fraction(_recount(formula, leaf), formula.clause_count)
+            nxt, r = generative_query(instance, leaf[:-1] + (-1,), leaf[-1])
+            assert nxt == leaf
+            for got in (r, satisfied_fraction(formula, leaf)):
+                assert type(got) is Fraction and got == want
 
 
 # Every (state, action) entry point, called with a theta' of length n.

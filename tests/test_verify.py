@@ -200,7 +200,6 @@ class TestCoverageManifest:
             "features.greedy_action",
             "features.f_threshold",
             "features.softmax_prob",
-            "features.undecided_multiset",
             "features.realizability_feature",
             "features.greedy_weight",
             "features.softmax_weight",
