@@ -297,14 +297,18 @@ def softmax_weight(instance: MdpInstance, params: PolicyParams, h: int) -> Reali
 def lookahead_state(state: Sequence[int], action: int, params: PolicyParams) -> State:
     """Terminal state reached from (state, action) by following the greedy policy.
 
-    A terminal input is returned unchanged.
+    A terminal input is returned unchanged.  Otherwise MdpError for an
+    action outside ``ACTIONS``, then ValueError unless theta' has one entry
+    per variable of the state.
     """
     values = tuple(state)
     h = stage(values)
     if h > len(values):
         return values
-    tail = tuple(f_threshold(params, j) for j in range(h + 1, len(values) + 1))
     if action not in (0, 1):
         raise MdpError(f"action must be 0 or 1, got {action!r}")
+    if params.d_prime != len(values):
+        raise ValueError(f"theta' has {params.d_prime} entries, state needs {len(values)}")
+    tail = tuple(f_threshold(params, j) for j in range(h + 1, len(values) + 1))
     return values[: h - 1] + (action,) + tail
 

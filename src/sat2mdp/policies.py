@@ -1,10 +1,11 @@
 """Exact policy evaluation on the assignment-tree MDP.
 
 Greedy values are computed by deterministic roll-out and returned as exact
-Fractions.  Softmax values sum per-clause satisfaction probabilities
-(polynomial, over ``Formula.split`` of the prefix); ``enumerate_trajectories``
-lists every continuation with its probability and is the independent
-oracle they are checked against.  ``best_greedy`` reads the
+Fractions, the leaf's read from the formula's table of satisfied fractions.
+Softmax values sum per-clause satisfaction probabilities (polynomial, over
+``Formula.split`` of the prefix); ``enumerate_trajectories`` lists every
+continuation with its probability and is the independent oracle they are
+checked against.  ``best_greedy`` reads the
 best sign pattern off ``cnf.is_zeta_satisfiable``: sign pattern x plays
 assignment x, and actions depend on the stage only, so the best assignment
 is the best greedy policy.
@@ -27,7 +28,6 @@ from .mdp import (
     MdpInstance,
     State,
     initial_state,
-    reward,
     stage,
     step,
     transition,
@@ -46,12 +46,18 @@ class Trajectory:
 def eval_q_greedy(
     instance: MdpInstance, params: PolicyParams, state: Sequence[int], action: int
 ) -> Fraction:
-    """q(state, action) under the greedy policy: apply the action, then roll out."""
+    """q(state, action) under the greedy policy: apply the action, then roll out.
+
+    The leaf's value is read from the formula's fraction table, as
+    ``generative_query`` reads it: the checked step and transitions have
+    just built the leaf, so ``reward`` would only check it again.
+    """
     h, current = step(instance, state, action)
     check_theta(instance, params)
     for j in range(h + 1, len(current) + 1):
         current = transition(current, greedy_action(j, params))
-    return reward(instance, current)
+    formula = instance.formula
+    return formula.fraction_of[formula.split(current)[0]]
 
 
 def state_value_greedy(

@@ -5,6 +5,11 @@ violated identity with enough inputs to reproduce it.  Suites are
 deterministic given their seed; failures are sorted canonically before
 serialization so result JSON is stable (wall time is reported separately
 and excluded from the canonical form).
+
+The realizability feature phi(s, a) depends on the formula alone and only
+the weight depends on the policy, so the greedy and softmax suites build
+phi once per formula (``_feature_cells``) and check that one table against
+every policy's weight.
 """
 
 from __future__ import annotations
@@ -29,7 +34,16 @@ from .cnf import (
     universe_block_sizes,
 )
 from .features import PolicyParams, f_threshold, greedy_action
-from .mdp import ACTIONS, MdpError, MdpInstance, build_mdp, generative_query, reward, stage
+from .mdp import (
+    ACTIONS,
+    MdpError,
+    MdpInstance,
+    State,
+    build_mdp,
+    generative_query,
+    reward,
+    stage,
+)
 from .policies import (
     best_greedy,
     enumerate_trajectories,
@@ -125,6 +139,29 @@ def random_formula(
     return Formula.from_ints(n, clauses)
 
 
+def _require_positive(**counts: int) -> None:
+    """ValueError for a sweep size below 1: a suite that checks nothing must not pass."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _feature_cells(
+    instance: MdpInstance,
+) -> list[tuple[State, int, int, ft.RealizabilityFeature]]:
+    """(state, h, action, phi) for every non-terminal cell of the instance.
+
+    In ``iter_states`` order, both actions per state.  phi never reads the
+    policy, so one table serves every policy a suite checks on the formula.
+    """
+    cells = []
+    for state in iter_states(instance.n):
+        h = stage(state)
+        for action in ACTIONS:
+            cells.append((state, h, action, ft.realizability_feature(instance, state, action)))
+    return cells
+
+
 def check_realizability_greedy(
     n_max: int = 6,
     formulas_per_n: int = 20,
@@ -137,8 +174,12 @@ def check_realizability_greedy(
     product as a rational, with zero tolerance.  The final two stages are
     additionally checked against their closed forms, the telescoping
     identity is checked along each greedy trajectory, and the two
-    tie-breaking rules are checked to agree.
+    tie-breaking rules are checked to agree.  The features are built once
+    per formula and checked against every sign pattern's weights.
+    ValueError when n_max or formulas_per_n is below 1 or n_max is above
+    the cap.
     """
+    _require_positive(n_max=n_max, formulas_per_n=formulas_per_n)
     if n_max > GREEDY_SUITE_N_MAX:
         raise ValueError(f"full greedy sweep is O(4^n); n_max={n_max} > {GREEDY_SUITE_N_MAX}")
     started = time.perf_counter()
@@ -150,6 +191,8 @@ def check_realizability_greedy(
             formula = random_formula(n, rng, max_occurrences=3)
             instance = build_mdp(formula)
             C = formula.clause_count
+            cells = _feature_cells(instance)
+            phi_of = {(state, action): phi for state, _, action, phi in cells}
             for bits in product((0, 1), repeat=n):
                 params = PolicyParams.from_signs(bits)
                 repro = {"formula": formula.to_json()["clauses"], "n": n, "signs": list(bits)}
@@ -158,50 +201,47 @@ def check_realizability_greedy(
                     cases += 1
                     if greedy_action(h, params) != f_threshold(params, h):
                         failures.append({**repro, "h": h, "kind": "tie_rule_mismatch"})
-                for state in iter_states(n):
-                    h = stage(state)
-                    for action in ACTIONS:
-                        cases += 1
-                        q = eval_q_greedy(instance, params, state, action)
-                        phi = ft.realizability_feature(instance, state, action)
-                        got = phi.dot(weights[h])
-                        if q != got:
+                for state, h, action, phi in cells:
+                    cases += 1
+                    q = eval_q_greedy(instance, params, state, action)
+                    got = phi.dot(weights[h])
+                    if q != got:
+                        failures.append(
+                            {
+                                **repro,
+                                "state": list(state),
+                                "action": action,
+                                "kind": "dot_mismatch",
+                                "q": frac_str(q),
+                                "dot": frac_str(got),
+                            }
+                        )
+                        continue
+                    if h == n:
+                        # last decision stage: no undecided clauses remain
+                        ym = sum(
+                            mult * weights[h].entry_int(i)
+                            for i, mult in phi.y_counts.items()
+                        )
+                        if ym != 0 or q != Fraction(phi.b, C):
                             failures.append(
-                                {
-                                    **repro,
-                                    "state": list(state),
-                                    "action": action,
-                                    "kind": "dot_mismatch",
-                                    "q": frac_str(q),
-                                    "dot": frac_str(got),
-                                }
+                                {**repro, "state": list(state), "action": action,
+                                 "kind": "last_stage_form"}
                             )
-                            continue
-                        if h == n:
-                            # last decision stage: no undecided clauses remain
-                            ym = sum(
-                                mult * weights[h].entry_int(i)
-                                for i, mult in phi.y_counts.items()
+                    elif h == n - 1:
+                        # one stage out: q must equal the look-ahead leaf reward
+                        leaf = ft.lookahead_state(state, action, params)
+                        if q != reward(instance, leaf):
+                            failures.append(
+                                {**repro, "state": list(state), "action": action,
+                                 "kind": "lookahead_form"}
                             )
-                            if ym != 0 or q != Fraction(phi.b, C):
-                                failures.append(
-                                    {**repro, "state": list(state), "action": action,
-                                     "kind": "last_stage_form"}
-                                )
-                        elif h == n - 1:
-                            # one stage out: q must equal the look-ahead leaf reward
-                            leaf = ft.lookahead_state(state, action, params)
-                            if q != reward(instance, leaf):
-                                failures.append(
-                                    {**repro, "state": list(state), "action": action,
-                                     "kind": "lookahead_form"}
-                                )
                 # telescoping along the greedy trajectory from the root
                 trace = []
                 state = (-1,) * n
                 for h in range(1, n + 1):
                     action = greedy_action(h, params)
-                    phi = ft.realizability_feature(instance, state, action)
+                    phi = phi_of[state, action]
                     ym = sum(
                         mult * weights[h].entry_int(i) for i, mult in phi.y_counts.items()
                     )
@@ -269,7 +309,13 @@ def check_realizability_softmax(
     q (per-clause probability path) must match the feature/weight inner
     product within tol on every non-terminal cell, and the closed-form
     weights must match the enumeration-defined weights within weight_tol.
+    The features are built once per formula and checked against every
+    theta' draw's weights.  ValueError when n_max, formulas_per_n or
+    thetas_per_formula is below 1 or n_max is above the cap.
     """
+    _require_positive(
+        n_max=n_max, formulas_per_n=formulas_per_n, thetas_per_formula=thetas_per_formula
+    )
     if n_max > SOFTMAX_SUITE_N_MAX:
         raise ValueError(
             f"trajectory-sum oracle is exponential; n_max={n_max} > {SOFTMAX_SUITE_N_MAX}"
@@ -282,6 +328,7 @@ def check_realizability_softmax(
         for _ in range(formulas_per_n):
             formula = random_formula(n, rng, max_occurrences=3)
             instance = build_mdp(formula)
+            cells = _feature_cells(instance)
             for _ in range(thetas_per_formula):
                 theta = tuple(float(v) for v in rng.uniform(-3.0, 3.0, size=n))
                 params = PolicyParams(theta)
@@ -309,24 +356,21 @@ def check_realizability_softmax(
                             {**repro, "action": action, "kind": "dp_vs_enumeration",
                              "dp": dp, "enumeration": brute}
                         )
-                for state in iter_states(n):
-                    h = stage(state)
-                    for action in ACTIONS:
-                        cases += 1
-                        q = eval_q_softmax(instance, params, state, action)
-                        phi = ft.realizability_feature(instance, state, action)
-                        got = phi.dot(weights[h])
-                        if abs(q - got) > tol:
-                            failures.append(
-                                {
-                                    **repro,
-                                    "state": list(state),
-                                    "action": action,
-                                    "kind": "dot_mismatch",
-                                    "q": q,
-                                    "dot": got,
-                                }
-                            )
+                for state, h, action, phi in cells:
+                    cases += 1
+                    q = eval_q_softmax(instance, params, state, action)
+                    got = phi.dot(weights[h])
+                    if abs(q - got) > tol:
+                        failures.append(
+                            {
+                                **repro,
+                                "state": list(state),
+                                "action": action,
+                                "kind": "dot_mismatch",
+                                "q": q,
+                                "dot": got,
+                            }
+                        )
     return SuiteResult(
         suite="realizability_softmax",
         cases=cases,

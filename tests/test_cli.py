@@ -272,6 +272,20 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "no suites" in err
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--suites", "greedy", "--n-max", "0"], "n_max"),
+            (["--suites", "greedy", "--n-max", "-3"], "n_max"),
+            (["--suites", "greedy", "--formulas", "0"], "formulas_per_n"),
+            (["--suites", "softmax", "--thetas", "0"], "thetas_per_formula"),
+        ],
+    )
+    def test_empty_sweep_exit_2(self, capsys, flags, name):
+        code, out, err = run(capsys, ["verify", *flags])
+        assert code == 2 and out == ""
+        assert f"{name} must be at least 1" in err
+
     def test_softmax_clamp_named(self, capsys):
         code, out, err = run(
             capsys,

@@ -193,6 +193,21 @@ class TestLookaheadState:
         params = PolicyParams((-1.0, -1.0, -1.0))
         assert lookahead_state((1, 0, 1), 0, params) == (1, 0, 1)
 
+    @pytest.mark.parametrize(
+        "state, theta",
+        [((-1, -1), (1.0, 1.0, 1.0)), ((1, -1, -1), (1.0, 1.0)), ((1, -1, -1), (1.0,) * 4)],
+    )
+    def test_theta_length_checked(self, state, theta):
+        # a long theta' used to be cut to the state's length, a short one to
+        # fail on a stage out of range
+        message = f"theta' has {len(theta)} entries, state needs {len(state)}"
+        with pytest.raises(ValueError, match=message):
+            lookahead_state(state, 0, PolicyParams(theta))
+
+    def test_action_checked_before_theta(self):
+        with pytest.raises(MdpError, match="action must be 0 or 1, got 2"):
+            lookahead_state((-1, -1, -1), 2, PolicyParams((1.0, 1.0)))
+
     def test_matches_explicit_rollout(self):
         rng = np.random.default_rng(4)
         for _ in range(100):

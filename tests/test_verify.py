@@ -1,13 +1,17 @@
 import importlib
 import json
 import pkgutil
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import sat2mdp
+import sat2mdp.features
+import sat2mdp.verify
 from sat2mdp import Formula, PolicyParams, build_mdp, occurrence_bound, softmax_weight
 from sat2mdp.mdp import MdpError
+from sat2mdp.policies import iter_states
 from sat2mdp.verify import (
     SUITE_COVERAGE,
     SUITES,
@@ -87,6 +91,105 @@ class TestSoftmaxSuite:
     def test_cap_guard(self):
         with pytest.raises(ValueError):
             check_realizability_softmax(n_max=6)
+
+
+@pytest.mark.parametrize(
+    "suite, kwargs",
+    [
+        (check_realizability_greedy, {"n_max": 0}),
+        (check_realizability_greedy, {"n_max": -3}),
+        (check_realizability_greedy, {"formulas_per_n": 0}),
+        (check_realizability_softmax, {"n_max": 0}),
+        (check_realizability_softmax, {"formulas_per_n": 0}),
+        (check_realizability_softmax, {"thetas_per_formula": 0}),
+    ],
+)
+def test_empty_sweep_rejected(suite, kwargs):
+    # a suite that checks nothing must not report a pass
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        suite(**kwargs)
+
+
+def count_feature_calls(monkeypatch):
+    calls = []
+    original = sat2mdp.features.realizability_feature
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sat2mdp.features, "realizability_feature", counting)
+    return calls
+
+
+def cell_count(n_max, formulas_per_n):
+    # 2^n - 1 non-terminal states per n-variable formula, two actions each
+    return sum(formulas_per_n * 2 * (2**n - 1) for n in range(1, n_max + 1))
+
+
+class TestOneFeaturePerCell:
+    def test_greedy(self, monkeypatch):
+        calls = count_feature_calls(monkeypatch)
+        assert check_realizability_greedy(n_max=4, formulas_per_n=2, seed=3).passed
+        assert len(calls) == cell_count(4, 2)
+
+    @pytest.mark.parametrize("thetas", [1, 4])
+    def test_softmax_independent_of_thetas(self, monkeypatch, thetas):
+        calls = count_feature_calls(monkeypatch)
+        result = check_realizability_softmax(
+            n_max=3, formulas_per_n=2, thetas_per_formula=thetas, seed=3
+        )
+        assert result.passed
+        assert len(calls) == cell_count(3, 2)
+
+
+def every_cell(n):
+    return {(tuple(state), action) for state in iter_states(n) for action in (0, 1)}
+
+
+class TestFaultStaysWithItsPolicy:
+    """A q that is off for one policy fails that policy's cells and no other's."""
+
+    def test_greedy_sign_pattern(self, monkeypatch):
+        original = sat2mdp.verify.eval_q_greedy
+        faulty = PolicyParams.from_signs((1, 0))
+
+        def off_by_one_clause(instance, params, state, action):
+            q = original(instance, params, state, action)
+            if params == faulty:
+                q += Fraction(1, instance.formula.clause_count)
+            return q
+
+        monkeypatch.setattr(sat2mdp.verify, "eval_q_greedy", off_by_one_clause)
+        result = check_realizability_greedy(n_max=3, formulas_per_n=1, seed=0)
+        mismatches = [f for f in result.failures if f["kind"] == "dot_mismatch"]
+        assert {tuple(f["signs"]) for f in result.failures} == {(1, 0)}
+        assert {(tuple(f["state"]), f["action"]) for f in mismatches} == every_cell(2)
+        assert len(mismatches) == len(every_cell(2))
+
+    def test_softmax_theta_draw(self, monkeypatch):
+        original = sat2mdp.verify.eval_q_softmax
+        draws = []
+
+        def off_by_one_clause(instance, params, state, action):
+            q = original(instance, params, state, action)
+            if params.theta_prime not in draws:
+                draws.append(params.theta_prime)
+            # the second of the three draws on the 2-variable formula
+            if draws.index(params.theta_prime) == 4:
+                q += 1.0 / instance.formula.clause_count
+            return q
+
+        monkeypatch.setattr(sat2mdp.verify, "eval_q_softmax", off_by_one_clause)
+        result = check_realizability_softmax(
+            n_max=3, formulas_per_n=1, thetas_per_formula=3, seed=0
+        )
+        assert len(draws) == 9
+        mismatches = [f for f in result.failures if f["kind"] == "dot_mismatch"]
+        assert {tuple(f["theta"]) for f in result.failures} == {draws[4]}
+        assert {(tuple(f["state"]), f["action"]) for f in mismatches} == every_cell(2)
+        assert len(mismatches) == len(every_cell(2))
 
 
 class TestScalingSuite:
