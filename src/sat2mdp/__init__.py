@@ -38,6 +38,7 @@ from .features import (
 )
 from .mdp import (
     ACTIONS,
+    ZERO_REWARD,
     MdpError,
     MdpInstance,
     State,

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .cnf import CnfError, parse_dimacs
@@ -217,28 +218,42 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if "softmax" in names and args.n_max is not None and args.n_max > SOFTMAX_SUITE_N_MAX:
         _say(f"note: the softmax suite runs at --n-max {SOFTMAX_SUITE_N_MAX}, not {args.n_max}")
     overrides: dict[str, dict] = {name: {} for name in names}
+    # suite -> {suite keyword: (flag, value)}
     flag_map = {
-        "greedy": {"n_max": args.n_max, "formulas_per_n": args.formulas, "seed": args.seed},
-        "softmax": {
-            "n_max": min(args.n_max, SOFTMAX_SUITE_N_MAX) if args.n_max is not None else None,
-            "formulas_per_n": args.formulas,
-            "thetas_per_formula": args.thetas,
-            "tol": args.tol,
-            "seed": args.seed,
+        "greedy": {
+            "n_max": ("--n-max", args.n_max),
+            "formulas_per_n": ("--formulas", args.formulas),
+            "seed": ("--seed", args.seed),
         },
-        "scaling": {"seed": args.seed},
+        "softmax": {
+            "n_max": (
+                "--n-max",
+                min(args.n_max, SOFTMAX_SUITE_N_MAX) if args.n_max is not None else None,
+            ),
+            "formulas_per_n": ("--formulas", args.formulas),
+            "thetas_per_formula": ("--thetas", args.thetas),
+            "tol": ("--tol", args.tol),
+            "seed": ("--seed", args.seed),
+        },
+        "scaling": {"seed": ("--seed", args.seed)},
         "roundtrip": {
-            "count": args.count,
-            "n": args.n,
-            "delta": args.delta,
-            "epsilon": args.epsilon,
-            "seed": args.seed,
+            "count": ("--count", args.count),
+            "n": ("--n", args.n),
+            "delta": ("--delta", args.delta),
+            "epsilon": ("--epsilon", args.epsilon),
+            "seed": ("--seed", args.seed),
         },
     }
+    read = set()
     for name in names:
-        for key, value in flag_map.get(name, {}).items():
+        for key, (flag, value) in flag_map.get(name, {}).items():
+            read.add(flag)
             if value is not None:
                 overrides[name][key] = value
+    ignored = {flag: None for suite in flag_map.values() for flag, value in suite.values()
+               if value is not None and flag not in read}
+    for flag in ignored:
+        _say(f"note: none of the named suites reads {flag}; it is ignored")
     results = run_suites(names, overrides)
     _emit([r.to_json() for r in results], args.out)
     ok = True
@@ -249,7 +264,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process: ``parse_args`` keeps no
+    state between calls, since each returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="sat2mdp",
         description="Compile Max-3SAT formulas into linearly realizable MDPs, "

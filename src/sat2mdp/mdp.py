@@ -6,7 +6,9 @@ every function that takes a state gets h from it, reads the prefix as
 ``values[:h - 1]``, and treats h > n as terminal.  Taking action a at
 stage h writes a into the first unassigned slot.  Reward is 0 everywhere
 except terminal states, which pay the exact satisfied fraction of the
-formula; every reward before the leaf is one shared exact zero.
+formula; every reward before the leaf is one shared exact zero,
+``ZERO_REWARD``, so a client may test a reward by identity
+(``r is ZERO_REWARD``) before paying for ``Fraction.__bool__``.
 ``step`` is the one (state, action) check: every function that takes a
 state-action pair calls it for the stage and the next state, so all of
 them raise the same errors in the same order.  ``generative_query`` is
@@ -40,8 +42,9 @@ State = tuple[int, ...]
 ACTIONS = (0, 1)
 
 # The reward of every non-terminal state; Fractions are immutable, so one
-# shared instance spares a construction per query.
-_ZERO = Fraction(0)
+# shared instance spares a construction per query, and clients may test a
+# reward against it by identity.
+ZERO_REWARD = Fraction(0)
 
 
 class MdpError(ValueError):
@@ -54,24 +57,34 @@ class MdpInstance:
 
     horizon H = n + 1, policy-parameter dimension d_prime = n, and
     realizability dimension d = 1 + |universe|, from the closed-form block
-    sizes.  The clause universe itself is enumerated on first access.
+    sizes.  The clause universe itself is enumerated on first access.  The
+    formula is frozen, so every dimension is computed once and cached.
     """
 
     formula: Formula
 
     action_count = len(ACTIONS)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.formula.n
 
-    @property
+    @cached_property
     def horizon(self) -> int:
         return self.n + 1
 
-    @property
+    @cached_property
     def d_prime(self) -> int:
         return self.n
+
+    @cached_property
+    def _next_tails(self) -> dict[int, list[State]]:
+        """_next_tails[a][k]: (a,) then k entries -1, for k < n.
+
+        The part of a next state from the slot that action a writes on;
+        ``step`` joins it to the state's assigned prefix.
+        """
+        return {a: [(a,) + (-1,) * k for k in range(self.n)] for a in ACTIONS}
 
     @cached_property
     def d(self) -> int:
@@ -114,11 +127,10 @@ def stage(state: Sequence[int]) -> int:
     is ``values[:h - 1]``, and the state is terminal when h > len(values).
     """
     values = tuple(state)
-    h = values.index(-1) + 1 if -1 in values else len(values) + 1
-    if (
-        values.count(-1) != len(values) + 1 - h
-        or values.count(0) + values.count(1) != h - 1
-    ):
+    free = values.count(-1)
+    h = len(values) + 1 - free
+    # every other entry is 0/1, and the -1 entries are the last ``free``
+    if values.count(0) + values.count(1) != h - 1 or (free and values.index(-1) != h - 1):
         raise MdpError(f"state {values} is not in prefix form: 0/1 entries, then only -1")
     return h
 
@@ -145,7 +157,7 @@ def reward(instance: MdpInstance, state: Sequence[int]) -> Fraction:
     if len(values) != instance.n:
         raise MdpError(f"state length {len(values)} != n={instance.n}")
     if h <= instance.n:
-        return _ZERO
+        return ZERO_REWARD
     return satisfied_fraction(instance.formula, values)
 
 
@@ -161,11 +173,14 @@ def step(instance: MdpInstance, state: Sequence[int], action: int) -> tuple[int,
     h = stage(values)
     if action not in ACTIONS:
         raise MdpError(f"action must be 0 or 1, got {action!r}")
-    if h > len(values):
+    size = len(values)
+    if h > size:
         raise MdpError(f"cannot transition from terminal state {values}")
-    if len(values) != instance.n:
-        raise MdpError(f"state length {len(values)} != n={instance.n}")
-    return h, values[: h - 1] + (action,) + values[h:]
+    if size != instance.n:
+        raise MdpError(f"state length {size} != n={instance.n}")
+    # ``stage`` has proved values[h - 1:] all -1, so the next state is the
+    # prefix plus a shared (action, -1, ..., -1) tail of the same length
+    return h, values[: h - 1] + instance._next_tails[action][size - h]
 
 
 def generative_query(
@@ -179,6 +194,6 @@ def generative_query(
     """
     h, nxt = step(instance, state, action)
     if h < len(nxt):
-        return nxt, _ZERO
+        return nxt, ZERO_REWARD
     formula = instance.formula
     return nxt, formula.fraction_of[formula.split(nxt)[0]]

@@ -22,16 +22,12 @@ import numpy as np
 
 from .cnf import BRUTE_FORCE_CAP, Assignment, Formula, occurrence_bound, satisfied_fraction
 from .features import PolicyParams, greedy_action, softmax_prob
-from .mdp import MdpInstance, State, build_mdp, generative_query, initial_state
+from .mdp import ZERO_REWARD, MdpInstance, State, build_mdp, generative_query, initial_state
 from .policies import state_value_softmax
 
 # Sign patterns handed to softmax extraction are scaled this far out so the
 # per-stage action probabilities are saturated to ~1e-18 of 0 or 1.
 SOFTMAX_SATURATION = 20.0
-
-# The starting total of every pattern the exact solver sweeps; Fractions are
-# immutable, so one shared instance spares a construction per pattern.
-_ZERO = Fraction(0)
 
 GenerativeAccess = Callable[[State, int], tuple[State, Fraction]]
 RlSolver = Callable[[MdpInstance, GenerativeAccess, Fraction, str], PolicyParams]
@@ -126,10 +122,12 @@ def exact_solver(
     generative access, n queries per pattern: the greedy policy of pattern
     x plays x_h at stage h, so the bits are played as actions directly.
     Every nonzero reward received is summed; zero ones are skipped, which
-    spares an exact addition on each query before the leaf.  Each total
-    starts at one shared exact zero and takes its first nonzero reward as
-    is, so a pattern whose only nonzero reward is the leaf's costs no
-    addition at all.
+    spares an exact addition on each query before the leaf.  The MDP's
+    shared zero, ``ZERO_REWARD``, is skipped by identity, without a call
+    to ``Fraction.__bool__``; any other zero still reads as falsy, so the
+    sum is exact for every query.  Each total starts at that same zero and
+    takes its first other reward as is, so a pattern whose only other
+    reward is the leaf's costs no addition and no truth test at all.
     For the softmax class the winning pattern is scaled to saturation so
     extraction recovers the same assignment.
     """
@@ -137,13 +135,17 @@ def exact_solver(
         raise ReductionError(f"brute-force cap exceeded: n={instance.n} > {BRUTE_FORCE_CAP}")
     best_bits: tuple[int, ...] | None = None
     best_value = Fraction(-1)
+    root = initial_state(instance.n)
     for bits in product((0, 1), repeat=instance.n):
-        state = initial_state(instance.n)
-        total = _ZERO
+        state = root
+        total = ZERO_REWARD
         for action in bits:
             state, r = query(state, action)
-            if r:
-                total = r if not total else total + r
+            if r is not ZERO_REWARD:
+                if total is ZERO_REWARD:
+                    total = r
+                elif r:
+                    total += r
         if total > best_value:
             best_bits, best_value = bits, total
     assert best_bits is not None

@@ -497,8 +497,9 @@ def check_reduction_roundtrip(
     the exact solver must answer Yes; each certificate is re-verified by an
     independent clause-by-clause recount.  A contradictory instance must
     answer No, and the bound helpers and both extraction modes are
-    exercised on the side.
+    exercised on the side.  ValueError when count is below 1.
     """
+    _require_positive(count=count)
     d, eps = as_fraction(delta), as_fraction(epsilon)
     if eps > d / 2:
         raise ValueError(f"roundtrip premise needs epsilon <= delta/2, got {eps} > {d / 2}")

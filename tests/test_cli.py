@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from sat2mdp import cli
 from sat2mdp.cli import main, parse_state, parse_theta
 
 EXAMPLE1 = "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
@@ -27,6 +28,14 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _untimed(verify_out):
+    """verify's JSON results without their wall times."""
+    results = json.loads(verify_out)
+    for r in results:
+        del r["wall_time_s"]
+    return results
 
 
 class TestThetaParsing:
@@ -279,6 +288,7 @@ class TestVerifyCommand:
             (["--suites", "greedy", "--n-max", "-3"], "n_max"),
             (["--suites", "greedy", "--formulas", "0"], "formulas_per_n"),
             (["--suites", "softmax", "--thetas", "0"], "thetas_per_formula"),
+            (["--suites", "roundtrip", "--count", "0"], "count"),
         ],
     )
     def test_empty_sweep_exit_2(self, capsys, flags, name):
@@ -295,6 +305,49 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)[0]["params"]["n_max"] == 5
         assert "--n-max 5, not 6" in err
+
+    @pytest.mark.parametrize(
+        "read, unread",
+        [
+            (["--suites", "roundtrip", "--count", "1", "--n", "3"],
+             [("--n-max", "3"), ("--thetas", "2"), ("--tol", "0.5")]),
+            (["--suites", "greedy", "--n-max", "1", "--formulas", "1"],
+             [("--count", "5"), ("--epsilon", "1/40")]),
+            (["--suites", "greedy,roundtrip", "--n-max", "1", "--count", "1", "--n", "3"], []),
+        ],
+    )
+    def test_unread_flags_named(self, capsys, read, unread):
+        # one note per flag that no named suite reads; exit code and
+        # results are those of the run without it
+        extra = [part for pair in unread for part in pair]
+        code, out, err = run(capsys, ["verify", *read, *extra])
+        notes = [line for line in err.splitlines() if "none of the named suites" in line]
+        assert notes == [
+            f"note: none of the named suites reads {flag}; it is ignored" for flag, _ in unread
+        ]
+        plain_code, plain_out, plain_err = run(capsys, ["verify", *read])
+        assert "none of the named suites" not in plain_err
+        assert code == plain_code == 0
+        assert _untimed(out) == _untimed(plain_out)
+
+
+class TestParserReuse:
+    def test_no_option_leaks_between_calls(self, capsys, tmp_path, monkeypatch):
+        # main() reuses one parser per process; each call must see only its
+        # own options, as a freshly built parser would
+        path = tmp_path / "two.cnf"
+        path.write_text("p cnf 2 2\n1 2 0\n-1 -2 0\n")
+        sequence = [
+            ["eval", str(path), "--theta=--", "--state=-1,-1", "--action", "0"],
+            ["extract", "--theta=+-", "--n", "2"],
+            ["decide", str(path), "--delta", "0.1", "--class", "softmax"],
+        ]
+        reused = [run(capsys, argv) for argv in sequence]
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run(capsys, argv) for argv in sequence]
+        assert reused == fresh
+        assert all(code in (0, 1) for code, _, _ in reused)
 
 
 class TestDeterminism:

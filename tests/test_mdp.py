@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sat2mdp import (
+    ZERO_REWARD,
     Formula,
     MdpError,
     PolicyParams,
@@ -21,6 +22,7 @@ from sat2mdp import (
     reward,
     satisfied_fraction,
     stage,
+    step,
     transition,
 )
 from sat2mdp.verify import random_formula
@@ -134,6 +136,23 @@ class TestGenerativeQuery:
 
     def test_true_branch_full_reward(self, example1_instance):
         assert generative_query(example1_instance, (0, 0, -1), 1) == ((0, 0, 1), 1)
+
+    def test_shared_zero_before_the_leaf(self, example1_instance):
+        # clients may test the pre-leaf reward by identity
+        assert generative_query(example1_instance, (1, -1, -1), 0)[1] is ZERO_REWARD
+        assert reward(example1_instance, (1, -1, -1)) is ZERO_REWARD
+        assert generative_query(example1_instance, (0, 0, -1), 0)[1] is not ZERO_REWARD
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_next_state_matches_transition(self, n):
+        # step joins the prefix to a shared tail; transition slices
+        instance = build_mdp(Formula.from_ints(n, [[-n]]))
+        for assigned in range(n):
+            state = (1, 0) * (assigned // 2) + (1,) * (assigned % 2) + (-1,) * (n - assigned)
+            for action in (0, 1):
+                assert step(instance, state, action) == (
+                    assigned + 1, transition(state, action)
+                )
 
     def test_pure(self, example1_instance):
         first = generative_query(example1_instance, (-1, -1, -1), 1)

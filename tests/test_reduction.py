@@ -1,11 +1,15 @@
 import math
+import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 from sat2mdp import (
+    ZERO_REWARD,
     Formula,
+    MdpInstance,
     PolicyParams,
     ReductionError,
     best_greedy,
@@ -184,6 +188,55 @@ class TestDecide:
         exact_solver(instance, counting_query, Fraction(1, 20), "greedy")
         assert counts["query"] == n * 2**n
         assert counts["stage"] == counts["query"]
+
+    @pytest.mark.parametrize("zero", [Fraction(0), 0], ids=["fresh_fraction", "int"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exact_solver_reads_any_zero_before_the_leaf(self, n, zero):
+        # the shared zero is skipped by identity; a zero that is another
+        # object must still count as zero, not shift the argmax
+        instance = build_mdp(random_formula(n, np.random.default_rng(300 + n)))
+        calls = 0
+
+        def foreign_zero_query(state, action):
+            nonlocal calls
+            calls += 1
+            nxt, r = generative_query(instance, state, action)
+            return nxt, (zero if r is ZERO_REWARD else r)
+
+        params = exact_solver(instance, foreign_zero_query, Fraction(1, 20), "greedy")
+        assert calls == n * 2**n
+        assert params == exact_solver(
+            instance, partial(generative_query, instance), Fraction(1, 20), "greedy"
+        )
+
+    def test_exact_solver_call_budget(self):
+        # per-query overhead, counted rather than timed: one stage() per
+        # query, no Fraction.__bool__ at all, and the MdpInstance.n getter
+        # at most once, not once per query
+        n = 6
+        instance = build_mdp(random_formula(n, np.random.default_rng(406)))
+        n_getter = vars(MdpInstance)["n"]
+        watched = {
+            Fraction.__bool__.__code__: "bool",
+            getattr(n_getter, "func", getattr(n_getter, "fget", None)).__code__: "n",
+            mdp.stage.__code__: "stage",
+            generative_query.__code__: "query",
+        }
+        counts = dict.fromkeys(watched.values(), 0)
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                counts[watched[frame.f_code]] += 1
+
+        query = partial(generative_query, instance)
+        sys.setprofile(profile)
+        try:
+            exact_solver(instance, query, Fraction(1, 20), "greedy")
+        finally:
+            sys.setprofile(None)
+        assert counts["query"] == counts["stage"] == n * 2**n, counts
+        assert counts["bool"] == 0, counts
+        assert counts["n"] <= 1, counts
 
     def test_exact_solver_sums_rewards_before_the_leaf(self):
         # only patterns (0, 0) and (0, 1) satisfy (~x1); a query that pays 2

@@ -102,6 +102,8 @@ class TestSoftmaxSuite:
         (check_realizability_softmax, {"n_max": 0}),
         (check_realizability_softmax, {"formulas_per_n": 0}),
         (check_realizability_softmax, {"thetas_per_formula": 0}),
+        (check_reduction_roundtrip, {"count": 0}),
+        (check_reduction_roundtrip, {"count": -1}),
     ],
 )
 def test_empty_sweep_rejected(suite, kwargs):
