@@ -9,9 +9,9 @@ only if every requested suite passes.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -33,6 +33,7 @@ from .policies import (
 )
 from .reduction import (
     ReductionError,
+    as_fraction,
     calibration_t,
     decide_max3sat,
     epsilon_bound_greedy,
@@ -202,8 +203,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
         if args.v_star is None:
             raise ValueError("softmax-eps needs --v-star")
         value = epsilon_bound_softmax(
-            float(Fraction(args.v_star)), args.H, args.b, args.C,
-            float(Fraction(args.delta)), args.p0,
+            float(as_fraction(args.v_star)), args.H, args.b, args.C,
+            float(as_fraction(args.delta)), args.p0,
         )
     else:  # unreachable through argparse choices
         raise ValueError(f"unknown bound kind {args.kind!r}")
@@ -217,43 +218,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"no suites named; available: {','.join(SUITES)}")
     if "softmax" in names and args.n_max is not None and args.n_max > SOFTMAX_SUITE_N_MAX:
         _say(f"note: the softmax suite runs at --n-max {SOFTMAX_SUITE_N_MAX}, not {args.n_max}")
-    overrides: dict[str, dict] = {name: {} for name in names}
-    # suite -> {suite keyword: (flag, value)}
-    flag_map = {
-        "greedy": {
-            "n_max": ("--n-max", args.n_max),
-            "formulas_per_n": ("--formulas", args.formulas),
-            "seed": ("--seed", args.seed),
-        },
-        "softmax": {
-            "n_max": (
-                "--n-max",
-                min(args.n_max, SOFTMAX_SUITE_N_MAX) if args.n_max is not None else None,
-            ),
-            "formulas_per_n": ("--formulas", args.formulas),
-            "thetas_per_formula": ("--thetas", args.thetas),
-            "tol": ("--tol", args.tol),
-            "seed": ("--seed", args.seed),
-        },
-        "scaling": {"seed": ("--seed", args.seed)},
-        "roundtrip": {
-            "count": ("--count", args.count),
-            "n": ("--n", args.n),
-            "delta": ("--delta", args.delta),
-            "epsilon": ("--epsilon", args.epsilon),
-            "seed": ("--seed", args.seed),
-        },
+    # verify flag -> (suite keyword, value); each suite reads the flags whose
+    # keyword its signature names
+    flags = {
+        "--n-max": ("n_max", args.n_max),
+        "--formulas": ("formulas_per_n", args.formulas),
+        "--thetas": ("thetas_per_formula", args.thetas),
+        "--tol": ("tol", args.tol),
+        "--count": ("count", args.count),
+        "--n": ("n", args.n),
+        "--delta": ("delta", args.delta),
+        "--epsilon": ("epsilon", args.epsilon),
+        "--seed": ("seed", args.seed),
     }
+    overrides: dict[str, dict] = {name: {} for name in names}
     read = set()
     for name in names:
-        for key, (flag, value) in flag_map.get(name, {}).items():
+        if name not in SUITES:
+            continue  # run_suites names it
+        keywords = inspect.signature(SUITES[name]).parameters
+        for flag, (key, value) in flags.items():
+            if key not in keywords:
+                continue
             read.add(flag)
             if value is not None:
+                if name == "softmax" and key == "n_max":
+                    value = min(value, SOFTMAX_SUITE_N_MAX)
                 overrides[name][key] = value
-    ignored = {flag: None for suite in flag_map.values() for flag, value in suite.values()
-               if value is not None and flag not in read}
-    for flag in ignored:
-        _say(f"note: none of the named suites reads {flag}; it is ignored")
+    for flag, (_, value) in flags.items():
+        if value is not None and flag not in read:
+            _say(f"note: none of the named suites reads {flag}; it is ignored")
     results = run_suites(names, overrides)
     _emit([r.to_json() for r in results], args.out)
     ok = True

@@ -154,19 +154,16 @@ class RealizabilityFeature:
     def dot(self, weight: "RealizabilityWeight") -> Fraction | float:
         """Inner product with a stage weight, including the 1/|C| scale.
 
-        Exact Fraction against greedy weights, float against softmax ones.
-        The weight's head coordinate is 1, so the sum starts at b.
+        The weight's head coordinate is 1, so the sum starts at b; it is an
+        exact Fraction against greedy weights, a float against softmax ones.
         """
         if weight.dim != self.dim:
             raise ValueError(f"dimension mismatch: feature {self.dim} vs weight {weight.dim}")
-        if weight.kind == GREEDY:
-            acc = self.b
-            for idx, mult in self.y_counts.items():
-                acc += mult * weight.entry_int(idx)
-            return Fraction(acc, self.clause_count)
-        acc = float(self.b)
+        acc = self.b
         for idx, mult in self.y_counts.items():
             acc += mult * weight.entry(idx)
+        if weight.kind == GREEDY:
+            return Fraction(acc, self.clause_count)
         return acc / self.clause_count
 
     def to_json(self) -> dict:
@@ -212,16 +209,13 @@ class RealizabilityWeight:
     def dim(self) -> int:
         return len(self._min_var) + 1
 
-    def entry(self, index: int) -> float:
-        if self._min_var[index] > self.cutoff:
-            return float(self._continuation[index])
-        return 0.0
+    def entry(self, index: int) -> int | float:
+        """m[index] as a Python scalar: the continuation's entry if live, else 0.
 
-    def entry_int(self, index: int) -> int:
-        if self.kind != GREEDY:
-            raise ValueError("entry_int is only defined for greedy weights")
-        if self._min_var[index] > self.cutoff:
-            return int(self._continuation[index])
+        A greedy entry is the continuation's bool, which counts as 0 or 1.
+        """
+        if self._min_var.item(index) > self.cutoff:
+            return self._continuation.item(index)
         return 0
 
     def m_dense(self) -> np.ndarray:

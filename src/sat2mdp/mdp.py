@@ -14,9 +14,11 @@ state-action pair calls it for the stage and the next state, so all of
 them raise the same errors in the same order.  ``generative_query`` is
 ``step`` plus the leaf reward: ``Formula.split``'s count of the leaf, a
 popcount over the formula's clause bitsets, looked up in the formula's
-table of satisfied fractions.  It returns what ``transition`` followed by
-``reward`` would, with the same errors, which is why those two stay as
-its reference.  The 2^(n+1) - 1 states are never materialized;
+table of satisfied fractions.  ``transition`` and ``reward`` are the
+references: ``generative_query`` returns what ``transition`` followed by
+``reward`` would, with the same errors, and the policy evaluators build
+their leaves without either, so both keep every check for the tests that
+hold those paths to them.  The 2^(n+1) - 1 states are never materialized;
 everything is computed on demand from the formula.  An ``MdpInstance``
 holds only the formula: its dimensions are closed forms, and the
 Theta(n^3) clause universe is enumerated on first use, so paths that

@@ -1,14 +1,18 @@
 """Exact policy evaluation on the assignment-tree MDP.
 
-Greedy values are computed by deterministic roll-out and returned as exact
-Fractions, the leaf's read from the formula's table of satisfied fractions.
-Softmax values sum per-clause satisfaction probabilities (polynomial, over
-``Formula.split`` of the prefix); ``enumerate_trajectories`` lists every
-continuation with its probability and is the independent oracle they are
-checked against.  ``best_greedy`` reads the
-best sign pattern off ``cnf.is_zeta_satisfiable``: sign pattern x plays
-assignment x, and actions depend on the stage only, so the best assignment
-is the best greedy policy.
+A roll-out from (state, action) is named by its leaf: the assigned prefix,
+the action, then the policy's later actions.  Each entry point takes one
+checked ``mdp.step`` and builds the leaf directly; ``transition`` and
+``reward`` stay in ``mdp`` as the references that leaf and its value are
+tested against.  A greedy q is one checked step plus the leaf its sign
+pattern names, returned as an exact Fraction from the formula's table of
+satisfied fractions.  Softmax values sum per-clause satisfaction
+probabilities (polynomial, over ``Formula.split`` of the prefix);
+``enumerate_trajectories`` lists every continuation's leaf with its
+probability and is the independent oracle they are checked against.
+``best_greedy`` reads the best sign pattern off ``cnf.is_zeta_satisfiable``:
+sign pattern x plays assignment x, and actions depend on the stage only, so
+the best assignment is the best greedy policy.
 """
 
 from __future__ import annotations
@@ -22,23 +26,13 @@ import numpy as np
 
 from .cnf import ENUMERATION_CAP, is_zeta_satisfiable
 from .features import PolicyParams, check_theta, greedy_action, softmax_prob
-from .mdp import (
-    ACTIONS,
-    MdpError,
-    MdpInstance,
-    State,
-    initial_state,
-    stage,
-    step,
-    transition,
-)
+from .mdp import ACTIONS, MdpError, MdpInstance, State, stage, step
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A root-to-leaf suffix: (state, action) steps, terminal state, probability."""
+    """A roll-out, named by its leaf, and the probability of reaching it."""
 
-    steps: tuple[tuple[State, int], ...]
     final: State
     probability: float
 
@@ -48,16 +42,15 @@ def eval_q_greedy(
 ) -> Fraction:
     """q(state, action) under the greedy policy: apply the action, then roll out.
 
-    The leaf's value is read from the formula's fraction table, as
-    ``generative_query`` reads it: the checked step and transitions have
-    just built the leaf, so ``reward`` would only check it again.
+    The roll-out's leaf is the checked step's prefix followed by the
+    pattern's actions for the later stages; its value is read from the
+    formula's fraction table, as ``generative_query`` reads it.
     """
-    h, current = step(instance, state, action)
+    h, nxt = step(instance, state, action)
     check_theta(instance, params)
-    for j in range(h + 1, len(current) + 1):
-        current = transition(current, greedy_action(j, params))
+    leaf = nxt[:h] + tuple(greedy_action(j, params) for j in range(h + 1, instance.n + 1))
     formula = instance.formula
-    return formula.fraction_of[formula.split(current)[0]]
+    return formula.fraction_of[formula.split(leaf)[0]]
 
 
 def state_value_greedy(
@@ -120,17 +113,13 @@ def enumerate_trajectories(
     if free > ENUMERATION_CAP:
         raise MdpError(f"{free} free stages exceed the enumeration cap {ENUMERATION_CAP}")
     p1 = [softmax_prob(j, params) for j in range(h + 1, instance.n + 1)]
-    first = (tuple(state), action)
+    prefix = nxt[:h]
     out: list[Trajectory] = []
     for suffix in product(ACTIONS, repeat=free):
-        steps = [first]
-        current = nxt
         probability = 1.0
-        for offset, a in enumerate(suffix):
-            steps.append((current, a))
-            current = transition(current, a)
-            probability *= p1[offset] if a == 1 else 1.0 - p1[offset]
-        out.append(Trajectory(steps=tuple(steps), final=current, probability=probability))
+        for p, a in zip(p1, suffix):
+            probability *= p if a == 1 else 1.0 - p
+        out.append(Trajectory(final=prefix + suffix, probability=probability))
     return out
 
 
@@ -145,16 +134,14 @@ def sample_trajectory(
     """
     check_theta(instance, params)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    current = initial_state(instance.n)
-    steps: list[tuple[State, int]] = []
+    actions = []
     probability = 1.0
     for h in range(1, instance.n + 1):
         p1 = softmax_prob(h, params)
         action = 1 if rng.random() < p1 else 0
-        steps.append((current, action))
+        actions.append(action)
         probability *= p1 if action == 1 else 1.0 - p1
-        current = transition(current, action)
-    return Trajectory(steps=tuple(steps), final=current, probability=probability)
+    return Trajectory(final=tuple(actions), probability=probability)
 
 
 def best_greedy(instance: MdpInstance) -> tuple[PolicyParams, Fraction]:

@@ -38,10 +38,14 @@ class ReductionError(ValueError):
 
 
 def as_fraction(value: Fraction | int | float | str) -> Fraction:
-    """Exact conversion; floats are read via their shortest decimal repr."""
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+    """Exact conversion; floats are read via their shortest decimal repr.
+
+    ReductionError for a zero denominator, such as the string "1/0".
+    """
+    try:
+        return Fraction(str(value) if isinstance(value, float) else value)
+    except ZeroDivisionError:
+        raise ReductionError(f"{value!r} has a zero denominator") from None
 
 
 def frac_str(value: Fraction) -> str:
@@ -163,7 +167,7 @@ def epsilon_bound_greedy(delta: Fraction | float | str) -> Fraction:
 
 def mcdiarmid_tail(t: float, H: int, b: int, C: int) -> float:
     """Bounded-difference tail bound exp(-2 t^2 C^2 / (H b^2)) for the terminal reward."""
-    if t < 0:
+    if not t >= 0:
         raise ReductionError(f"t must be nonnegative, got {t}")
     if min(H, b, C) < 1:
         raise ReductionError(f"H, b, C must be positive, got {(H, b, C)}")

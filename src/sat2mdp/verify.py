@@ -15,6 +15,7 @@ every policy's weight.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,6 +147,14 @@ def _require_positive(**counts: int) -> None:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
 
+def _require_tolerance(**tolerances: float) -> None:
+    """ValueError unless each tolerance is finite and >= 0: a NaN or infinite
+    one would switch its check off."""
+    for name, value in tolerances.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _feature_cells(
     instance: MdpInstance,
 ) -> list[tuple[State, int, int, ft.RealizabilityFeature]]:
@@ -192,7 +201,6 @@ def check_realizability_greedy(
             instance = build_mdp(formula)
             C = formula.clause_count
             cells = _feature_cells(instance)
-            phi_of = {(state, action): phi for state, _, action, phi in cells}
             for bits in product((0, 1), repeat=n):
                 params = PolicyParams.from_signs(bits)
                 repro = {"formula": formula.to_json()["clauses"], "n": n, "signs": list(bits)}
@@ -201,10 +209,12 @@ def check_realizability_greedy(
                     cases += 1
                     if greedy_action(h, params) != f_threshold(params, h):
                         failures.append({**repro, "h": h, "kind": "tie_rule_mismatch"})
+                # each cell's <phi, w>, kept for the telescoping check
+                dots = {}
                 for state, h, action, phi in cells:
                     cases += 1
                     q = eval_q_greedy(instance, params, state, action)
-                    got = phi.dot(weights[h])
+                    got = dots[state, action] = phi.dot(weights[h])
                     if q != got:
                         failures.append(
                             {
@@ -218,12 +228,9 @@ def check_realizability_greedy(
                         )
                         continue
                     if h == n:
-                        # last decision stage: no undecided clauses remain
-                        ym = sum(
-                            mult * weights[h].entry_int(i)
-                            for i, mult in phi.y_counts.items()
-                        )
-                        if ym != 0 or q != Fraction(phi.b, C):
+                        # last decision stage: no undecided clause is left, so
+                        # q = (b + <y, m>) / C reduces to b / C
+                        if q != Fraction(phi.b, C):
                             failures.append(
                                 {**repro, "state": list(state), "action": action,
                                  "kind": "last_stage_form"}
@@ -236,22 +243,17 @@ def check_realizability_greedy(
                                 {**repro, "state": list(state), "action": action,
                                  "kind": "lookahead_form"}
                             )
-                # telescoping along the greedy trajectory from the root
+                # telescoping: consecutive cells of the greedy trajectory from
+                # the root have the same inner product b + <y, m>
                 trace = []
                 state = (-1,) * n
                 for h in range(1, n + 1):
                     action = greedy_action(h, params)
-                    phi = phi_of[state, action]
-                    ym = sum(
-                        mult * weights[h].entry_int(i) for i, mult in phi.y_counts.items()
-                    )
-                    trace.append((phi.b, ym))
+                    trace.append(dots[state, action])
                     state = state[: h - 1] + (action,) + state[h:]
                 for h in range(2, n + 1):
                     cases += 1
-                    b_prev, ym_prev = trace[h - 2]
-                    b_cur, ym_cur = trace[h - 1]
-                    if ym_prev - ym_cur != b_cur - b_prev:
+                    if trace[h - 2] != trace[h - 1]:
                         failures.append({**repro, "h": h, "kind": "telescoping"})
     return SuiteResult(
         suite="realizability_greedy",
@@ -311,11 +313,13 @@ def check_realizability_softmax(
     weights must match the enumeration-defined weights within weight_tol.
     The features are built once per formula and checked against every
     theta' draw's weights.  ValueError when n_max, formulas_per_n or
-    thetas_per_formula is below 1 or n_max is above the cap.
+    thetas_per_formula is below 1, n_max is above the cap, or tol or
+    weight_tol is not finite and >= 0.
     """
     _require_positive(
         n_max=n_max, formulas_per_n=formulas_per_n, thetas_per_formula=thetas_per_formula
     )
+    _require_tolerance(tol=tol, weight_tol=weight_tol)
     if n_max > SOFTMAX_SUITE_N_MAX:
         raise ValueError(
             f"trajectory-sum oracle is exponential; n_max={n_max} > {SOFTMAX_SUITE_N_MAX}"
@@ -409,7 +413,9 @@ def check_construction_scaling(
     n up to size_check_max.  Wall times for universe enumeration, a full
     stage sweep of features, and all-stage weight construction are fitted
     with a log-log slope over n_list; slopes above the caps fail.
+    ValueError unless both caps are finite and >= 0.
     """
+    _require_tolerance(greedy_slope_max=greedy_slope_max, softmax_slope_max=softmax_slope_max)
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures: list[dict] = []
@@ -630,11 +636,12 @@ SUITES = {
 
 
 def run_suites(names: Sequence[str], overrides: dict | None = None) -> list[SuiteResult]:
-    """Run the named suites with optional per-suite keyword overrides."""
+    """Run the named suites with optional per-suite keyword overrides.
+
+    Every name is checked before any suite runs.
+    """
     overrides = overrides or {}
-    results = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-        results.append(SUITES[name](**overrides.get(name, {})))
-    return results
+    return [SUITES[name](**overrides.get(name, {})) for name in names]

@@ -43,3 +43,10 @@ def test_span_resolves_to_package_function(span):
 def test_tracer_wraps_every_span():
     discovered = {name for name, *_ in _load("tracer").Tracer._discover()}
     assert not set(SPANS) - discovered
+
+
+@pytest.mark.parametrize("name", ["_greedy_continuation", "_softmax_continuation"])
+def test_traced_continuation_caches_exist(name):
+    # the traced run reads both caches' cache_info() for its hit ratio
+    fn = getattr(importlib.import_module("sat2mdp.features"), name)
+    assert callable(fn.cache_info)

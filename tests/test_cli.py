@@ -258,6 +258,23 @@ class TestBound:
         assert json.loads(out)["value"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "{cnf}", "--delta", "1/0"],
+        ["decide", "{cnf}", "--delta", "1/10", "--p0", "1/0"],
+        ["bound", "--kind", "softmax-eps", "--v-star", "1/0"],
+        ["bound", "--kind", "mcdiarmid", "--t", "nan"],
+    ],
+)
+def test_hostile_number_exit_2(capsys, cnf_path, argv):
+    # a zero denominator or a NaN is a user error: exit 2 with one line, no
+    # traceback, and for decide not the exit 1 that means "No"
+    code, out, err = run(capsys, [part.format(cnf=cnf_path) for part in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_greedy_suite_exit_0(self, capsys):
         code, out, err = run(
@@ -274,6 +291,23 @@ class TestVerifyCommand:
         code, _, err = run(capsys, ["verify", "--suites", "nope"])
         assert code == 2
         assert "unknown suite" in err
+
+    def test_unknown_suite_runs_nothing(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setitem(cli.SUITES, "greedy", lambda **kwargs: calls.append(kwargs))
+        code, out, err = run(capsys, ["verify", "--suites", "greedy,nope"])
+        assert code == 2 and out == ""
+        assert "unknown suite 'nope'" in err
+        assert calls == []
+
+    def test_nan_tolerance_exit_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["verify", "--suites", "softmax", "--n-max", "1", "--formulas", "1",
+             "--thetas", "1", "--tol", "nan"],
+        )
+        assert code == 2 and out == ""
+        assert "tol must be finite and >= 0, got nan" in err
 
     @pytest.mark.parametrize("suites", ["", ","])
     def test_no_suites_exit_2(self, capsys, suites):

@@ -228,7 +228,7 @@ class TestGreedyWeight:
         phi = realizability_feature(example1_instance, (1, -1, -1), 0)
         theta2 = greedy_weight(example1_instance, params, 2)
         neg_x3 = example1_instance.universe.index_of(Clause.from_ints([-3]).key)
-        assert theta2.entry_int(neg_x3) == 0  # look-ahead sets x3 = 1
+        assert theta2.entry(neg_x3) == 0  # look-ahead sets x3 = 1
         assert phi.dot(theta2) == Fraction(1, 2)
 
     def test_last_stage_is_all_zero(self, example1_instance):
@@ -242,7 +242,7 @@ class TestGreedyWeight:
         universe = example1_instance.universe
         for i, clause in enumerate(universe.entries):
             if clause.min_variable <= 2:
-                assert w.entry_int(i) == 0
+                assert w.entry(i) == 0
 
     def test_head_and_entries_binary(self, example1_instance):
         params = PolicyParams((-1.0, 1.0, -1.0))
@@ -258,7 +258,7 @@ class TestGreedyWeight:
         continuation = tuple(f_threshold(params, j) for j in (1, 2, 3))
         for i, clause in enumerate(example1_instance.universe.entries):
             if clause.min_variable > h:
-                assert w.entry_int(i) == int(satisfied_by(clause, continuation))
+                assert w.entry(i) == int(satisfied_by(clause, continuation))
 
     def test_stage_range_checked(self, example1_instance):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -53,6 +54,28 @@ class TestEvalQGreedy:
             action = int(rng.integers(0, 2))
             leaf = lookahead_state(state, action, params)
             assert eval_q_greedy(instance, params, state, action) == reward(instance, leaf)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_stage_check_per_call(self, n):
+        # the checked step is the only state check: the leaf is built from
+        # its prefix, not walked to through transition()
+        instance = build_mdp(random_formula(n, np.random.default_rng(n)))
+        params = PolicyParams.from_signs([n % 2] * n)
+        cells = [(state, action) for state in iter_states(n) for action in (0, 1)]
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is stage.__code__:
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            for state, action in cells:
+                eval_q_greedy(instance, params, state, action)
+        finally:
+            sys.setprofile(None)
+        assert calls == len(cells)
 
     def test_values_in_unit_interval(self, example1_instance):
         for state in iter_states(3):
@@ -120,14 +143,18 @@ class TestTrajectories:
         got = enumerate_trajectories(example1_instance, params, (-1, -1, -1), 0)
         assert all(t.probability == pytest.approx(0.25, abs=1e-15) for t in got)
 
-    def test_steps_are_linked(self, example1_instance):
+    def test_finals_are_prefix_action_suffix(self, example1_instance):
+        # one trajectory per suffix, in itertools.product order, each named
+        # by its leaf
         params = PolicyParams((1.0, -1.0, 0.5))
-        for traj in enumerate_trajectories(example1_instance, params, (-1, -1, -1), 1):
-            state = (-1, -1, -1)
-            for seen, action in traj.steps:
-                assert seen == state
-                state = state[: stage(state) - 1] + (action,) + state[stage(state):]
-            assert state == traj.final
+        for state in iter_states(3):
+            prefix = state[: stage(state) - 1]
+            for action in (0, 1):
+                got = enumerate_trajectories(example1_instance, params, state, action)
+                suffixes = product((0, 1), repeat=3 - len(prefix) - 1)
+                assert [t.final for t in got] == [
+                    prefix + (action,) + suffix for suffix in suffixes
+                ]
 
     def test_cap(self):
         # 21 free stages after the root action, one over the cap
@@ -215,7 +242,7 @@ class TestIdentities:
                 w = greedy_weight(example1_instance, params, h)
                 for action in (0, 1):
                     phi = realizability_feature(example1_instance, state, action)
-                    inner = sum(m * w.entry_int(i) for i, m in phi.y_counts.items())
+                    inner = sum(m * w.entry(i) for i, m in phi.y_counts.items())
                     q = eval_q_greedy(example1_instance, params, state, action)
                     assert q == Fraction(phi.b + inner, 2)
 
@@ -233,7 +260,7 @@ class TestIdentities:
                     action = greedy_action(h, params)
                     phi = realizability_feature(instance, state, action)
                     w = greedy_weight(instance, params, h)
-                    inner = sum(m * w.entry_int(i) for i, m in phi.y_counts.items())
+                    inner = sum(m * w.entry(i) for i, m in phi.y_counts.items())
                     parts.append((phi.b, inner))
                     state = state[: h - 1] + (action,) + state[h:]
                 for h in range(2, n + 1):

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import itertools
 import json
 import pkgutil
 from fractions import Fraction
@@ -194,6 +196,54 @@ class TestFaultStaysWithItsPolicy:
         assert len(mismatches) == len(every_cell(2))
 
 
+class TestFeatureFaultStaysWithItsCell:
+    """A phi whose b is one too low fails its own cell under every sign
+    pattern, and the telescoping check once for each pattern whose greedy
+    trajectory passes through it; nothing else fails."""
+
+    @pytest.mark.parametrize("fault_stage", ["first", "last"])
+    def test_greedy(self, monkeypatch, fault_stage):
+        original = sat2mdp.verify._feature_cells
+        faulted = []
+
+        def lowered(instance):
+            cells = original(instance)
+            n = instance.n
+            target = 1 if fault_stage == "first" else n
+            for i, (state, h, action, phi) in enumerate(cells):
+                # b >= 1 keeps the lowered feature valid
+                if h == target and phi.b >= 1:
+                    cells[i] = (state, h, action, dataclasses.replace(phi, b=phi.b - 1))
+                    faulted.append((instance.formula, state, h, action))
+                    break
+            return cells
+
+        monkeypatch.setattr(sat2mdp.verify, "_feature_cells", lowered)
+        result = check_realizability_greedy(n_max=4, formulas_per_n=3, seed=0)
+        expected = []
+        for formula, state, h, action in faulted:
+            clauses = json.dumps(formula.to_json()["clauses"])
+            n = formula.n
+            for bits in itertools.product((0, 1), repeat=n):
+                expected.append(("dot_mismatch", clauses, bits, tuple(state), action))
+                on_path = bits[: h - 1] == state[: h - 1] and bits[h - 1] == action
+                if on_path and n >= 2:
+                    # the cell's trajectory neighbour: stage 2 after the
+                    # first stage, stage n - 1 before the last
+                    expected.append(("telescoping", clauses, bits, 2 if h == 1 else n))
+        got = []
+        for f in result.failures:
+            key = (f["kind"], json.dumps(f["formula"]), tuple(f["signs"]))
+            if f["kind"] == "dot_mismatch":
+                got.append(key + (tuple(f["state"]), f["action"]))
+                C = len(f["formula"])
+                assert Fraction(f["dot"]) == Fraction(f["q"]) - Fraction(1, C)
+            else:
+                got.append(key + (f["h"],))
+        assert any(k[0] == "telescoping" for k in expected)
+        assert sorted(got) == sorted(expected)
+
+
 class TestScalingSuite:
     def test_small_run(self):
         result = check_construction_scaling(n_list=(4, 8, 16), size_check_max=16, seed=0)
@@ -238,6 +288,22 @@ class TestSuiteResult:
     def test_run_suites_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suites(["nope"])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize(
+    "suite, name",
+    [
+        (check_realizability_softmax, "tol"),
+        (check_realizability_softmax, "weight_tol"),
+        (check_construction_scaling, "greedy_slope_max"),
+        (check_construction_scaling, "softmax_slope_max"),
+    ],
+)
+def test_tolerance_must_be_finite_and_nonnegative(suite, name, value):
+    # a NaN or infinite tolerance would switch its check off
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        suite(**{name: value})
 
 
 # each suite at the smallest parameters that still reach its last two stages
