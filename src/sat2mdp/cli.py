@@ -45,7 +45,7 @@ from .reduction import (
 )
 from .verify import SOFTMAX_SUITE_N_MAX, SUITES, run_suites
 
-USER_ERRORS = (CnfError, MdpError, ReductionError, ValueError, OSError)
+USER_ERRORS = (CnfError, MdpError, ReductionError, ValueError, OSError, OverflowError)
 
 
 def _read_input(path: str) -> str:

@@ -3,17 +3,17 @@ and the ordered universe of all valid clauses over n variables.
 
 Clauses are canonicalized at construction: literals sorted by key
 (2*(var-1) + negated), duplicates removed, complementary pairs rejected.
-A ``Formula`` also keeps each clause as its tuple of literal keys, and
-``Formula.split`` is the one clause evaluator: under an assigned prefix
-it counts the satisfied instances and returns the remaining keys of each
-undecided one.  A full assignment leaves nothing undecided, so there
-``split`` only counts: each formula holds, per variable value, the bitset
-of clause instances that value makes true, and the count is the popcount
-of the OR of one bitset per variable.  Each formula also holds the table
+A ``Formula`` also keeps each clause as its tuple of literal keys and,
+per variable value, the bitset of clause instances that value makes
+true.  Every clause evaluation reads those bitsets.  ``Formula.split``
+evaluates an assigned prefix: the satisfied instances are the OR of one
+bitset per prefix variable, and the undecided ones are the unsatisfied
+instances with a literal past the prefix.  A full assignment is the case
+with nothing undecided.  ``is_zeta_satisfiable`` is the one exhaustive
+sweep over all 2^n assignments: it ORs a table for the first half of the
+variables with a table for the rest.  Each formula also holds the table
 of its C + 1 possible satisfied fractions, k / C for k = 0..C, which
-every satisfied fraction is read from.  ``is_zeta_satisfiable`` is the
-one exhaustive sweep over all 2^n assignments, vectorized in chunks of
-assignments.
+every satisfied fraction is read from.
 
 The clause universe lists every non-tautological clause of size 1-3 in
 block order (all 1-clauses, then 2-clauses, then 3-clauses), lexicographic
@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import comb
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -44,9 +45,6 @@ MAX_CLAUSE_SIZE = 3
 # continuations of a stage-h state refuse n - h above ENUMERATION_CAP.
 BRUTE_FORCE_CAP = 24
 ENUMERATION_CAP = 20
-
-# Assignments evaluated per numpy pass of the exhaustive sweep.
-SWEEP_CHUNK = 1 << 15
 
 
 class CnfError(ValueError):
@@ -139,6 +137,8 @@ class Formula:
     ``keys[i]`` is ``clauses[i].key``, the sorted literal keys of instance i.
     ``value_bits[j][v]`` is the bitset of the instances that x_{j+1} = v
     makes true: bit i is set when instance i holds that literal.
+    ``open_bits[h]`` is the bitset of the instances with a literal on
+    x_{h+1}..x_n, so ``open_bits[n]`` is 0.
     ``fraction_of[k]`` is ``Fraction(k, clause_count)``.
     """
 
@@ -146,6 +146,7 @@ class Formula:
     clauses: tuple[Clause, ...]
     keys: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     value_bits: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+    open_bits: tuple[int, ...] = field(init=False, compare=False, repr=False)
     fraction_of: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -166,6 +167,8 @@ class Formula:
                 bits[k ^ 1] |= 1 << i
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "value_bits", tuple(zip(bits[::2], bits[1::2])))
+        held = accumulate(reversed([b0 | b1 for b0, b1 in self.value_bits]), or_, initial=0)
+        object.__setattr__(self, "open_bits", tuple(held)[::-1])
         count = len(keys)
         object.__setattr__(
             self, "fraction_of", tuple(Fraction(k, count) for k in range(count + 1))
@@ -182,28 +185,24 @@ class Formula:
         and variables past the prefix are unassigned.  Returns the number
         of satisfied instances and, in formula order, the literal keys left
         in each undecided instance.  Falsified instances appear in neither.
-        A full assignment leaves no instance undecided, so its count is the
-        popcount of the OR of one ``value_bits`` entry per variable; entries
-        are read by truthiness, so bools, numpy integers and 0.0/1.0 count
-        as their 0/1 values.
+        The satisfied instances are the OR of one ``value_bits`` entry per
+        prefix variable, read by truthiness, so bools, numpy integers and
+        0.0/1.0 count as their 0/1 values.  The undecided ones are the rest
+        of ``open_bits[len(prefix)]``, none for a full assignment.
         """
-        if len(prefix) == self.n:
-            acc = 0
-            for bits, v in zip(self.value_bits, prefix):
-                acc |= bits[1] if v else bits[0]
-            return acc.bit_count(), []
-        # literal key 2*i + neg is true iff x_{i+1} is assigned 1 - neg
-        true = {2 * i + 1 - v for i, v in enumerate(prefix)}
+        acc = 0
+        for bits, v in zip(self.value_bits, prefix):
+            acc |= bits[1] if v else bits[0]
         cut = 2 * len(prefix)
-        satisfied = 0
         undecided = []
-        for key in self.keys:
-            if not true.isdisjoint(key):
-                satisfied += 1
-            elif key[-1] >= cut:
-                # keys are sorted, so the unassigned literals are a suffix
-                undecided.append(key if key[0] >= cut else tuple(k for k in key if k >= cut))
-        return satisfied, undecided
+        rest = self.open_bits[len(prefix)] & ~acc
+        while rest:
+            low = rest & -rest
+            key = self.keys[low.bit_length() - 1]
+            # keys are sorted, so the unassigned literals are a suffix
+            undecided.append(key if key[0] >= cut else tuple(k for k in key if k >= cut))
+            rest ^= low
+        return acc.bit_count(), undecided
 
     @classmethod
     def from_ints(cls, n: int, clauses: Iterable[Iterable[int]]) -> "Formula":
@@ -302,11 +301,16 @@ def satisfied_fraction(formula: Formula, assignment: Sequence[int]) -> Fraction:
 
 def occurrence_bound(formula: Formula) -> int:
     """Max over variables of the number of clause instances the variable appears in."""
-    counts = [0] * (formula.n + 1)
-    for clause in formula.clauses:
-        for lit in clause.literals:
-            counts[lit.variable_index] += 1
-    return max(counts)
+    # a canonical clause holds each variable at most once
+    return max((b0 | b1).bit_count() for b0, b1 in formula.value_bits)
+
+
+def _or_table(value_bits: Sequence[tuple[int, int]]) -> list[int]:
+    """The OR of one bitset per variable for each assignment, in lexicographic order."""
+    table = [0]
+    for b0, b1 in value_bits:
+        table = [t | b for t in table for b in (b0, b1)]
+    return table
 
 
 def is_zeta_satisfiable(
@@ -315,28 +319,23 @@ def is_zeta_satisfiable(
     """Exhaustively maximize the satisfied fraction over all 2^n assignments.
 
     Returns (max >= zeta, argmax assignment, max fraction).  The argmax is
-    the lexicographically first maximizer over tuples ordered 0 < 1.
-    Assignments are swept as the integers 0..2^n - 1 with x1 the most
-    significant bit, which is that lexicographic order.  CnfError above
-    ``BRUTE_FORCE_CAP`` variables.
+    the lexicographically first maximizer over tuples ordered 0 < 1.  The
+    sweep meets in the middle: each OR of the first n // 2 variables'
+    bitsets is combined with each OR of the rest, both tables in
+    lexicographic order, so O(2^(n/2)) ints are held at once.  CnfError
+    above ``BRUTE_FORCE_CAP`` variables.
     """
     n = formula.n
     if n > BRUTE_FORCE_CAP:
         raise CnfError(f"brute-force cap exceeded: n={n} > {BRUTE_FORCE_CAP}")
-    shifts = np.arange(n - 1, -1, -1)
-    best_count = -1
-    best: Assignment = ()
-    for start in range(0, 1 << n, SWEEP_CHUNK):
-        rows = (np.arange(start, min(start + SWEEP_CHUNK, 1 << n))[:, None] >> shifts) & 1
-        count = np.zeros(len(rows), dtype=np.int64)
-        for key in formula.keys:
-            hit = np.zeros(len(rows), dtype=bool)
-            for k in key:
-                hit |= rows[:, k >> 1] != (k & 1)
-            count += hit
-        i = int(count.argmax())  # first maximizer in the chunk
-        if count[i] > best_count:
-            best_count, best = int(count[i]), tuple(rows[i].tolist())
+    lows = _or_table(formula.value_bits[n // 2:])
+    best_count = best_index = -1
+    for i, high in enumerate(_or_table(formula.value_bits[: n // 2])):
+        counts = [(high | low).bit_count() for low in lows]
+        top = max(counts)
+        if top > best_count:  # strict, so the first maximizer stays
+            best_count, best_index = top, i * len(lows) + counts.index(top)
+    best = tuple((best_index >> s) & 1 for s in range(n - 1, -1, -1))
     value = formula.fraction_of[best_count]
     return value >= zeta, best, value
 

@@ -2,9 +2,11 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Criteria 2 and 4 share one full greedy-suite run; criterion 7 runs
-the scaling suite once.
+the scaling suite once.  The greedy and softmax suite runs are also checked
+against the byte-identity digests in ``golden/digests.json``.
 """
 
+import json
 import time
 from fractions import Fraction
 from itertools import product
@@ -45,7 +47,13 @@ from sat2mdp.verify import (
     random_formula,
 )
 
+from golden.make_digests import DIGESTS, softmax_binds, suite_digest
+
 EXAMPLE1 = "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
+GREEDY_SUITE = dict(n_max=6, formulas_per_n=20, seed=0)
+SOFTMAX_SUITE = dict(
+    n_max=5, formulas_per_n=10, thetas_per_formula=50, tol=1e-9, weight_tol=1e-12, seed=0
+)
 
 
 def report(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -57,7 +65,17 @@ def report(number: int, name: str, passed: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def greedy_suite():
-    return check_realizability_greedy(n_max=6, formulas_per_n=20, seed=0)
+    return check_realizability_greedy(**GREEDY_SUITE)
+
+
+@pytest.fixture(scope="module")
+def softmax_suite():
+    return check_realizability_softmax(**SOFTMAX_SUITE)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(DIGESTS.read_text())
 
 
 def test_criterion_1_worked_example_fidelity():
@@ -100,10 +118,8 @@ def test_criterion_2_greedy_realizability_exact(greedy_suite):
     )
 
 
-def test_criterion_3_softmax_realizability():
-    result = check_realizability_softmax(
-        n_max=5, formulas_per_n=10, thetas_per_formula=50, tol=1e-9, weight_tol=1e-12, seed=0
-    )
+def test_criterion_3_softmax_realizability(softmax_suite):
+    result = softmax_suite
     ok = result.passed and result.wall_time < 600
     report(
         3,
@@ -215,3 +231,13 @@ def test_criterion_8_limit_coupling():
             hard_v = float(state_value_greedy(instance, params, initial_state(n)))
             worst = max(worst, abs(soft_v - hard_v))
     report(8, "limit coupling at saturation +-20", worst < 1e-6, f"max deviation {worst:.2e}")
+
+
+def test_greedy_suite_matches_golden(greedy_suite, golden):
+    assert suite_digest(greedy_suite) == golden["suites"]["greedy"]
+
+
+def test_softmax_suite_matches_golden(softmax_suite, golden):
+    if not softmax_binds(golden):
+        pytest.skip("softmax digests were recorded under other Python or numpy versions")
+    assert suite_digest(softmax_suite) == golden["suites"]["softmax"]

@@ -265,11 +265,15 @@ class TestBound:
         ["decide", "{cnf}", "--delta", "1/10", "--p0", "1/0"],
         ["bound", "--kind", "softmax-eps", "--v-star", "1/0"],
         ["bound", "--kind", "mcdiarmid", "--t", "nan"],
+        ["bound", "--kind", "mcdiarmid", "--t", "1", "--C", "9" * 401],
+        ["bound", "--kind", "calibration-t", "--H", str(10**320)],
+        ["bound", "--kind", "softmax-eps", "--v-star", "1e400"],
     ],
 )
 def test_hostile_number_exit_2(capsys, cnf_path, argv):
-    # a zero denominator or a NaN is a user error: exit 2 with one line, no
-    # traceback, and for decide not the exit 1 that means "No"
+    # a zero denominator, a NaN or a value too large for a float is a user
+    # error: exit 2 with one line, no traceback, and for decide not the exit
+    # 1 that means "No"
     code, out, err = run(capsys, [part.format(cnf=cnf_path) for part in argv])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -18,7 +18,6 @@ from sat2mdp import (
     satisfied_fraction,
     universe_block_sizes,
 )
-from sat2mdp.cnf import SWEEP_CHUNK
 from sat2mdp.verify import random_formula
 
 from conftest import formulas
@@ -34,6 +33,12 @@ def split_by_signed_ints(formula, prefix):
         elif any(abs(v) > len(prefix) for v in lits):
             undecided.append([v for v in lits if abs(v) > len(prefix)])
     return satisfied, undecided
+
+
+def signed(split):
+    """A Formula.split result with its undecided keys decoded to signed ints."""
+    satisfied, undecided = split
+    return satisfied, [[-(k // 2 + 1) if k % 2 else k // 2 + 1 for k in key] for key in undecided]
 
 
 class TestLiteralAndClause:
@@ -213,8 +218,7 @@ class TestEvalClause:
     def test_split_matches_signed_oracle(self, formula, data):
         prefix = tuple(data.draw(st.lists(st.sampled_from((0, 1)), max_size=formula.n)))
         satisfied, undecided = formula.split(prefix)
-        decoded = [[-(k // 2 + 1) if k % 2 else k // 2 + 1 for k in key] for key in undecided]
-        assert (satisfied, decoded) == split_by_signed_ints(formula, prefix)
+        assert signed((satisfied, undecided)) == split_by_signed_ints(formula, prefix)
         if len(prefix) < formula.n:
             # extending the prefix never undoes a satisfied or falsified instance
             longer, rest = formula.split(prefix + (data.draw(st.sampled_from((0, 1))),))
@@ -229,7 +233,10 @@ class TestEvalClause:
         assignment = tuple(data.draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n)))
         want = split_by_signed_ints(formula, assignment)
         assert want[1] == [] and formula.split(assignment) == want
-        # entries are read by truthiness, so every 0/1 spelling counts alike
+        # entries are read by truthiness, so every 0/1 spelling counts alike,
+        # and a prefix takes the same path as the full assignment
+        h = data.draw(st.integers(0, n), label="h")
+        want_prefix = split_by_signed_ints(formula, assignment[:h])
         for spelled in (
             tuple(map(bool, assignment)),
             tuple(map(np.int64, assignment)),
@@ -238,6 +245,7 @@ class TestEvalClause:
         ):
             assert formula.split(spelled) == want
             assert satisfied_fraction(formula, spelled) == Fraction(want[0], formula.clause_count)
+            assert signed(formula.split(spelled[:h])) == want_prefix
 
 
 class TestSatisfiedFraction:
@@ -317,20 +325,19 @@ class TestZetaSatisfiability:
         with pytest.raises(CnfError, match="cap"):
             is_zeta_satisfiable(Formula.from_ints(25, [[25]]), 1)
 
-    def test_sweep_spans_chunks(self):
-        n = SWEEP_CHUNK.bit_length()
-        assert 2 ** n == 2 * SWEEP_CHUNK
-        # x1 = 1 first at assignment index 2^(n-1), the first of the second chunk
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_sweep_spans_halves(self, n):
+        # x1 is in the first half: x1 = 1 first at the first assignment of the second high
         _, argmax, value = is_zeta_satisfiable(Formula.from_ints(n, [[1]]), 1)
         assert argmax == (1,) + (0,) * (n - 1) and value == 1
-        # xn = 1 first at index 1, and tied throughout the second chunk
+        # xn is in the second half: xn = 1 first at the second low, and tied in every later high
         _, argmax, value = is_zeta_satisfiable(Formula.from_ints(n, [[n]]), 1)
         assert argmax == (0,) * (n - 1) + (1,) and value == 1
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(16))
     def test_against_bitmask_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 11))
+        n = int(rng.integers(1, 15))
         formula = random_formula(n, rng, max_occurrences=5, clause_count=2 * n)
         # independent oracle: per-clause satisfying-assignment bitmasks
         hits = []
