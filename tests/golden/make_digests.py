@@ -11,8 +11,9 @@ softmax ``decide --mode sample --seed 7``.  On the formulas with n <= 8 it
 also runs ``eval`` in both classes on every non-terminal (state, action)
 cell.  Each group of commands (one formula, one command kind) hashes to
 one digest over every command's arguments, exit code and stdout.  The
-seed-0 greedy and softmax suites of the acceptance tests hash their
-``canonical_json()``.
+greedy and softmax suites at the acceptance tests' parameters hash their
+``canonical_json()`` at seed 0 (keys ``greedy``, ``softmax``) and seed 1
+(keys ``greedy-seed1``, ``softmax-seed1``).
 
 Softmax output is floating point, so its digests bind only under the
 Python and numpy versions recorded beside them.  Greedy and exact output
@@ -124,8 +125,12 @@ def write_digests() -> None:
         "commands": count,
         "digests": digests,
         "suites": {
-            "greedy": suite_digest(check_realizability_greedy(**GREEDY_SUITE)),
-            "softmax": suite_digest(check_realizability_softmax(**SOFTMAX_SUITE)),
+            name + suffix: suite_digest(suite(**{**params, "seed": seed}))
+            for seed, suffix in ((0, ""), (1, "-seed1"))
+            for name, suite, params in (
+                ("greedy", check_realizability_greedy, GREEDY_SUITE),
+                ("softmax", check_realizability_softmax, SOFTMAX_SUITE),
+            )
         },
     }
     DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

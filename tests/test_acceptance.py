@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Criteria 2 and 4 share one full greedy-suite run; criterion 7 runs
 the scaling suite once.  The greedy and softmax suite runs are also checked
-against the byte-identity digests in ``golden/digests.json``.
+against the byte-identity digests in ``golden/digests.json``, and each
+suite runs once more at seed 1 against its seed-1 digest.
 """
 
 import json
@@ -241,3 +242,15 @@ def test_softmax_suite_matches_golden(softmax_suite, golden):
     if not softmax_binds(golden):
         pytest.skip("softmax digests were recorded under other Python or numpy versions")
     assert suite_digest(softmax_suite) == golden["suites"]["softmax"]
+
+
+def test_greedy_suite_seed_1_matches_golden(golden):
+    result = check_realizability_greedy(**{**GREEDY_SUITE, "seed": 1})
+    assert suite_digest(result) == golden["suites"]["greedy-seed1"]
+
+
+def test_softmax_suite_seed_1_matches_golden(golden):
+    if not softmax_binds(golden):
+        pytest.skip("softmax digests were recorded under other Python or numpy versions")
+    result = check_realizability_softmax(**{**SOFTMAX_SUITE, "seed": 1})
+    assert suite_digest(result) == golden["suites"]["softmax-seed1"]
