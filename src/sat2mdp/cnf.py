@@ -11,9 +11,12 @@ bitset per prefix variable, and the undecided ones are the unsatisfied
 instances with a literal past the prefix.  A full assignment is the case
 with nothing undecided.  ``is_zeta_satisfiable`` is the one exhaustive
 sweep over all 2^n assignments: it ORs a table for the first half of the
-variables with a table for the rest.  Each formula also holds the table
-of its C + 1 possible satisfied fractions, k / C for k = 0..C, which
-every satisfied fraction is read from.
+variables with a table for the rest.  ``leaf_counts`` lists the satisfied
+count of every assignment from the same two tables, in the sweep's
+order, for callers that read many leaves of one formula: the greedy
+realizability suite reads every q numerator from it.  Each formula also
+holds the table of its C + 1 possible satisfied fractions, k / C for
+k = 0..C, which every satisfied fraction is read from.
 
 The clause universe lists every non-tautological clause of size 1-3 in
 block order (all 1-clauses, then 2-clauses, then 3-clauses), lexicographic
@@ -311,6 +314,24 @@ def _or_table(value_bits: Sequence[tuple[int, int]]) -> list[int]:
     for b0, b1 in value_bits:
         table = [t | b for t in table for b in (b0, b1)]
     return table
+
+
+def leaf_counts(formula: Formula) -> list[int]:
+    """The satisfied count of each of the 2^n assignments, in index order.
+
+    Entry i belongs to the assignment whose bits, x1 first, spell i in
+    binary, the order ``is_zeta_satisfiable`` sweeps; it is built from the
+    same two half tables.  CnfError above ``BRUTE_FORCE_CAP`` variables.
+    """
+    n = formula.n
+    if n > BRUTE_FORCE_CAP:
+        raise CnfError(f"brute-force cap exceeded: n={n} > {BRUTE_FORCE_CAP}")
+    lows = _or_table(formula.value_bits[n // 2:])
+    return [
+        (high | low).bit_count()
+        for high in _or_table(formula.value_bits[: n // 2])
+        for low in lows
+    ]
 
 
 def is_zeta_satisfiable(

@@ -333,15 +333,16 @@ def empirical_mcdiarmid(
     bound = mcdiarmid_tail(t, instance.horizon, b, C)
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     # The episode's leaf is all the check reads.  ``random(n)`` yields the
-    # same doubles as n single draws, so each leaf is the final state of
-    # ``sample_trajectory`` at the same seed, without the episode around it.
+    # same doubles as n single draws, so each row of ``leaves`` is the final
+    # state of ``sample_trajectory`` at the same seed, without the episode
+    # around it.  Each leaf's float is read from the formula's fractions,
+    # the value ``float(satisfied_fraction(...))`` would give.
     probs = np.array([softmax_prob(h, params) for h in range(1, instance.n + 1)])
-    hits = 0
-    for s in trial_seeds:
-        draws = np.random.default_rng(int(s)).random(instance.n)
-        leaf = tuple((draws < probs).astype(int).tolist())
-        if float(satisfied_fraction(instance.formula, leaf)) <= threshold:
-            hits += 1
+    draws = np.stack([np.random.default_rng(int(s)).random(instance.n) for s in trial_seeds])
+    leaves = (draws < probs).astype(int).tolist()
+    formula = instance.formula
+    as_float = [float(f) for f in formula.fraction_of]
+    hits = sum(as_float[formula.split(leaf)[0]] <= threshold for leaf in leaves)
     empirical = hits / trials
     slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
     return empirical, bound, empirical <= bound + slack

@@ -9,7 +9,14 @@ and excluded from the canonical form).
 The realizability feature phi(s, a) depends on the formula alone and only
 the weight depends on the policy, so the greedy and softmax suites build
 phi once per formula (``_feature_cells``) and check that one table against
-every policy's weight.
+every policy's weight.  For the greedy class that check is one identity of
+integer numerators per formula, Q = 1 b^T + M Y^T over every (sign
+pattern, cell) pair: Q is read from the formula's table of 2^n leaf counts
+(``cnf.leaf_counts``), b and Y stack phi's satisfied counts and undecided
+multiplicities, and M stacks every pattern's stage weight.  Fractions are
+built only for the failures recorded.  The scalar evaluators
+(``policies.eval_q_greedy``, ``RealizabilityFeature.dot``) are held to the
+same table by the tests.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .cnf import (
     Formula,
     enumerate_universe,
     is_zeta_satisfiable,
+    leaf_counts,
     occurrence_bound,
     universe_block_sizes,
 )
@@ -48,7 +56,6 @@ from .mdp import (
 from .policies import (
     best_greedy,
     enumerate_trajectories,
-    eval_q_greedy,
     eval_q_softmax,
     iter_states,
     sample_trajectory,
@@ -171,6 +178,94 @@ def _feature_cells(
     return cells
 
 
+def _q_numerators(formula: Formula) -> np.ndarray:
+    """Q[p, c]: C times the greedy q of cell c under sign pattern p.
+
+    Pattern p plays bit n - j of p at stage j (x1 is the high bit), and
+    cells are in ``_feature_cells`` order, so the cell at stage h with
+    prefix-and-action bits P is column 2^h - 2 + P.  Its roll-out leaf
+    is P followed by the pattern's last n - h bits, read from the
+    formula's table of 2^n leaf counts.
+    """
+    n = formula.n
+    leaves = np.asarray(leaf_counts(formula), dtype=np.int64)
+    patterns = np.arange(2**n)[:, None]
+    return np.hstack([
+        leaves[(np.arange(2**h) << (n - h)) | (patterns & ((1 << (n - h)) - 1))]
+        for h in range(1, n + 1)
+    ])
+
+
+def _greedy_formula_failures(formula: Formula) -> tuple[int, list[dict]]:
+    """(cases, failures) of the greedy checks on one formula, every sign pattern.
+
+    Row p of each matrix below is the pattern whose bits spell p, x1
+    first; column c is the c-th cell of ``_feature_cells``.  ``q`` holds C
+    times each q (``_q_numerators``); ``dots`` holds C times each
+    <phi, w>, 1 b^T + M Y^T stage by stage, where b and Y are the cells'
+    satisfied counts and undecided multiplicities and row p of M is
+    pattern p's stage weight.
+    """
+    n, C = formula.n, formula.clause_count
+    instance = build_mdp(formula)
+    cells = _feature_cells(instance)
+    b = np.array([phi.b for *_, phi in cells], dtype=np.int64)
+    y = np.zeros((len(cells), instance.d - 1), dtype=np.int64)
+    for c, (*_, phi) in enumerate(cells):
+        for idx, mult in phi.y_counts.items():
+            y[c, idx] = mult
+    patterns = list(product((0, 1), repeat=n))
+    params_of = [PolicyParams.from_signs(bits) for bits in patterns]
+    q = _q_numerators(formula)
+    dots = np.empty_like(q)
+    for h in range(1, n + 1):
+        cols = slice(2**h - 2, 2 ** (h + 1) - 2)
+        m = np.stack([ft.greedy_weight(instance, params, h).m_dense() for params in params_of])
+        dots[:, cols] = b[cols] + m @ y[cols].T
+    clauses = formula.to_json()["clauses"]
+    failures: list[dict] = []
+
+    def fail(p: int, kind: str, c: int | None = None, **extra) -> None:
+        record = {"formula": clauses, "n": n, "signs": list(patterns[p])}
+        if c is not None:
+            state, _, action, _ = cells[c]
+            record |= {"state": list(state), "action": action}
+        failures.append({**record, "kind": kind, **extra})
+
+    passed = q == dots
+    for p, c in zip(*np.nonzero(~passed)):
+        fail(p, "dot_mismatch", c, q=frac_str(Fraction(int(q[p, c]), C)),
+             dot=frac_str(Fraction(int(dots[p, c]), C)))
+    # last decision stage: no undecided clause is left, so
+    # q = (b + <y, m>) / C reduces to b / C
+    last = 2**n - 2
+    for p, c in zip(*np.nonzero(passed[:, last:] & (q[:, last:] != b[last:]))):
+        fail(p, "last_stage_form", last + c)
+    # telescoping: consecutive cells of the greedy trajectory from the root
+    # have the same inner product b + <y, m>; pattern p's stage-h cell has
+    # prefix-and-action bits p >> (n - h)
+    stages = np.arange(1, n + 1)
+    rows = np.arange(len(patterns))[:, None]
+    trace = dots[rows, 2**stages - 2 + (rows >> (n - stages))]
+    for p, i in zip(*np.nonzero(trace[:, :-1] != trace[:, 1:])):
+        fail(p, "telescoping", h=int(i) + 2)
+    # one stage out, q must equal the look-ahead leaf reward (stage n - 1
+    # has no cells when n = 1); the tie rules are checked per pattern too
+    penultimate = range(max(0, 2 ** (n - 1) - 2), last)
+    for p, (params, q_row, passed_row) in enumerate(zip(params_of, q.tolist(), passed.tolist())):
+        for h in range(1, n + 1):
+            if greedy_action(h, params) != f_threshold(params, h):
+                fail(p, "tie_rule_mismatch", h=h)
+        for c in penultimate:
+            if passed_row[c]:
+                state, _, action, _ = cells[c]
+                leaf = ft.lookahead_state(state, action, params)
+                if formula.fraction_of[q_row[c]] != reward(instance, leaf):
+                    fail(p, "lookahead_form", c)
+    # per pattern: n tie-rule checks, one per cell, n - 1 telescoping steps
+    return len(patterns) * (2 * n - 1 + len(cells)), failures
+
+
 def check_realizability_greedy(
     n_max: int = 6,
     formulas_per_n: int = 20,
@@ -180,13 +275,16 @@ def check_realizability_greedy(
 
     For every formula, every sign pattern, and every non-terminal
     (state, action): the rolled-out q equals the feature/weight inner
-    product as a rational, with zero tolerance.  The final two stages are
-    additionally checked against their closed forms, the telescoping
+    product as a rational, with zero tolerance.  One feature table serves
+    every greedy policy, so per formula this is one identity of integer
+    numerators, Q = 1 b^T + M Y^T, checked as integer arrays: Q holds C
+    times each q, read from the formula's 2^n leaf counts; b and Y are the
+    cells' satisfied counts and undecided multiplicities, built once per
+    formula; row p of M is pattern p's stage weight.  The final two stages
+    are additionally checked against their closed forms, the telescoping
     identity is checked along each greedy trajectory, and the two
-    tie-breaking rules are checked to agree.  The features are built once
-    per formula and checked against every sign pattern's weights.
-    ValueError when n_max or formulas_per_n is below 1 or n_max is above
-    the cap.
+    tie-breaking rules are checked to agree.  ValueError when n_max or
+    formulas_per_n is below 1 or n_max is above the cap.
     """
     _require_positive(n_max=n_max, formulas_per_n=formulas_per_n)
     if n_max > GREEDY_SUITE_N_MAX:
@@ -197,64 +295,11 @@ def check_realizability_greedy(
     cases = 0
     for n in range(1, n_max + 1):
         for _ in range(formulas_per_n):
-            formula = random_formula(n, rng, max_occurrences=3)
-            instance = build_mdp(formula)
-            C = formula.clause_count
-            cells = _feature_cells(instance)
-            for bits in product((0, 1), repeat=n):
-                params = PolicyParams.from_signs(bits)
-                repro = {"formula": formula.to_json()["clauses"], "n": n, "signs": list(bits)}
-                weights = {h: ft.greedy_weight(instance, params, h) for h in range(1, n + 1)}
-                for h in range(1, n + 1):
-                    cases += 1
-                    if greedy_action(h, params) != f_threshold(params, h):
-                        failures.append({**repro, "h": h, "kind": "tie_rule_mismatch"})
-                # each cell's <phi, w>, kept for the telescoping check
-                dots = {}
-                for state, h, action, phi in cells:
-                    cases += 1
-                    q = eval_q_greedy(instance, params, state, action)
-                    got = dots[state, action] = phi.dot(weights[h])
-                    if q != got:
-                        failures.append(
-                            {
-                                **repro,
-                                "state": list(state),
-                                "action": action,
-                                "kind": "dot_mismatch",
-                                "q": frac_str(q),
-                                "dot": frac_str(got),
-                            }
-                        )
-                        continue
-                    if h == n:
-                        # last decision stage: no undecided clause is left, so
-                        # q = (b + <y, m>) / C reduces to b / C
-                        if q != Fraction(phi.b, C):
-                            failures.append(
-                                {**repro, "state": list(state), "action": action,
-                                 "kind": "last_stage_form"}
-                            )
-                    elif h == n - 1:
-                        # one stage out: q must equal the look-ahead leaf reward
-                        leaf = ft.lookahead_state(state, action, params)
-                        if q != reward(instance, leaf):
-                            failures.append(
-                                {**repro, "state": list(state), "action": action,
-                                 "kind": "lookahead_form"}
-                            )
-                # telescoping: consecutive cells of the greedy trajectory from
-                # the root have the same inner product b + <y, m>
-                trace = []
-                state = (-1,) * n
-                for h in range(1, n + 1):
-                    action = greedy_action(h, params)
-                    trace.append(dots[state, action])
-                    state = state[: h - 1] + (action,) + state[h:]
-                for h in range(2, n + 1):
-                    cases += 1
-                    if trace[h - 2] != trace[h - 1]:
-                        failures.append({**repro, "h": h, "kind": "telescoping"})
+            formula_cases, formula_failures = _greedy_formula_failures(
+                random_formula(n, rng, max_occurrences=3)
+            )
+            cases += formula_cases
+            failures += formula_failures
     return SuiteResult(
         suite="realizability_greedy",
         cases=cases,
@@ -612,7 +657,7 @@ SUITE_COVERAGE: dict[str, list[str]] = {
     "features.greedy_weight": ["realizability_greedy", "construction_scaling"],
     "features.softmax_weight": ["realizability_softmax", "construction_scaling"],
     "features.lookahead_state": ["realizability_greedy"],
-    "policies.eval_q_greedy": ["realizability_greedy"],
+    "policies.eval_q_greedy": [],
     "policies.eval_q_softmax": ["realizability_softmax", "reduction_roundtrip"],
     "policies.enumerate_trajectories": ["realizability_softmax"],
     "policies.best_greedy": ["reduction_roundtrip"],

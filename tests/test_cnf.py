@@ -18,6 +18,7 @@ from sat2mdp import (
     satisfied_fraction,
     universe_block_sizes,
 )
+from sat2mdp.cnf import leaf_counts
 from sat2mdp.verify import random_formula
 
 from conftest import formulas
@@ -362,6 +363,24 @@ class TestZetaSatisfiability:
             if hits[sum(bit << i for i, bit in enumerate(a))] == best
         )
         assert argmax == first
+
+
+class TestLeafCounts:
+    @settings(max_examples=100, deadline=None)
+    @given(formulas(max_n=9))
+    def test_counts_every_assignment_in_index_order(self, formula):
+        counts = leaf_counts(formula)
+        # itertools.product order is index order: x1 is the high bit
+        assert [Fraction(k, formula.clause_count) for k in counts] == [
+            satisfied_fraction(formula, a) for a in product((0, 1), repeat=formula.n)
+        ]
+        _, argmax, value = is_zeta_satisfiable(formula, 0)
+        assert value == Fraction(max(counts), formula.clause_count)
+        assert counts.index(max(counts)) == int("".join(map(str, argmax)), 2)
+
+    def test_cap(self):
+        with pytest.raises(CnfError, match="cap"):
+            leaf_counts(Formula.from_ints(25, [[25]]))
 
 
 class TestDimacsRoundtrip:

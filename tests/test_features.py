@@ -26,6 +26,7 @@ from sat2mdp import (
     softmax_weight,
     transition,
 )
+from sat2mdp.cnf import leaf_counts
 from sat2mdp.mdp import MdpError, is_terminal, stage
 from sat2mdp.policies import iter_states
 from sat2mdp.reduction import SOFTMAX_SATURATION
@@ -324,6 +325,28 @@ class TestRealizabilityProperties:
         phi = realizability_feature(instance, state, action)
         w = greedy_weight(instance, params, stage(state))
         assert eval_q_greedy(instance, params, state, action) == phi.dot(w)
+
+    @settings(max_examples=50, deadline=None)
+    @given(formulas(max_n=6), st.data())
+    def test_greedy_q_is_leaf_count_at_every_cell(self, formula, data):
+        # the scalar API against the leaf table the greedy suite reads: the
+        # cell at stage h with prefix-and-action bits P rolls out under
+        # pattern p to leaf (P << (n - h)) | (p & (2^(n - h) - 1))
+        n, C = formula.n, formula.clause_count
+        bits = data.draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n))
+        p = int("".join(map(str, bits)), 2)
+        instance = build_mdp(formula)
+        params = PolicyParams.from_signs(bits)
+        leaves = leaf_counts(formula)
+        for state in iter_states(n):
+            h = stage(state)
+            w = greedy_weight(instance, params, h)
+            for action in (0, 1):
+                P = int("".join(map(str, state[: h - 1] + (action,))), 2)
+                leaf = (P << (n - h)) | (p & ((1 << (n - h)) - 1))
+                phi = realizability_feature(instance, state, action)
+                q = eval_q_greedy(instance, params, state, action)
+                assert q == Fraction(leaves[leaf], C) == phi.dot(w)
 
     @settings(max_examples=100, deadline=None)
     @given(cells(), st.data())

@@ -367,13 +367,15 @@ class TestEmpiricalMcdiarmid:
         params = PolicyParams(tuple(float(v) for v in rng.uniform(-2, 2, size=9)))
         trials, t, seed = 300, 0.05, 3
         scored = []
-        real = reduction.satisfied_fraction
+        real = Formula.split
 
-        def recording(f, assignment):
-            scored.append(assignment)
-            return real(f, assignment)
+        def recording(f, prefix):
+            # each leaf is counted by one full-length split
+            if len(prefix) == f.n:
+                scored.append(tuple(prefix))
+            return real(f, prefix)
 
-        monkeypatch.setattr(reduction, "satisfied_fraction", recording)
+        monkeypatch.setattr(Formula, "split", recording)
         got = empirical_mcdiarmid(instance, params, trials, t, seed=seed)
         monkeypatch.undo()
 
@@ -387,6 +389,40 @@ class TestEmpiricalMcdiarmid:
         assert got[1] == mcdiarmid_tail(
             t, instance.horizon, occurrence_bound(formula), formula.clause_count
         )
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (3, 1), (6, 2), (9, 3), (12, 4)])
+    def test_triple_matches_trajectory_loop(self, n, seed):
+        # reference: one sample_trajectory episode per trial seed, scored
+        # with satisfied_fraction
+        rng = np.random.default_rng(100 + seed)
+        formula = random_formula(n, rng, clause_count=3 * n)
+        instance = build_mdp(formula)
+        params = PolicyParams(tuple(float(v) for v in rng.uniform(-2, 2, size=n)))
+        trials = 400
+        trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
+        values = [
+            float(satisfied_fraction(formula, sample_trajectory(instance, params, int(s)).final))
+            for s in trial_seeds
+        ]
+        expected = state_value_softmax(instance, params, initial_state(n))
+        rates = []
+        for t in (0.0, 0.05, 0.2):
+            hits = sum(v <= expected - t for v in values)
+            bound = mcdiarmid_tail(
+                t, instance.horizon, occurrence_bound(formula), formula.clause_count
+            )
+            slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
+            reference = (hits / trials, bound, hits / trials <= bound + slack)
+            assert empirical_mcdiarmid(instance, params, trials, t, seed=seed) == reference
+            rates.append(hits / trials)
+        # the leaves straddle the threshold, so the count is not trivial
+        assert 0 < max(rates) < 1
+
+    def test_threshold_is_inclusive(self, example1_instance):
+        # saturated theta' plays leaf (1, 0, 1) in every episode, so E[R] is
+        # its reward, 1/2, exactly; at t = 0 that leaf sits on the threshold
+        params = PolicyParams.from_signs((1, 0, 1), reduction.SOFTMAX_SATURATION)
+        assert empirical_mcdiarmid(example1_instance, params, 50, 0.0, seed=4) == (1.0, 1.0, True)
 
     def test_deviation_one_never_hit(self, example1_instance):
         params = PolicyParams((0.2, -0.3, 0.4))

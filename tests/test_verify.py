@@ -156,21 +156,25 @@ class TestFaultStaysWithItsPolicy:
     """A q that is off for one policy fails that policy's cells and no other's."""
 
     def test_greedy_sign_pattern(self, monkeypatch):
-        original = sat2mdp.verify.eval_q_greedy
-        faulty = PolicyParams.from_signs((1, 0))
+        # the suite reads every q numerator (C times q) from the formula's
+        # leaf counts through _q_numerators, one row per sign pattern
+        original = sat2mdp.verify._q_numerators
+        faulty = (1, 0)
 
-        def off_by_one_clause(instance, params, state, action):
-            q = original(instance, params, state, action)
-            if params == faulty:
-                q += Fraction(1, instance.formula.clause_count)
+        def off_by_one_clause(formula):
+            q = original(formula)
+            if formula.n == len(faulty):
+                q[int("".join(map(str, faulty)), 2)] += 1
             return q
 
-        monkeypatch.setattr(sat2mdp.verify, "eval_q_greedy", off_by_one_clause)
+        monkeypatch.setattr(sat2mdp.verify, "_q_numerators", off_by_one_clause)
         result = check_realizability_greedy(n_max=3, formulas_per_n=1, seed=0)
         mismatches = [f for f in result.failures if f["kind"] == "dot_mismatch"]
-        assert {tuple(f["signs"]) for f in result.failures} == {(1, 0)}
+        assert {tuple(f["signs"]) for f in result.failures} == {faulty}
         assert {(tuple(f["state"]), f["action"]) for f in mismatches} == every_cell(2)
         assert len(mismatches) == len(every_cell(2))
+        for f in mismatches:
+            assert Fraction(f["q"]) - Fraction(f["dot"]) == Fraction(1, len(f["formula"]))
 
     def test_softmax_theta_draw(self, monkeypatch):
         original = sat2mdp.verify.eval_q_softmax
