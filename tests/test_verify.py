@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import pkgutil
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import sat2mdp
 import sat2mdp.features
+import sat2mdp.policies
 import sat2mdp.verify
 from sat2mdp import Formula, PolicyParams, build_mdp, occurrence_bound, softmax_weight
 from sat2mdp.mdp import MdpError
@@ -81,6 +83,31 @@ class TestGreedySuite:
     def test_cap_guard(self):
         with pytest.raises(ValueError):
             check_realizability_greedy(n_max=9)
+
+    def test_fractions_built_per_formula_not_per_cell(self):
+        # counted rather than timed: a passing sweep builds only each
+        # formula's table of C + 1 fractions, and no q is rolled out
+        watched = {
+            Fraction.__new__.__code__: "fraction",
+            sat2mdp.policies.eval_q_greedy.__code__: "eval_q_greedy",
+        }
+        counts = dict.fromkeys(watched.values(), 0)
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                counts[watched[frame.f_code]] += 1
+
+        sys.setprofile(profile)
+        try:
+            result = check_realizability_greedy(n_max=4, formulas_per_n=2, seed=5)
+        finally:
+            sys.setprofile(None)
+        rng = np.random.default_rng(5)
+        tables = sum(
+            random_formula(n, rng).clause_count + 1 for n in range(1, 5) for _ in range(2)
+        )
+        assert result.passed
+        assert counts == {"fraction": tables, "eval_q_greedy": 0}
 
 
 class TestSoftmaxSuite:
