@@ -11,9 +11,10 @@ softmax ``decide --mode sample --seed 7``.  On the formulas with n <= 8 it
 also runs ``eval`` in both classes on every non-terminal (state, action)
 cell.  Each group of commands (one formula, one command kind) hashes to
 one digest over every command's arguments, exit code and stdout.  The
-greedy and softmax suites at the acceptance tests' parameters hash their
-``canonical_json()`` at seed 0 (keys ``greedy``, ``softmax``) and seed 1
-(keys ``greedy-seed1``, ``softmax-seed1``).
+greedy, softmax and roundtrip suites at the acceptance tests' parameters
+hash their ``canonical_json()`` at seed 0 (keys ``greedy``, ``softmax``,
+``roundtrip``) and seed 1 (keys ``greedy-seed1``, ``softmax-seed1``,
+``roundtrip-seed1``).
 
 Softmax output is floating point, so its digests bind only under the
 Python and numpy versions recorded beside them.  Greedy and exact output
@@ -116,8 +117,12 @@ def suite_digest(result) -> str:
 
 def write_digests() -> None:
     sys.path.insert(0, str(Path(__file__).parents[1]))
-    from test_acceptance import GREEDY_SUITE, SOFTMAX_SUITE
-    from sat2mdp.verify import check_realizability_greedy, check_realizability_softmax
+    from test_acceptance import GREEDY_SUITE, ROUNDTRIP_SUITE, SOFTMAX_SUITE
+    from sat2mdp.verify import (
+        check_realizability_greedy,
+        check_realizability_softmax,
+        check_reduction_roundtrip,
+    )
 
     count, digests = run_corpus()
     record = {
@@ -130,6 +135,7 @@ def write_digests() -> None:
             for name, suite, params in (
                 ("greedy", check_realizability_greedy, GREEDY_SUITE),
                 ("softmax", check_realizability_softmax, SOFTMAX_SUITE),
+                ("roundtrip", check_reduction_roundtrip, ROUNDTRIP_SUITE),
             )
         },
     }

@@ -4,7 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Criteria 2 and 4 share one full greedy-suite run; criterion 7 runs
 the scaling suite once.  The greedy and softmax suite runs are also checked
 against the byte-identity digests in ``golden/digests.json``, and each
-suite runs once more at seed 1 against its seed-1 digest.
+suite runs once more at seed 1 against its seed-1 digest.  The roundtrip
+suite runs at seeds 0 and 1 against its own two digests.
 """
 
 import json
@@ -45,6 +46,7 @@ from sat2mdp.verify import (
     check_construction_scaling,
     check_realizability_greedy,
     check_realizability_softmax,
+    check_reduction_roundtrip,
     random_formula,
 )
 
@@ -55,6 +57,7 @@ GREEDY_SUITE = dict(n_max=6, formulas_per_n=20, seed=0)
 SOFTMAX_SUITE = dict(
     n_max=5, formulas_per_n=10, thetas_per_formula=50, tol=1e-9, weight_tol=1e-12, seed=0
 )
+ROUNDTRIP_SUITE = dict(count=100, n=10, delta=Fraction(1, 10), epsilon=Fraction(1, 20), seed=0)
 
 
 def report(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -254,3 +257,9 @@ def test_softmax_suite_seed_1_matches_golden(golden):
         pytest.skip("softmax digests were recorded under other Python or numpy versions")
     result = check_realizability_softmax(**{**SOFTMAX_SUITE, "seed": 1})
     assert suite_digest(result) == golden["suites"]["softmax-seed1"]
+
+
+@pytest.mark.parametrize("seed, key", [(0, "roundtrip"), (1, "roundtrip-seed1")])
+def test_roundtrip_suite_matches_golden(golden, seed, key):
+    result = check_reduction_roundtrip(**{**ROUNDTRIP_SUITE, "seed": seed})
+    assert suite_digest(result) == golden["suites"][key]
