@@ -7,9 +7,11 @@ checked ``mdp.step`` and builds the leaf directly; ``transition`` and
 tested against.  A greedy q is one checked step plus the leaf its sign
 pattern names, returned as an exact Fraction from the formula's table of
 satisfied fractions.  Softmax values sum per-clause satisfaction
-probabilities (polynomial, over ``Formula.split`` of the prefix);
-``enumerate_trajectories`` lists every continuation's leaf with its
-probability and is the independent oracle they are checked against.
+probabilities (polynomial, over ``Formula.split`` of the prefix) in one
+evaluator, ``softmax_q_of_split``, which the softmax suite also calls on
+splits it keeps across policies; ``enumerate_trajectories`` lists every
+continuation's leaf with its probability and is the independent oracle
+they are checked against.
 ``best_greedy`` reads the best sign pattern off ``cnf.is_zeta_satisfiable``:
 sign pattern x plays assignment x, and actions depend on the stage only, so
 the best assignment is the best greedy policy.
@@ -67,14 +69,27 @@ def eval_q_softmax(
 ) -> float:
     """Expected terminal reward after (state, action) under the softmax policy.
 
-    Sums per-clause satisfaction probabilities: a clause left undecided by
-    the prefix is satisfied unless every one of its literals draws false.
+    ``softmax_q_of_split`` of the checked step's prefix.
     """
     h, nxt = step(instance, state, action)
     check_theta(instance, params)
-    # indexed by variable - 1, the variable of literal key k being k >> 1
     probs = [0.0] * h + [softmax_prob(j, params) for j in range(h + 1, instance.n + 1)]
-    satisfied, undecided = instance.formula.split(nxt[:h])
+    formula = instance.formula
+    return softmax_q_of_split(formula.split(nxt[:h]), probs, formula.clause_count)
+
+
+def softmax_q_of_split(
+    split: tuple[int, Sequence[tuple[int, ...]]], probs: Sequence[float], clause_count: int
+) -> float:
+    """Expected satisfied fraction of a prefix's split under independent draws.
+
+    ``split`` is ``Formula.split`` of the prefix and ``probs[v - 1]`` is the
+    probability that variable v draws 1 (the variable of literal key k is
+    k >> 1); only the variables past the prefix are read.  Sums per-clause
+    satisfaction probabilities: a clause left undecided by the prefix is
+    satisfied unless every one of its literals draws false.
+    """
+    satisfied, undecided = split
     acc = float(satisfied)
     for key in undecided:
         p_all_false = 1.0
@@ -82,7 +97,7 @@ def eval_q_softmax(
             p_true = probs[k >> 1]
             p_all_false *= p_true if k & 1 else 1.0 - p_true
         acc += 1.0 - p_all_false
-    return acc / instance.formula.clause_count
+    return acc / clause_count
 
 
 def state_value_softmax(

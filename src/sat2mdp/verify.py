@@ -14,9 +14,17 @@ integer numerators per formula, Q = 1 b^T + M Y^T over every (sign
 pattern, cell) pair: Q is read from the formula's table of 2^n leaf counts
 (``cnf.leaf_counts``), b and Y stack phi's satisfied counts and undecided
 multiplicities, and M stacks every pattern's stage weight.  Fractions are
-built only for the failures recorded.  The scalar evaluators
+built only for the failures recorded, and the look-ahead check reads each
+leaf's reward once per formula.  The scalar evaluators
 (``policies.eval_q_greedy``, ``RealizabilityFeature.dot``) are held to the
 same table by the tests.
+
+For the softmax class only the probabilities depend on theta': each cell's
+prefix is split once per formula, the probability vector is built once per
+theta' draw, and each cell's q is ``policies.softmax_q_of_split`` of the
+two, the evaluator ``eval_q_softmax`` runs.  The trajectory-enumeration
+oracle at the root still runs per draw, and each root leaf's reward is read
+once per formula.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from .mdp import (
     generative_query,
     reward,
     stage,
+    step,
 )
 from .policies import (
     best_greedy,
@@ -59,6 +68,7 @@ from .policies import (
     eval_q_softmax,
     iter_states,
     sample_trajectory,
+    softmax_q_of_split,
 )
 from .reduction import (
     as_fraction,
@@ -250,8 +260,10 @@ def _greedy_formula_failures(formula: Formula) -> tuple[int, list[dict]]:
     for p, i in zip(*np.nonzero(trace[:, :-1] != trace[:, 1:])):
         fail(p, "telescoping", h=int(i) + 2)
     # one stage out, q must equal the look-ahead leaf reward (stage n - 1
-    # has no cells when n = 1); the tie rules are checked per pattern too
+    # has no cells when n = 1), read once per distinct leaf; the tie rules
+    # are checked per pattern too
     penultimate = range(max(0, 2 ** (n - 1) - 2), last)
+    leaf_rewards: dict[State, Fraction] = {}
     for p, (params, q_row, passed_row) in enumerate(zip(params_of, q.tolist(), passed.tolist())):
         for h in range(1, n + 1):
             if greedy_action(h, params) != f_threshold(params, h):
@@ -260,7 +272,9 @@ def _greedy_formula_failures(formula: Formula) -> tuple[int, list[dict]]:
             if passed_row[c]:
                 state, _, action, _ = cells[c]
                 leaf = ft.lookahead_state(state, action, params)
-                if formula.fraction_of[q_row[c]] != reward(instance, leaf):
+                if leaf not in leaf_rewards:
+                    leaf_rewards[leaf] = reward(instance, leaf)
+                if formula.fraction_of[q_row[c]] != leaf_rewards[leaf]:
                     fail(p, "lookahead_form", c)
     # per pattern: n tie-rule checks, one per cell, n - 1 telescoping steps
     return len(patterns) * (2 * n - 1 + len(cells)), failures
@@ -356,10 +370,11 @@ def check_realizability_softmax(
     q (per-clause probability path) must match the feature/weight inner
     product within tol on every non-terminal cell, and the closed-form
     weights must match the enumeration-defined weights within weight_tol.
-    The features are built once per formula and checked against every
-    theta' draw's weights.  ValueError when n_max, formulas_per_n or
-    thetas_per_formula is below 1, n_max is above the cap, or tol or
-    weight_tol is not finite and >= 0.
+    The features, each cell's split and each root leaf's reward are built
+    once per formula; the probability vector is built once per theta' draw
+    and scores every cell's q from its split.  ValueError when n_max,
+    formulas_per_n or thetas_per_formula is below 1, n_max is above the cap,
+    or tol or weight_tol is not finite and >= 0.
     """
     _require_positive(
         n_max=n_max, formulas_per_n=formulas_per_n, thetas_per_formula=thetas_per_formula
@@ -378,10 +393,17 @@ def check_realizability_softmax(
             formula = random_formula(n, rng, max_occurrences=3)
             instance = build_mdp(formula)
             cells = _feature_cells(instance)
+            # the split of each cell's checked step prefix, as eval_q_softmax takes it
+            splits = [
+                formula.split(step(instance, state, action)[1][:h])
+                for state, h, action, _ in cells
+            ]
+            root_rewards: dict[State, float] = {}
+            clauses = formula.to_json()["clauses"]
             for _ in range(thetas_per_formula):
                 theta = tuple(float(v) for v in rng.uniform(-3.0, 3.0, size=n))
                 params = PolicyParams(theta)
-                repro = {"formula": formula.to_json()["clauses"], "n": n, "theta": list(theta)}
+                repro = {"formula": clauses, "n": n, "theta": list(theta)}
                 weights = {h: ft.softmax_weight(instance, params, h) for h in range(1, n + 1)}
                 for h in range(1, n + 1):
                     cases += 1
@@ -399,15 +421,18 @@ def check_realizability_softmax(
                     dp = eval_q_softmax(instance, params, root, action)
                     brute = 0.0
                     for traj in enumerate_trajectories(instance, params, root, action):
-                        brute += traj.probability * float(reward(instance, traj.final))
+                        if traj.final not in root_rewards:
+                            root_rewards[traj.final] = float(reward(instance, traj.final))
+                        brute += traj.probability * root_rewards[traj.final]
                     if abs(dp - brute) > weight_tol:
                         failures.append(
                             {**repro, "action": action, "kind": "dp_vs_enumeration",
                              "dp": dp, "enumeration": brute}
                         )
-                for state, h, action, phi in cells:
+                probs = [ft.softmax_prob(j, params) for j in range(1, n + 1)]
+                for (state, h, action, phi), split in zip(cells, splits):
                     cases += 1
-                    q = eval_q_softmax(instance, params, state, action)
+                    q = softmax_q_of_split(split, probs, formula.clause_count)
                     got = phi.dot(weights[h])
                     if abs(q - got) > tol:
                         failures.append(
@@ -659,6 +684,7 @@ SUITE_COVERAGE: dict[str, list[str]] = {
     "features.lookahead_state": ["realizability_greedy"],
     "policies.eval_q_greedy": [],
     "policies.eval_q_softmax": ["realizability_softmax", "reduction_roundtrip"],
+    "policies.softmax_q_of_split": ["realizability_softmax", "reduction_roundtrip"],
     "policies.enumerate_trajectories": ["realizability_softmax"],
     "policies.best_greedy": ["reduction_roundtrip"],
     "policies.sample_trajectory": ["reduction_roundtrip"],

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sat2mdp import (
     Formula,
@@ -23,10 +25,12 @@ from sat2mdp import (
     state_value_softmax,
 )
 from sat2mdp.cnf import CnfError
-from sat2mdp.features import greedy_action, softmax_weight
-from sat2mdp.mdp import MdpError, initial_state, stage
-from sat2mdp.policies import iter_states
+from sat2mdp.features import greedy_action, softmax_prob, softmax_weight
+from sat2mdp.mdp import MdpError, initial_state, stage, step
+from sat2mdp.policies import iter_states, softmax_q_of_split
 from sat2mdp.verify import random_formula
+
+from conftest import formulas
 
 ALL_TRUE = PolicyParams((1.0, 1.0, 1.0))
 
@@ -122,6 +126,23 @@ class TestEvalQSoftmax:
                 for t in enumerate_trajectories(instance, params, state, action)
             )
             assert abs(dp - brute) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(formulas(max_n=5), st.data())
+    def test_split_evaluator_is_eval_q_softmax_bitwise(self, formula, data):
+        # the softmax suite scores each cell from its split, kept across
+        # theta' draws, and one full probability vector per draw
+        n = formula.n
+        theta = data.draw(st.lists(st.floats(-30.0, 30.0), min_size=n, max_size=n))
+        instance = build_mdp(formula)
+        params = PolicyParams(tuple(theta))
+        probs = [softmax_prob(j, params) for j in range(1, n + 1)]
+        for state in iter_states(n):
+            for action in (0, 1):
+                h, nxt = step(instance, state, action)
+                split = formula.split(nxt[:h])
+                got = softmax_q_of_split(split, probs, formula.clause_count)
+                assert got == eval_q_softmax(instance, params, state, action)
 
 
 class TestTrajectories:

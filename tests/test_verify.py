@@ -11,9 +11,17 @@ import pytest
 
 import sat2mdp
 import sat2mdp.features
+import sat2mdp.mdp
 import sat2mdp.policies
 import sat2mdp.verify
-from sat2mdp import Formula, PolicyParams, build_mdp, occurrence_bound, softmax_weight
+from sat2mdp import (
+    Formula,
+    PolicyParams,
+    build_mdp,
+    occurrence_bound,
+    softmax_prob,
+    softmax_weight,
+)
 from sat2mdp.mdp import MdpError
 from sat2mdp.policies import iter_states
 from sat2mdp.verify import (
@@ -69,6 +77,23 @@ class TestWeightEnumerationOracle:
             softmax_weight_by_enumeration(instance, PolicyParams((0.5,) * 22), 1)
 
 
+def call_counts(run, **functions):
+    """(run(), name -> calls): every call of each function, counted by its code object."""
+    watched = {fn.__code__: name for name, fn in functions.items()}
+    counts = dict.fromkeys(functions, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            counts[watched[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, counts
+
+
 class TestGreedySuite:
     def test_small_sweep_passes(self):
         result = check_realizability_greedy(n_max=4, formulas_per_n=4, seed=0)
@@ -87,21 +112,11 @@ class TestGreedySuite:
     def test_fractions_built_per_formula_not_per_cell(self):
         # counted rather than timed: a passing sweep builds only each
         # formula's table of C + 1 fractions, and no q is rolled out
-        watched = {
-            Fraction.__new__.__code__: "fraction",
-            sat2mdp.policies.eval_q_greedy.__code__: "eval_q_greedy",
-        }
-        counts = dict.fromkeys(watched.values(), 0)
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code in watched:
-                counts[watched[frame.f_code]] += 1
-
-        sys.setprofile(profile)
-        try:
-            result = check_realizability_greedy(n_max=4, formulas_per_n=2, seed=5)
-        finally:
-            sys.setprofile(None)
+        result, counts = call_counts(
+            lambda: check_realizability_greedy(n_max=4, formulas_per_n=2, seed=5),
+            fraction=Fraction.__new__,
+            eval_q_greedy=sat2mdp.policies.eval_q_greedy,
+        )
         rng = np.random.default_rng(5)
         tables = sum(
             random_formula(n, rng).clause_count + 1 for n in range(1, 5) for _ in range(2)
@@ -179,6 +194,60 @@ def every_cell(n):
     return {(tuple(state), action) for state in iter_states(n) for action in (0, 1)}
 
 
+class TestPolicyIndependentWorkOnce:
+    """Work that depends on the formula alone is done once per formula,
+    not once per policy; counted rather than timed."""
+
+    def test_softmax_evaluates_only_the_root_per_draw(self):
+        n_max, formulas_per_n, thetas = 3, 2, 4
+        result, counts = call_counts(
+            lambda: check_realizability_softmax(
+                n_max=n_max, formulas_per_n=formulas_per_n, thetas_per_formula=thetas, seed=3
+            ),
+            eval_q_softmax=sat2mdp.policies.eval_q_softmax,
+            enumerate_trajectories=sat2mdp.policies.enumerate_trajectories,
+        )
+        draws = n_max * formulas_per_n * thetas
+        assert result.passed
+        assert counts == {"eval_q_softmax": 2 * draws, "enumerate_trajectories": 2 * draws}
+
+    def test_softmax_rewards_independent_of_thetas(self):
+        # each of a formula's 2^n root leaves is read once, whatever the draws
+        calls = [
+            call_counts(
+                lambda: check_realizability_softmax(
+                    n_max=3, formulas_per_n=2, thetas_per_formula=thetas, seed=3
+                ),
+                reward=sat2mdp.mdp.reward,
+            )[1]["reward"]
+            for thetas in (1, 4)
+        ]
+        assert calls[0] == calls[1] == 2 * sum(2**n for n in range(1, 4))
+
+    def test_greedy_lookahead_reads_each_leaf_once(self, monkeypatch):
+        # every (sign pattern, stage n - 1 cell) pair is still looked ahead,
+        # and reward reads each of the formula's 2^n leaves at most once
+        original = sat2mdp.verify.reward
+        leaves = {}
+
+        def recording(instance, state):
+            # keyed by id, with the instance held so that no id is reused
+            leaves.setdefault(id(instance), (instance, []))[1].append(tuple(state))
+            return original(instance, state)
+
+        monkeypatch.setattr(sat2mdp.verify, "reward", recording)
+        result, counts = call_counts(
+            lambda: check_realizability_greedy(n_max=6, formulas_per_n=1, seed=0),
+            lookahead_state=sat2mdp.features.lookahead_state,
+        )
+        assert result.passed
+        # 2^n patterns times 2^(n-1) stage-(n-1) cells; n = 1 has none
+        assert counts["lookahead_state"] == sum(2**n * 2 ** (n - 1) for n in range(2, 7)) == 2728
+        assert leaves
+        for instance, got in leaves.values():
+            assert len(got) == len(set(got)) <= 2**instance.n
+
+
 class TestFaultStaysWithItsPolicy:
     """A q that is off for one policy fails that policy's cells and no other's."""
 
@@ -204,25 +273,33 @@ class TestFaultStaysWithItsPolicy:
             assert Fraction(f["q"]) - Fraction(f["dot"]) == Fraction(1, len(f["formula"]))
 
     def test_softmax_theta_draw(self, monkeypatch):
-        original = sat2mdp.verify.eval_q_softmax
+        # the suite scores every cell's q with softmax_q_of_split, from the
+        # cell's split and one probability vector per theta' draw, so a draw
+        # is named here by its probability vector
+        original = sat2mdp.verify.softmax_q_of_split
         draws = []
 
-        def off_by_one_clause(instance, params, state, action):
-            q = original(instance, params, state, action)
-            if params.theta_prime not in draws:
-                draws.append(params.theta_prime)
+        def off_by_one_clause(split, probs, clause_count):
+            q = original(split, probs, clause_count)
+            draw = tuple(probs)
+            if draw not in draws:
+                draws.append(draw)
             # the second of the three draws on the 2-variable formula
-            if draws.index(params.theta_prime) == 4:
-                q += 1.0 / instance.formula.clause_count
+            if draws.index(draw) == 4:
+                q += 1.0 / clause_count
             return q
 
-        monkeypatch.setattr(sat2mdp.verify, "eval_q_softmax", off_by_one_clause)
+        def probs_of(theta):
+            params = PolicyParams(tuple(theta))
+            return tuple(softmax_prob(j, params) for j in range(1, len(theta) + 1))
+
+        monkeypatch.setattr(sat2mdp.verify, "softmax_q_of_split", off_by_one_clause)
         result = check_realizability_softmax(
             n_max=3, formulas_per_n=1, thetas_per_formula=3, seed=0
         )
         assert len(draws) == 9
         mismatches = [f for f in result.failures if f["kind"] == "dot_mismatch"]
-        assert {tuple(f["theta"]) for f in result.failures} == {draws[4]}
+        assert {probs_of(f["theta"]) for f in result.failures} == {draws[4]}
         assert {(tuple(f["state"]), f["action"]) for f in mismatches} == every_cell(2)
         assert len(mismatches) == len(every_cell(2))
 
