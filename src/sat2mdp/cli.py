@@ -81,13 +81,24 @@ def parse_theta(text: str, n: int | None = None) -> PolicyParams:
     return params
 
 
-class _ThetaAction(argparse.Action):
-    """Store --theta as given.  argparse drops a lone '--' value as the
-    end-of-options marker, so ``--theta=--``, the all-negative pattern for
-    n = 2, arrives as an empty list; store it as '--'."""
+class _StoreValue(argparse.Action):
+    """Every subcommand's default store action.  argparse drops a lone '--'
+    value as the end-of-options marker, so ``--flag=--`` arrives as an empty
+    list that skipped the flag's type conversion and choice check.  Read it
+    as the string '--' and run both, as for any other value; for --theta
+    that is the all-negative sign pattern for n = 2."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values if isinstance(values, str) else "--")
+        if values == []:
+            try:
+                values = self.type("--") if self.type else "--"
+            except ValueError:
+                raise argparse.ArgumentError(
+                    self, f"invalid {self.type.__name__} value: '--'"
+                ) from None
+            if self.choices is not None and values not in self.choices:
+                raise argparse.ArgumentError(self, "invalid choice: '--'")
+        setattr(namespace, self.dest, values)
 
 
 def parse_state(text: str, n: int) -> tuple[int, ...]:
@@ -269,17 +280,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.register("action", None, _StoreValue)
+        return p
+
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="write JSON here instead of stdout")
 
-    p = sub.add_parser("reduce", help="compile a DIMACS CNF into the MDP descriptor")
+    p = command("reduce", "compile a DIMACS CNF into the MDP descriptor")
     p.add_argument("cnf", help="DIMACS CNF path, or - for stdin")
     add_common(p)
     p.set_defaults(fn=cmd_reduce)
 
-    p = sub.add_parser("eval", help="evaluate q/v at a state-action pair")
+    p = command("eval", "evaluate q/v at a state-action pair")
     p.add_argument("cnf")
-    p.add_argument("--theta", required=True, action=_ThetaAction,
+    p.add_argument("--theta", required=True,
                    help="theta' as '+-+', comma list, or @file.json")
     p.add_argument("--class", dest="policy_class", choices=("greedy", "softmax"), default="greedy")
     p.add_argument("--state", required=True,
@@ -288,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("decide", help="decide near-satisfiability via the RL pipeline")
+    p = command("decide", "decide near-satisfiability via the RL pipeline")
     p.add_argument("cnf")
     p.add_argument("--delta", required=True)
     p.add_argument("--epsilon", default=None)
@@ -301,13 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=cmd_decide)
 
-    p = sub.add_parser("solve", help="exact best greedy policy by exhaustive sweep")
+    p = command("solve", "exact best greedy policy by exhaustive sweep")
     p.add_argument("cnf")
     add_common(p)
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("extract", help="read an assignment out of theta'")
-    p.add_argument("--theta", required=True, action=_ThetaAction)
+    p = command("extract", "read an assignment out of theta'")
+    p.add_argument("--theta", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--class", dest="policy_class", choices=("greedy", "softmax"), default="greedy")
     p.add_argument("--mode", choices=("round", "sample"), default="round")
@@ -315,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=cmd_extract)
 
-    p = sub.add_parser("bound", help="concentration and tolerance bounds")
+    p = command("bound", "concentration and tolerance bounds")
     p.add_argument("--kind", choices=("mcdiarmid", "calibration-t", "greedy-eps", "softmax-eps"),
                    required=True)
     p.add_argument("--t", type=float, default=0.0)
@@ -328,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=cmd_bound)
 
-    p = sub.add_parser("verify", help="run the named verification suites")
+    p = command("verify", "run the named verification suites")
     p.add_argument("--suites", default=",".join(SUITES), help="comma list: " + ",".join(SUITES))
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--formulas", type=int, default=None, help="formulas per n")
@@ -347,7 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error or help
+        return exc.code
     try:
         return args.fn(args)
     except USER_ERRORS as exc:

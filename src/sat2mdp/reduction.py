@@ -19,6 +19,7 @@ from itertools import product
 from typing import Callable
 
 import numpy as np
+from numpy.random import default_rng
 
 from .cnf import BRUTE_FORCE_CAP, Assignment, Formula, occurrence_bound, satisfied_fraction
 from .features import PolicyParams, greedy_action, softmax_prob
@@ -109,7 +110,7 @@ def extract_assignment_softmax(
     if mode == "sample":
         if seed is None:
             raise ReductionError("sample mode needs an explicit seed")
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         return tuple(1 if rng.random() < p else 0 for p in probs)
     raise ReductionError(f"unknown extraction mode {mode!r}")
 
@@ -311,6 +312,117 @@ def decide_max3sat(
     )
 
 
+# NumPy's SeedSequence mixing constants and PCG64's 128-bit LCG multiplier,
+# the latter as four 32-bit limbs, low first.
+_M32 = np.uint64(0xFFFFFFFF)
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_PCG_MULT = tuple(
+    np.uint64((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k)) & 0xFFFFFFFF) for k in range(4)
+)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint64, np.uint64]]:
+    """The (xor, multiply) pair of each of a SeedSequence's first hash calls.
+
+    The hash constant steps by the same multiply at every call, whatever
+    the hashed value, so its sequence is the same for every seed.
+    """
+    out = []
+    for _ in range(count):
+        nxt = (init * mult) & 0xFFFFFFFF
+        out.append((np.uint64(init), np.uint64(nxt)))
+        init = nxt
+    return out
+
+
+def _hash(value: np.ndarray, constants: tuple[np.uint64, np.uint64]) -> np.ndarray:
+    xor, mult = constants
+    value = ((value ^ xor) * mult) & _M32
+    return value ^ (value >> np.uint64(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = (_MIX_L * x - _MIX_R * y) & _M32
+    return value ^ (value >> np.uint64(16))
+
+
+def _add_limbs(terms: list[np.ndarray]) -> list[np.ndarray]:
+    """Carry a sum held as four (low first) uint64 column sums into 32-bit limbs."""
+    out, carry = [], np.uint64(0)
+    for term in terms:
+        term = term + carry
+        out.append(term & _M32)
+        carry = term >> np.uint64(32)
+    return out
+
+
+def _lcg_step(state: list[np.ndarray], inc: list[np.ndarray]) -> list[np.ndarray]:
+    """state * multiplier + inc mod 2^128, schoolbook on 32-bit limbs.
+
+    Each column sums at most seven 32-bit halves of limb products plus
+    an inc limb, far below 2^64, before ``_add_limbs`` carries it.
+    """
+    columns = list(inc)
+    for i in range(4):
+        for j in range(4 - i):
+            product = state[i] * _PCG_MULT[j]
+            columns[i + j] = columns[i + j] + (product & _M32)
+            if i + j < 3:
+                columns[i + j + 1] = columns[i + j + 1] + (product >> np.uint64(32))
+    return _add_limbs(columns)
+
+
+# pool hashing (16 calls for a 4-word pool) and state hashing (8 words)
+_POOL_CONSTANTS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _episode_draws(trial_seeds: np.ndarray, n: int) -> np.ndarray:
+    """Row i is bit-for-bit ``default_rng(int(trial_seeds[i])).random(n)``.
+
+    Runs NumPy's published algorithms over every seed at once, in uint32
+    arithmetic held in uint64 arrays: ``SeedSequence`` pool hashing of the
+    seed's two 32-bit words (a hi word of 0 hashes as a missing word would)
+    and ``generate_state(4, uint64)``; PCG64's ``srandom`` from that state;
+    then n steps of the 128-bit LCG, each read through the XSL-RR output as
+    ``(x >> 11) * 2**-53``.  Row 0 is checked against ``default_rng``
+    itself, so a NumPy that changed any of these raises ReductionError
+    instead of drawing other leaves.
+    """
+    seeds = np.asarray(trial_seeds, dtype=np.uint64)
+    zero = np.zeros_like(seeds)
+    constants = iter(_POOL_CONSTANTS)
+    words = (seeds & _M32, seeds >> np.uint64(32), zero, zero)
+    pool = [_hash(w, next(constants)) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], next(constants)))
+    w = [_hash(pool[i % 4], c) for i, c in enumerate(_STATE_CONSTANTS)]
+    # generate_state's uint64s are v_k = w[2k] | w[2k+1] << 32; PCG64 seeds
+    # with initstate = v0 << 64 | v1 and inc = (v2 << 64 | v3) << 1 | 1
+    initstate = [w[2], w[3], w[0], w[1]]
+    seq = [w[6], w[7], w[4], w[5]]
+    one, top = np.uint64(1), np.uint64(31)
+    inc = [((seq[0] << one) | one) & _M32] + [
+        ((seq[k] << one) | (seq[k - 1] >> top)) & _M32 for k in (1, 2, 3)
+    ]
+    state = _lcg_step([zero] * 4, inc)
+    state = _lcg_step(_add_limbs([a + b for a, b in zip(state, initstate)]), inc)
+    out = np.empty((len(seeds), n))
+    for c in range(n):
+        state = _lcg_step(state, inc)
+        x = ((state[3] << np.uint64(32)) | state[2]) ^ ((state[1] << np.uint64(32)) | state[0])
+        rot = state[3] >> np.uint64(26)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        out[:, c] = (x >> np.uint64(11)) * 2.0**-53
+    if not np.array_equal(out[0], default_rng(int(seeds[0])).random(n)):
+        raise ReductionError(
+            f"vectorized episode draws disagree with default_rng under numpy {np.__version__}"
+        )
+    return out
+
+
 def empirical_mcdiarmid(
     instance: MdpInstance,
     params: PolicyParams,
@@ -332,13 +444,17 @@ def empirical_mcdiarmid(
     C = instance.formula.clause_count
     bound = mcdiarmid_tail(t, instance.horizon, b, C)
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
-    # The episode's leaf is all the check reads.  ``random(n)`` yields the
-    # same doubles as n single draws, so each row of ``leaves`` is the final
-    # state of ``sample_trajectory`` at the same seed, without the episode
-    # around it.  Each leaf's float is read from the formula's fractions,
-    # the value ``float(satisfied_fraction(...))`` would give.
+    # The episode's leaf is all the check reads.  Row i of ``draws`` is the
+    # first n doubles of ``default_rng(trial_seeds[i])``, the n draws
+    # ``sample_trajectory`` makes at that seed, so leaf i is
+    # ``sample_trajectory(..., int(trial_seeds[i])).final`` without the
+    # episode around it.  ``_episode_draws`` computes every row at once from
+    # NumPy's published seeding and PCG64 algorithms; its row-0 check
+    # against ``default_rng`` keeps a NumPy that changed them from silently
+    # scoring other leaves.  Each leaf's float is read from the formula's
+    # fractions, the value ``float(satisfied_fraction(...))`` would give.
     probs = np.array([softmax_prob(h, params) for h in range(1, instance.n + 1)])
-    draws = np.stack([np.random.default_rng(int(s)).random(instance.n) for s in trial_seeds])
+    draws = _episode_draws(trial_seeds, instance.n)
     leaves = (draws < probs).astype(int).tolist()
     formula = instance.formula
     as_float = [float(f) for f in formula.fraction_of]
@@ -371,7 +487,7 @@ def planted_instance(
         raise ReductionError(f"zeta must be in [0, 1], got {z}")
     if clause_count < 1:
         raise ReductionError("need at least one clause")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     planted: Assignment = tuple(int(v) for v in rng.integers(0, 2, size=n))
     k_good = math.ceil(z * clause_count)
     remaining = [max_occurrences] * (n + 1) if max_occurrences is not None else None

@@ -573,12 +573,16 @@ def check_reduction_roundtrip(
     the exact solver must answer Yes; each certificate is re-verified by an
     independent clause-by-clause recount.  A contradictory instance must
     answer No, and the bound helpers and both extraction modes are
-    exercised on the side.  ValueError when count is below 1.
+    exercised on the side.  ValueError when count is below 1, epsilon
+    exceeds delta/2 or delta is not below 1/2.
     """
     _require_positive(count=count)
     d, eps = as_fraction(delta), as_fraction(epsilon)
     if eps > d / 2:
         raise ValueError(f"roundtrip premise needs epsilon <= delta/2, got {eps} > {d / 2}")
+    if d >= Fraction(1, 2):
+        # the contradiction check needs its 1/2 to fall short of 1 - delta
+        raise ValueError(f"roundtrip premise needs delta < 1/2, got {d}")
     started = time.perf_counter()
     failures: list[dict] = []
     cases = 0

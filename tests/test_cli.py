@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sat2mdp import cli
 from sat2mdp.cli import main, parse_state, parse_theta
@@ -268,15 +272,149 @@ class TestBound:
         ["bound", "--kind", "mcdiarmid", "--t", "1", "--C", "9" * 401],
         ["bound", "--kind", "calibration-t", "--H", str(10**320)],
         ["bound", "--kind", "softmax-eps", "--v-star", "1e400"],
+        ["decide", "{cnf}", "--delta=--"],
+        ["bound", "--kind", "softmax-eps", "--v-star=--"],
+        ["verify", "--suites", "roundtrip", "--count", "1", "--n", "3", "--delta", "3/4"],
     ],
 )
 def test_hostile_number_exit_2(capsys, cnf_path, argv):
-    # a zero denominator, a NaN or a value too large for a float is a user
-    # error: exit 2 with one line, no traceback, and for decide not the exit
-    # 1 that means "No"
+    # a zero denominator, a NaN, a value too large for a float, a '--' value
+    # or a delta outside a suite's premise is a user error: exit 2 with one
+    # line, no traceback, and for decide not the exit 1 that means "No"
     code, out, err = run(capsys, [part.format(cnf=cnf_path) for part in argv])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suites", "softmax", "--n-max=--", "--formulas", "1", "--thetas", "1"],
+        ["eval", "{cnf}", "--theta", "+++", "--state=-1,-1,-1", "--action=--"],
+        ["decide", "{cnf}", "--delta", "1/10", "--class=--"],
+        ["bound", "--kind=--"],
+    ],
+)
+def test_double_dash_value_is_type_checked(capsys, cnf_path, argv):
+    # argparse hands --flag=-- over as an empty list, past the flag's type
+    # and choices; it is read as '--' and refused with argparse's usage error
+    code, out, err = run(capsys, [part.format(cnf=cnf_path) for part in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ") and err.rstrip().endswith("'--'")
+
+
+# hostile values tried on every flag; "--" is argparse's end-of-options
+# marker in the separate form and a value in the --flag=value form
+HOSTILE = ("", "1/0", "nan", "inf", "-inf", "-0", "-1", "1e400", "9" * 401, "--")
+HUGE = "9" * 401
+CLASSES = ("greedy", "softmax")
+# per subcommand: its positional CNF path or not, and each flag's ordinary
+# values (--out is left out: it only moves stdout into a file)
+ARGV_TABLE = {
+    "reduce": (True, {}),
+    "solve": (True, {}),
+    "eval": (True, {
+        "--theta": ("+-+", "0.5,-1,2", "+-", "--", "1,1,1,1"),
+        "--class": CLASSES,
+        "--state": ("-1,-1,-1", "1,-1,-1", "0,1,-1", "1,0,1", "-1,-1"),
+        "--action": ("0", "1"),
+    }),
+    "decide": (True, {
+        "--delta": ("1/10", "0.5", "3/4"),
+        "--epsilon": ("1/20", "0.01", "1/2"),
+        "--class": CLASSES,
+        "--mode": ("round", "sample"),
+        "--seed": ("0", "7"),
+        "--p0": ("1/8", "0.5"),
+        "--v-star": ("1", "0.9"),
+    }),
+    "extract": (False, {
+        "--theta": ("+-+", "0.5,-1,2", "--"),
+        "--n": ("3", "2"),
+        "--class": CLASSES,
+        "--mode": ("round", "sample"),
+        "--seed": ("0", "3"),
+    }),
+    "bound": (False, {
+        "--kind": ("mcdiarmid", "calibration-t", "greedy-eps", "softmax-eps"),
+        "--t": ("0.5", "0"),
+        "--H": ("4", "11"),
+        "--b": ("3", "1"),
+        "--C": ("2", "1000"),
+        "--p0": ("0.125", "0.5"),
+        "--delta": ("1/10", "0.3"),
+        "--v-star": ("1", "0.2"),
+    }),
+    "verify": (False, {
+        # scaling is left out: it reads no size flag and times itself for
+        # about a second
+        "--suites": ("greedy", "softmax", "roundtrip", "greedy,softmax", "nope", ","),
+        "--n-max": ("1", "2", "3", "4"),
+        "--formulas": ("1", "2"),
+        "--thetas": ("1", "2"),
+        "--tol": ("1e-9", "0"),
+        "--count": ("1", "2"),
+        "--n": ("1", "2", "3", "4"),
+        "--delta": ("1/10", "1/4", "3/4"),
+        "--epsilon": ("1/20", "0"),
+        "--seed": ("0", "1"),
+    }),
+}
+REQUIRED = {"eval": {"--theta", "--state", "--action"}, "decide": {"--delta"},
+            "extract": {"--theta", "--n"}, "bound": {"--kind"}}
+# verify always names these, so no suite falls back to its full default sweep;
+# a huge count would loop for ever, so they never take HUGE
+VERIFY_SIZES = ("--n-max", "--formulas", "--thetas", "--count", "--n")
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(ARGV_TABLE)))
+    takes_cnf, table = ARGV_TABLE[command]
+    required = REQUIRED.get(command, set())
+    present = [
+        flag for flag in table
+        if (command == "verify" and flag in VERIFY_SIZES)
+        or draw(st.integers(0, 9)) > (0 if flag in required else 5)
+    ]
+    argv = [command] + (["{cnf}"] if takes_cnf and draw(st.integers(0, 9)) else [])
+    for flag in draw(st.permutations(present)):
+        hostile = HOSTILE
+        if command == "verify" and flag in VERIFY_SIZES[1:]:
+            hostile = tuple(v for v in HOSTILE if v != HUGE)
+        # one value in four is hostile, so most draws also get past parsing
+        value = draw(st.sampled_from(hostile if not draw(st.integers(0, 3)) else table[flag]))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.fixture(scope="module")
+def example1_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("argv") / "example1.cnf"
+    path.write_text(EXAMPLE1)
+    return str(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_any_argv_exits_cleanly(example1_file, argv):
+    # whatever the flags and values, main returns 0, 1 or 2 without raising;
+    # 1 only from decide with a "No" report; stdout is empty or strict JSON
+    argv = [part.format(cnf=example1_file) for part in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out = out.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    payload = json.loads(out, parse_constant=_no_constant) if out else None
+    if code == 1:
+        assert argv[0] == "decide" and payload["decision"] == "No", (argv, out)
+    if code == 2:
+        assert out == "" and err.getvalue(), argv
 
 
 class TestVerifyCommand:

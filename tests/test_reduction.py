@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sat2mdp import (
     ZERO_REWARD,
@@ -354,6 +356,40 @@ class TestPlantedInstances:
         # zeta < 1 leaves clauses the planted assignment falsifies
         formula, planted = planted_instance(10, 30, Fraction(8, 10), seed=3)
         assert satisfied_fraction(formula, planted) < 1
+
+
+def _default_rng_rows(seeds, k):
+    return np.stack([np.random.default_rng(int(s)).random(k) for s in seeds])
+
+
+class TestEpisodeDraws:
+    # reduction._episode_draws reproduces default_rng's seeding and PCG64
+    # stream over an array of seeds; default_rng itself is the oracle
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+        st.integers(1, 24),
+    )
+    def test_rows_match_default_rng(self, seeds, k):
+        seeds = np.array(seeds, dtype=np.uint64)
+        assert np.array_equal(reduction._episode_draws(seeds, k), _default_rng_rows(seeds, k))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_edge_seeds(self, seed):
+        # one 32-bit word, the largest one-word seed, the smallest two-word
+        # seed and the largest uint64
+        seeds = np.array([seed, seed ^ 1], dtype=np.uint64)
+        assert np.array_equal(reduction._episode_draws(seeds, 24), _default_rng_rows(seeds, 24))
+
+    def test_guard_rejects_another_generator(self, monkeypatch, example1_instance):
+        # if default_rng stops being the stream the kernel reproduces, the
+        # tail check raises instead of scoring other leaves
+        monkeypatch.setattr(
+            reduction, "default_rng", lambda seed: np.random.Generator(np.random.MT19937(seed))
+        )
+        with pytest.raises(ReductionError, match=f"numpy {np.__version__}"):
+            empirical_mcdiarmid(example1_instance, PolicyParams((0.2, -0.3, 0.4)), 10, 0.0)
 
 
 class TestEmpiricalMcdiarmid:

@@ -373,6 +373,13 @@ class TestRoundtripSuite:
         with pytest.raises(ValueError):
             check_reduction_roundtrip(count=1, n=4, delta="0.1", epsilon="0.2")
 
+    @pytest.mark.parametrize("delta", ["1/2", "3/4"])
+    def test_contradiction_premise_guard(self, delta):
+        # at delta >= 1/2 a contradiction's 1/2 reaches 1 - delta, so its
+        # expected "No" would be a false failure; the suite refuses to run
+        with pytest.raises(ValueError, match="delta < 1/2"):
+            check_reduction_roundtrip(count=1, n=4, delta=delta, epsilon="1/20")
+
 
 class TestSuiteResult:
     def test_failures_sorted_canonically(self):
