@@ -19,7 +19,6 @@ from itertools import product
 from typing import Callable
 
 import numpy as np
-from numpy.random import default_rng
 
 from .cnf import BRUTE_FORCE_CAP, Assignment, Formula, occurrence_bound, satisfied_fraction
 from .features import PolicyParams, greedy_action, softmax_prob
@@ -110,7 +109,7 @@ def extract_assignment_softmax(
     if mode == "sample":
         if seed is None:
             raise ReductionError("sample mode needs an explicit seed")
-        rng = default_rng(seed)
+        rng = np.random.default_rng(seed)
         return tuple(1 if rng.random() < p else 0 for p in probs)
     raise ReductionError(f"unknown extraction mode {mode!r}")
 
@@ -416,7 +415,7 @@ def _episode_draws(trial_seeds: np.ndarray, n: int) -> np.ndarray:
         rot = state[3] >> np.uint64(26)
         x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
         out[:, c] = (x >> np.uint64(11)) * 2.0**-53
-    if not np.array_equal(out[0], default_rng(int(seeds[0])).random(n)):
+    if not np.array_equal(out[0], np.random.default_rng(int(seeds[0])).random(n)):
         raise ReductionError(
             f"vectorized episode draws disagree with default_rng under numpy {np.__version__}"
         )
@@ -487,7 +486,7 @@ def planted_instance(
         raise ReductionError(f"zeta must be in [0, 1], got {z}")
     if clause_count < 1:
         raise ReductionError("need at least one clause")
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     planted: Assignment = tuple(int(v) for v in rng.integers(0, 2, size=n))
     k_good = math.ceil(z * clause_count)
     remaining = [max_occurrences] * (n + 1) if max_occurrences is not None else None

@@ -42,6 +42,7 @@ import numpy as np
 
 from . import features as ft
 from .cnf import (
+    BRUTE_FORCE_CAP,
     ENUMERATION_CAP,
     Formula,
     enumerate_universe,
@@ -573,10 +574,13 @@ def check_reduction_roundtrip(
     the exact solver must answer Yes; each certificate is re-verified by an
     independent clause-by-clause recount.  A contradictory instance must
     answer No, and the bound helpers and both extraction modes are
-    exercised on the side.  ValueError when count is below 1, epsilon
-    exceeds delta/2 or delta is not below 1/2.
+    exercised on the side.  ValueError when count is below 1, n exceeds
+    the brute-force cap, epsilon exceeds delta/2 or delta is not below 1/2.
     """
     _require_positive(count=count)
+    if n > BRUTE_FORCE_CAP:
+        # before planting: the exact solver would refuse the first instance
+        raise ValueError(f"brute-force cap exceeded: n={n} > {BRUTE_FORCE_CAP}")
     d, eps = as_fraction(delta), as_fraction(epsilon)
     if eps > d / 2:
         raise ValueError(f"roundtrip premise needs epsilon <= delta/2, got {eps} > {d / 2}")

@@ -386,7 +386,7 @@ class TestEpisodeDraws:
         # if default_rng stops being the stream the kernel reproduces, the
         # tail check raises instead of scoring other leaves
         monkeypatch.setattr(
-            reduction, "default_rng", lambda seed: np.random.Generator(np.random.MT19937(seed))
+            np.random, "default_rng", lambda seed: np.random.Generator(np.random.MT19937(seed))
         )
         with pytest.raises(ReductionError, match=f"numpy {np.__version__}"):
             empirical_mcdiarmid(example1_instance, PolicyParams((0.2, -0.3, 0.4)), 10, 0.0)

@@ -373,6 +373,17 @@ class TestRoundtripSuite:
         with pytest.raises(ValueError):
             check_reduction_roundtrip(count=1, n=4, delta="0.1", epsilon="0.2")
 
+    @pytest.mark.parametrize("n", [25, 10**30])
+    def test_cap_before_planting(self, monkeypatch, n):
+        # the exact solver refuses n > 24, so no instance is planted first;
+        # planting a huge n would allocate n-sized arrays
+        def fail(*args, **kwargs):
+            raise AssertionError("planted an instance above the cap")
+
+        monkeypatch.setattr(sat2mdp.verify, "planted_instance", fail)
+        with pytest.raises(ValueError, match="cap"):
+            check_reduction_roundtrip(count=1, n=n)
+
     @pytest.mark.parametrize("delta", ["1/2", "3/4"])
     def test_contradiction_premise_guard(self, delta):
         # at delta >= 1/2 a contradiction's 1/2 reaches 1 - delta, so its
