@@ -305,8 +305,8 @@ def test_double_dash_value_is_type_checked(capsys, cnf_path, argv):
 
 # hostile values tried on every flag; "--" is argparse's end-of-options
 # marker in the separate form and a value in the --flag=value form
-HOSTILE = ("", "1/0", "nan", "inf", "-inf", "-0", "-1", "1e400", "9" * 401, "--")
 HUGE = "9" * 401
+HOSTILE = ("", "1/0", "nan", "inf", "-inf", "-0", "-1", "1e400", HUGE, "--")
 CLASSES = ("greedy", "softmax")
 # per subcommand: its positional CNF path or not, and each flag's ordinary
 # values (--out is left out: it only moves stdout into a file)
