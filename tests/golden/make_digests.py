@@ -14,7 +14,10 @@ one digest over every command's arguments, exit code and stdout.  The
 greedy, softmax and roundtrip suites at the acceptance tests' parameters
 hash their ``canonical_json()`` at seed 0 (keys ``greedy``, ``softmax``,
 ``roundtrip``) and seed 1 (keys ``greedy-seed1``, ``softmax-seed1``,
-``roundtrip-seed1``).
+``roundtrip-seed1``).  Under ``faults``, each entry of ``FAULTS`` hashes the
+``canonical_json()`` of a realizability suite run with one deliberately
+wrong function swapped in, so the failure records themselves stay
+byte-identical, not only the passing output.
 
 Softmax output is floating point, so its digests bind only under the
 Python and numpy versions recorded beside them.  Greedy and exact output
@@ -36,12 +39,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+import sat2mdp.features
+import sat2mdp.verify
 from sat2mdp import parse_dimacs, planted_instance
 from sat2mdp.cli import main
-from sat2mdp.verify import random_formula
+from sat2mdp.verify import check_realizability_greedy, check_realizability_softmax, random_formula
 
 DIGESTS = Path(__file__).with_name("digests.json")
 EXAMPLE1 = "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
@@ -115,6 +121,42 @@ def suite_digest(result) -> str:
     return hashlib.sha256(result.canonical_json().encode()).hexdigest()
 
 
+def _scaled(original):
+    # every closed-form softmax continuation 0.1% too high
+    return lambda universe, probs: original(universe, probs) * 1.001
+
+
+def _raised(original):
+    # the reward of every full leaf that sets x1 one clause too high
+    def reward(instance, state):
+        r = original(instance, state)
+        if len(state) == instance.n and state[0] == 1:
+            return r + Fraction(1, instance.formula.clause_count)
+        return r
+
+    return reward
+
+
+SOFTMAX_FAULT_SUITE = dict(n_max=4, formulas_per_n=3, thetas_per_formula=4, seed=3)
+GREEDY_FAULT_SUITE = dict(n_max=5, formulas_per_n=4, seed=3)
+# name -> (suite, its parameters, module, function swapped in it, fault)
+FAULTS = {
+    "softmax-continuation": (check_realizability_softmax, SOFTMAX_FAULT_SUITE,
+                             sat2mdp.features, "_softmax_continuation", _scaled),
+    "softmax-reward": (check_realizability_softmax, SOFTMAX_FAULT_SUITE,
+                       sat2mdp.verify, "reward", _raised),
+    "greedy-reward": (check_realizability_greedy, GREEDY_FAULT_SUITE,
+                      sat2mdp.verify, "reward", _raised),
+}
+
+
+def faulted_run(name: str):
+    """The suite result of ``FAULTS[name]``, with the fault in place only for the run."""
+    suite, params, module, attr, fault = FAULTS[name]
+    with mock.patch.object(module, attr, fault(getattr(module, attr))):
+        return suite(**params)
+
+
 def write_digests() -> None:
     sys.path.insert(0, str(Path(__file__).parents[1]))
     from test_acceptance import GREEDY_SUITE, ROUNDTRIP_SUITE, SOFTMAX_SUITE
@@ -138,6 +180,7 @@ def write_digests() -> None:
                 ("roundtrip", check_reduction_roundtrip, ROUNDTRIP_SUITE),
             )
         },
+        "faults": {name: suite_digest(faulted_run(name)) for name in FAULTS},
     }
     DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"{count} commands, {len(digests)} digests -> {DIGESTS}")

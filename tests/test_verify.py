@@ -22,6 +22,7 @@ from sat2mdp import (
     softmax_prob,
     softmax_weight,
 )
+from golden.make_digests import DIGESTS, FAULTS, faulted_run, softmax_binds, suite_digest
 from sat2mdp.mdp import MdpError
 from sat2mdp.policies import iter_states
 from sat2mdp.verify import (
@@ -302,6 +303,23 @@ class TestFaultStaysWithItsPolicy:
         assert {probs_of(f["theta"]) for f in result.failures} == {draws[4]}
         assert {(tuple(f["state"]), f["action"]) for f in mismatches} == every_cell(2)
         assert len(mismatches) == len(every_cell(2))
+
+
+class TestInjectedFaultRecords:
+    """Under each deliberately wrong function of ``golden.make_digests.FAULTS``
+    the suite's failure records, not only its pass, match their digest byte
+    for byte."""
+
+    RECORDS = {"softmax-continuation": 308, "softmax-reward": 48, "greedy-reward": 1360}
+
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_records_match_golden(self, name):
+        golden = json.loads(DIGESTS.read_text())
+        result = faulted_run(name)
+        assert len(result.failures) == self.RECORDS[name]
+        if name.startswith("softmax") and not softmax_binds(golden):
+            pytest.skip("softmax digests were recorded under other Python or numpy versions")
+        assert suite_digest(result) == golden["faults"][name]
 
 
 class TestFeatureFaultStaysWithItsCell:
