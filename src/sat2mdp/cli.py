@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from functools import cache
 from pathlib import Path
@@ -219,6 +220,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
         )
     else:  # unreachable through argparse choices
         raise ValueError(f"unknown bound kind {args.kind!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        # strict JSON has no NaN or Infinity
+        raise ValueError(f"bound is not finite: {value}")
     _emit({"kind": args.kind, "value": value}, args.out)
     return 0
 

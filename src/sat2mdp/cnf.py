@@ -378,9 +378,11 @@ class ClauseUniverse:
     Blocks: 1-clauses, then 2-clauses, then 3-clauses; lexicographic by
     literal-key sequence inside each block.  Row i of ``keys`` holds the
     literal keys of the clause at coordinate i, padded with -1, and
-    ``min_var[i]`` is its smallest variable index.  Both arrays are
-    read-only.  ``index_of`` inverts the order arithmetically: inside a
-    block, the clauses sharing all but their last literal sit at
+    ``min_var[i]`` is its smallest variable index.  ``valid``, ``var0``
+    and ``neg`` decode ``keys`` once: whether a slot holds a literal, its
+    0-based variable (0 in padding slots) and whether it is negated
+    (False in padding slots).  Every array is read-only.  ``index_of`` inverts the order arithmetically:
+    inside a block, the clauses sharing all but their last literal sit at
     consecutive coordinates, one per admissible last key, so a coordinate
     is the offset of its leading keys plus its last key.  ``_offset[a][b]``
     holds that offset for 3-clauses starting with keys a, b, and
@@ -391,6 +393,9 @@ class ClauseUniverse:
     block_sizes: tuple[int, int, int]
     keys: np.ndarray = field(repr=False)
     min_var: np.ndarray = field(repr=False)
+    valid: np.ndarray = field(repr=False)
+    var0: np.ndarray = field(repr=False)
+    neg: np.ndarray = field(repr=False)
     _offset: list[list[int]] = field(repr=False)
 
     @property
@@ -448,11 +453,18 @@ def enumerate_universe(n: int) -> ClauseUniverse:
     offset[-1, keys[pairs, 0]] = index[pairs] - keys[pairs, 1]
     offset[keys[triples, 0], keys[triples, 1]] = index[triples] - keys[triples, 2]
     min_var = (keys[:, 0] >> 1) + 1
-    keys.flags.writeable = min_var.flags.writeable = False
+    valid = keys >= 0
+    var0 = np.where(valid, keys >> 1, 0)
+    neg = valid & (keys & 1 == 1)
+    for array in (keys, min_var, valid, var0, neg):
+        array.flags.writeable = False
     return ClauseUniverse(
         n=n,
         block_sizes=sizes,
         keys=keys,
         min_var=min_var,
+        valid=valid,
+        var0=var0,
+        neg=neg,
         _offset=offset.tolist(),
     )

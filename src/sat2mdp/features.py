@@ -236,25 +236,17 @@ class RealizabilityWeight:
 @lru_cache(maxsize=512)
 def _greedy_continuation(universe: ClauseUniverse, pattern: tuple[int, ...]) -> np.ndarray:
     """Truth value of every universe clause under the full look-ahead assignment."""
-    keys = universe.keys
-    valid = keys >= 0
-    var0 = np.where(valid, keys >> 1, 0)
-    neg = np.where(valid, keys & 1, 0)
-    values = np.asarray(pattern, dtype=np.int64)[var0]
-    lit_true = valid & (values != neg)
+    values = np.asarray(pattern, dtype=np.int64)[universe.var0]
+    lit_true = universe.valid & (values != universe.neg)
     return lit_true.any(axis=1)
 
 
 @lru_cache(maxsize=512)
 def _softmax_continuation(universe: ClauseUniverse, probs: tuple[float, ...]) -> np.ndarray:
     """Satisfaction probability of every universe clause under independent draws."""
-    keys = universe.keys
-    valid = keys >= 0
-    var0 = np.where(valid, keys >> 1, 0)
-    neg = np.where(valid, keys & 1, 0)
-    p_true_var = np.asarray(probs, dtype=np.float64)[var0]
-    p_lit_true = np.where(neg == 1, 1.0 - p_true_var, p_true_var)
-    p_lit_false = np.where(valid, 1.0 - p_lit_true, 1.0)
+    p_true_var = np.asarray(probs, dtype=np.float64)[universe.var0]
+    p_lit_true = np.where(universe.neg, 1.0 - p_true_var, p_true_var)
+    p_lit_false = np.where(universe.valid, 1.0 - p_lit_true, 1.0)
     return 1.0 - p_lit_false.prod(axis=1)
 
 

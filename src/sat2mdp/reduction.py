@@ -20,7 +20,14 @@ from typing import Callable
 
 import numpy as np
 
-from .cnf import BRUTE_FORCE_CAP, Assignment, Formula, occurrence_bound, satisfied_fraction
+from .cnf import (
+    BRUTE_FORCE_CAP,
+    Assignment,
+    Formula,
+    leaf_counts,
+    occurrence_bound,
+    satisfied_fraction,
+)
 from .features import PolicyParams, greedy_action, softmax_prob
 from .mdp import ZERO_REWARD, MdpInstance, State, build_mdp, generative_query, initial_state
 from .policies import state_value_softmax
@@ -422,6 +429,11 @@ def _episode_draws(trial_seeds: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _leaf_indices(leaves: np.ndarray) -> np.ndarray:
+    """Each row's index in ``cnf.leaf_counts``: its 0/1 entries, x1 first, read in binary."""
+    return leaves @ (1 << np.arange(leaves.shape[1] - 1, -1, -1))
+
+
 def empirical_mcdiarmid(
     instance: MdpInstance,
     params: PolicyParams,
@@ -433,14 +445,18 @@ def empirical_mcdiarmid(
 
     Estimates Pr[R(leaf) <= E[R] - t] over independent softmax episodes and
     compares it against the analytic bound plus three standard errors of
-    sampling slack.  Returns (empirical tail, bound, passed).
+    sampling slack.  Returns (empirical tail, bound, passed).  Each leaf is
+    scored from the formula's table of leaf counts, so CnfError above
+    ``BRUTE_FORCE_CAP`` variables, before any episode is drawn.
     """
     if trials < 1:
         raise ReductionError(f"trials must be >= 1, got {trials}")
+    formula = instance.formula
+    counts_of = np.asarray(leaf_counts(formula), dtype=np.int64)
     expected = state_value_softmax(instance, params, initial_state(instance.n))
     threshold = expected - t
-    b = occurrence_bound(instance.formula)
-    C = instance.formula.clause_count
+    b = occurrence_bound(formula)
+    C = formula.clause_count
     bound = mcdiarmid_tail(t, instance.horizon, b, C)
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     # The episode's leaf is all the check reads.  Row i of ``draws`` is the
@@ -450,14 +466,14 @@ def empirical_mcdiarmid(
     # episode around it.  ``_episode_draws`` computes every row at once from
     # NumPy's published seeding and PCG64 algorithms; its row-0 check
     # against ``default_rng`` keeps a NumPy that changed them from silently
-    # scoring other leaves.  Each leaf's float is read from the formula's
+    # scoring other leaves.  Each leaf's satisfied count is read from the
+    # leaf table at the leaf's bit index, and its float from the formula's
     # fractions, the value ``float(satisfied_fraction(...))`` would give.
     probs = np.array([softmax_prob(h, params) for h in range(1, instance.n + 1)])
     draws = _episode_draws(trial_seeds, instance.n)
-    leaves = (draws < probs).astype(int).tolist()
-    formula = instance.formula
-    as_float = [float(f) for f in formula.fraction_of]
-    hits = sum(as_float[formula.split(leaf)[0]] <= threshold for leaf in leaves)
+    counts = counts_of[_leaf_indices((draws < probs).astype(np.int64))]
+    as_float = np.array([float(f) for f in formula.fraction_of])
+    hits = int(np.count_nonzero(as_float[counts] <= threshold))
     empirical = hits / trials
     slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
     return empirical, bound, empirical <= bound + slack

@@ -15,16 +15,21 @@ pattern, cell) pair: Q is read from the formula's table of 2^n leaf counts
 (``cnf.leaf_counts``), b and Y stack phi's satisfied counts and undecided
 multiplicities, and M stacks every pattern's stage weight.  Fractions are
 built only for the failures recorded, and the look-ahead check reads each
-leaf's reward once per formula.  The scalar evaluators
+leaf's reward once per formula and compares it with q as integers.  The
+scalar evaluators
 (``policies.eval_q_greedy``, ``RealizabilityFeature.dot``) are held to the
 same table by the tests.
 
 For the softmax class only the probabilities depend on theta': each cell's
 prefix is split once per formula, the probability vector is built once per
 theta' draw, and each cell's q is ``policies.softmax_q_of_split`` of the
-two, the evaluator ``eval_q_softmax`` runs.  The trajectory-enumeration
-oracle at the root still runs per draw, and each root leaf's reward is read
-once per formula.
+two, the evaluator ``eval_q_softmax`` runs.  Every theta' of a formula is
+drawn before its checks, and the enumeration-defined weight oracle
+(``softmax_weights_by_enumeration``) runs once per (formula, h) over all of
+the formula's draws: which clauses a continuation satisfies does not depend
+on theta', only its probability does.  The trajectory-enumeration oracle at
+the root still runs per draw, and each root leaf's reward is read once per
+formula.
 """
 
 from __future__ import annotations
@@ -261,10 +266,12 @@ def _greedy_formula_failures(formula: Formula) -> tuple[int, list[dict]]:
     for p, i in zip(*np.nonzero(trace[:, :-1] != trace[:, 1:])):
         fail(p, "telescoping", h=int(i) + 2)
     # one stage out, q must equal the look-ahead leaf reward (stage n - 1
-    # has no cells when n = 1), read once per distinct leaf; the tie rules
+    # has no cells when n = 1), read once per distinct leaf and kept as the
+    # integers (C * numerator, denominator), so that q = q_row[c] / C equals
+    # it exactly when q_row[c] * denominator == C * numerator; the tie rules
     # are checked per pattern too
     penultimate = range(max(0, 2 ** (n - 1) - 2), last)
-    leaf_rewards: dict[State, Fraction] = {}
+    leaf_rewards: dict[State, tuple[int, int]] = {}
     for p, (params, q_row, passed_row) in enumerate(zip(params_of, q.tolist(), passed.tolist())):
         for h in range(1, n + 1):
             if greedy_action(h, params) != f_threshold(params, h):
@@ -274,8 +281,10 @@ def _greedy_formula_failures(formula: Formula) -> tuple[int, list[dict]]:
                 state, _, action, _ = cells[c]
                 leaf = ft.lookahead_state(state, action, params)
                 if leaf not in leaf_rewards:
-                    leaf_rewards[leaf] = reward(instance, leaf)
-                if formula.fraction_of[q_row[c]] != leaf_rewards[leaf]:
+                    r = reward(instance, leaf)
+                    leaf_rewards[leaf] = (r.numerator * C, r.denominator)
+                num, den = leaf_rewards[leaf]
+                if q_row[c] * den != num:
                     fail(p, "lookahead_form", c)
     # per pattern: n tie-rule checks, one per cell, n - 1 telescoping steps
     return len(patterns) * (2 * n - 1 + len(cells)), failures
@@ -325,37 +334,54 @@ def check_realizability_greedy(
     )
 
 
-def softmax_weight_by_enumeration(
-    instance: MdpInstance, params: PolicyParams, h: int
-) -> tuple[float, np.ndarray]:
-    """Stage weight from the definition: probability-weighted sum over all
-    continuations of the per-continuation 0/1 weight vectors.
+def softmax_weights_by_enumeration(
+    instance: MdpInstance, batch: Sequence[PolicyParams], h: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stage-h weights of every policy in ``batch`` from the definition:
+    probability-weighted sums over all continuations of the
+    per-continuation 0/1 weight vectors.
 
+    Returns (heads, m), row i belonging to ``batch[i]``.  Which clauses a
+    continuation satisfies does not depend on the policy, so each
+    continuation is scored once and weighted by every policy's probability
+    of it.  The continuations are walked in ``itertools.product`` order and
+    each row is updated with the operations a single policy's sum would
+    use, so row i is bitwise the batch-of-one result for ``batch[i]``.
     Exponential in n - h; this is the oracle the closed form is checked
     against.  MdpError above ``ENUMERATION_CAP`` free stages.
     """
     n = instance.n
     if n - h > ENUMERATION_CAP:
         raise MdpError(f"{n - h} free stages exceed the enumeration cap {ENUMERATION_CAP}")
-    keys, min_var = instance.universe.keys, instance.universe.min_var
-    valid = keys >= 0
-    var0 = np.where(valid, keys >> 1, 0)
-    neg = np.where(valid, keys & 1, 0)
-    live = min_var > h
-    probs = [ft.softmax_prob(j, params) for j in range(h + 1, n + 1)]
-    head = 0.0
-    m = np.zeros(instance.universe.size, dtype=np.float64)
+    universe = instance.universe
+    live = universe.min_var > h
+    probs = np.array(
+        [[ft.softmax_prob(j, params) for j in range(h + 1, n + 1)] for params in batch],
+        dtype=np.float64,
+    ).reshape(len(batch), n - h)
+    head = np.zeros(len(batch), dtype=np.float64)
+    m = np.zeros((len(batch), universe.size), dtype=np.float64)
     values = np.zeros(n, dtype=np.int64)
     for suffix in product((0, 1), repeat=n - h):
-        p = 1.0
+        p = np.ones(len(batch), dtype=np.float64)
         for j, a in enumerate(suffix):
-            p *= probs[j] if a == 1 else 1.0 - probs[j]
+            p *= probs[:, j] if a == 1 else 1.0 - probs[:, j]
         values[h:] = suffix
-        lit_true = valid & (values[var0] != neg)
+        lit_true = universe.valid & (values[universe.var0] != universe.neg)
         sat = lit_true.any(axis=1) & live
         head += p
-        m += p * sat
+        m += p[:, None] * sat
     return head, m
+
+
+def softmax_weight_by_enumeration(
+    instance: MdpInstance, params: PolicyParams, h: int
+) -> tuple[float, np.ndarray]:
+    """(head, m) of one policy's stage-h weight from the definition: the
+    batch of one of ``softmax_weights_by_enumeration``.  MdpError above
+    ``ENUMERATION_CAP`` free stages."""
+    heads, m = softmax_weights_by_enumeration(instance, [params], h)
+    return heads.item(0), m[0]
 
 
 def check_realizability_softmax(
@@ -401,21 +427,33 @@ def check_realizability_softmax(
             ]
             root_rewards: dict[State, float] = {}
             clauses = formula.to_json()["clauses"]
-            for _ in range(thetas_per_formula):
-                theta = tuple(float(v) for v in rng.uniform(-3.0, 3.0, size=n))
-                params = PolicyParams(theta)
-                repro = {"formula": clauses, "n": n, "theta": list(theta)}
-                weights = {h: ft.softmax_weight(instance, params, h) for h in range(1, n + 1)}
-                for h in range(1, n + 1):
-                    cases += 1
-                    head, m_oracle = softmax_weight_by_enumeration(instance, params, h)
+            # every draw of the formula first: the suite draws nothing else
+            # inside a formula, so the generator's order is unchanged
+            thetas = [
+                tuple(float(v) for v in rng.uniform(-3.0, 3.0, size=n))
+                for _ in range(thetas_per_formula)
+            ]
+            batch = [PolicyParams(theta) for theta in thetas]
+            weights = [
+                {h: ft.softmax_weight(instance, params, h) for h in range(1, n + 1)}
+                for params in batch
+            ]
+            # the weight-definition check, one oracle run per stage over every
+            # draw; each draw's records are kept in stage order
+            weight_failures: list[list[dict]] = [[] for _ in batch]
+            for h in range(1, n + 1):
+                cases += len(batch)
+                heads, m_oracle = softmax_weights_by_enumeration(instance, batch, h)
+                closed = np.stack([w[h].m_dense() for w in weights])
+                diffs = np.max(np.abs(closed - m_oracle), axis=1)
+                for records, head, diff in zip(weight_failures, heads.tolist(), diffs.tolist()):
                     if abs(head - 1.0) > weight_tol:
-                        failures.append({**repro, "h": h, "kind": "head_sum", "head": head})
-                    diff = float(np.max(np.abs(weights[h].m_dense() - m_oracle)))
+                        records.append({"h": h, "kind": "head_sum", "head": head})
                     if diff > weight_tol:
-                        failures.append(
-                            {**repro, "h": h, "kind": "weight_oracle", "max_diff": diff}
-                        )
+                        records.append({"h": h, "kind": "weight_oracle", "max_diff": diff})
+            for theta, params, w, records in zip(thetas, batch, weights, weight_failures):
+                repro = {"formula": clauses, "n": n, "theta": list(theta)}
+                failures += [{**repro, **record} for record in records]
                 root = (-1,) * n
                 for action in ACTIONS:
                     cases += 1
@@ -434,7 +472,7 @@ def check_realizability_softmax(
                 for (state, h, action, phi), split in zip(cells, splits):
                     cases += 1
                     q = softmax_q_of_split(split, probs, formula.clause_count)
-                    got = phi.dot(weights[h])
+                    got = phi.dot(w[h])
                     if abs(q - got) > tol:
                         failures.append(
                             {

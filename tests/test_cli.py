@@ -272,14 +272,16 @@ class TestBound:
         ["bound", "--kind", "mcdiarmid", "--t", "1", "--C", "9" * 401],
         ["bound", "--kind", "calibration-t", "--H", str(10**320)],
         ["bound", "--kind", "softmax-eps", "--v-star", "1e400"],
+        ["bound", "--kind", "softmax-eps", "--v-star", "1", "--p0", "1e-320", "--C", "5"],
         ["decide", "{cnf}", "--delta=--"],
         ["bound", "--kind", "softmax-eps", "--v-star=--"],
         ["verify", "--suites", "roundtrip", "--count", "1", "--n", "3", "--delta", "3/4"],
     ],
 )
 def test_hostile_number_exit_2(capsys, cnf_path, argv):
-    # a zero denominator, a NaN, a value too large for a float, a '--' value
-    # or a delta outside a suite's premise is a user error: exit 2 with one
+    # a zero denominator, a NaN, a value too large for a float, a bound that
+    # is not finite, a '--' value or a delta outside a suite's premise is a
+    # user error: exit 2 with one
     # line, no traceback, and for decide not the exit 1 that means "No"
     code, out, err = run(capsys, [part.format(cnf=cnf_path) for part in argv])
     assert code == 2 and out == ""

@@ -182,6 +182,24 @@ class TestUniverse:
         clause = Clause(tuple(Literal.from_key(int(k)) for k in u.keys[i] if k >= 0))
         assert u.index_of(clause.key) == i
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_decoded_arrays_are_read_only_and_match_the_clauses(self, n):
+        # slot j of row i: the j-th literal of clause i, or padding
+        u = enumerate_universe(n)
+        valid = np.zeros((u.size, 3), dtype=bool)
+        var0 = np.zeros((u.size, 3), dtype=np.int64)
+        neg = np.zeros((u.size, 3), dtype=bool)
+        for i, clause in enumerate(u.entries):
+            for j, literal in enumerate(clause.literals):
+                valid[i, j] = True
+                var0[i, j] = literal.variable_index - 1
+                neg[i, j] = literal.negated
+        for got, expected in ((u.valid, valid), (u.var0, var0), (u.neg, neg)):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0] = got[0, 0]
+
     def test_no_tautologies(self):
         u = enumerate_universe(5)
         for clause in u.entries:

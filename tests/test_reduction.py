@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sat2mdp import (
     ZERO_REWARD,
+    CnfError,
     Formula,
     MdpInstance,
     PolicyParams,
@@ -403,15 +404,14 @@ class TestEmpiricalMcdiarmid:
         params = PolicyParams(tuple(float(v) for v in rng.uniform(-2, 2, size=9)))
         trials, t, seed = 300, 0.05, 3
         scored = []
-        real = Formula.split
+        real = reduction._leaf_indices
 
-        def recording(f, prefix):
-            # each leaf is counted by one full-length split
-            if len(prefix) == f.n:
-                scored.append(tuple(prefix))
-            return real(f, prefix)
+        def recording(leaves):
+            # each leaf is one row, read as its index in the leaf-count table
+            scored.extend(map(tuple, leaves.tolist()))
+            return real(leaves)
 
-        monkeypatch.setattr(Formula, "split", recording)
+        monkeypatch.setattr(reduction, "_leaf_indices", recording)
         got = empirical_mcdiarmid(instance, params, trials, t, seed=seed)
         monkeypatch.undo()
 
@@ -453,6 +453,17 @@ class TestEmpiricalMcdiarmid:
             rates.append(hits / trials)
         # the leaves straddle the threshold, so the count is not trivial
         assert 0 < max(rates) < 1
+
+    def test_cap_before_any_draw(self, monkeypatch):
+        # leaves are scored from the 2^n leaf-count table, so the check has
+        # the sweep's cap, refused before a single episode is drawn
+        def refuse(*args):
+            raise AssertionError("drew episodes above the cap")
+
+        monkeypatch.setattr(reduction, "_episode_draws", refuse)
+        instance = build_mdp(Formula.from_ints(25, [[25]]))
+        with pytest.raises(CnfError, match="brute-force cap exceeded: n=25 > 24"):
+            empirical_mcdiarmid(instance, PolicyParams((0.5,) * 25), 10, 0.0)
 
     def test_threshold_is_inclusive(self, example1_instance):
         # saturated theta' plays leaf (1, 0, 1) in every episode, so E[R] is

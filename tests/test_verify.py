@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sat2mdp
 import sat2mdp.features
@@ -36,7 +38,10 @@ from sat2mdp.verify import (
     random_formula,
     run_suites,
     softmax_weight_by_enumeration,
+    softmax_weights_by_enumeration,
 )
+
+from conftest import formulas
 
 
 class TestRandomFormula:
@@ -67,6 +72,41 @@ class TestWeightEnumerationOracle:
                 assert abs(head - 1.0) <= 1e-12
                 closed = softmax_weight(instance, params, h).m_dense()
                 assert float(np.max(np.abs(closed - m))) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(formulas(max_n=4), st.data())
+    def test_batch_rows_are_the_per_draw_sums_bitwise(self, formula, data):
+        n = formula.n
+        instance = build_mdp(formula)
+        thetas = data.draw(
+            st.lists(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+                     min_size=1, max_size=6),
+            label="thetas",
+        )
+        batch = [PolicyParams(tuple(theta)) for theta in thetas]
+        keys, min_var = instance.universe.keys, instance.universe.min_var
+        valid = keys >= 0
+        var0 = np.where(valid, keys >> 1, 0)
+        neg = np.where(valid, keys & 1, 0)
+        for h in range(1, n + 1):
+            heads, m = softmax_weights_by_enumeration(instance, batch, h)
+            assert heads.shape == (len(batch),) and m.shape == (len(batch), instance.d - 1)
+            for i, params in enumerate(batch):
+                # one draw's sum over continuations, with Python-float weights
+                probs = [softmax_prob(j, params) for j in range(h + 1, n + 1)]
+                head, row = 0.0, np.zeros(instance.d - 1)
+                values = np.zeros(n, dtype=np.int64)
+                for suffix in itertools.product((0, 1), repeat=n - h):
+                    p = 1.0
+                    for j, a in enumerate(suffix):
+                        p *= probs[j] if a == 1 else 1.0 - probs[j]
+                    values[h:] = suffix
+                    sat = (valid & (values[var0] != neg)).any(axis=1) & (min_var > h)
+                    head += p
+                    row += p * sat
+                assert heads[i] == head and np.array_equal(m[i], row)
+            single = softmax_weight_by_enumeration(instance, batch[0], h)
+            assert single[0] == heads[0] and np.array_equal(single[1], m[0])
 
     def test_cap_before_universe(self, monkeypatch):
         def refuse(n):
@@ -211,6 +251,21 @@ class TestPolicyIndependentWorkOnce:
         draws = n_max * formulas_per_n * thetas
         assert result.passed
         assert counts == {"eval_q_softmax": 2 * draws, "enumerate_trajectories": 2 * draws}
+
+    @pytest.mark.parametrize("thetas", [1, 4])
+    def test_softmax_weight_oracle_once_per_stage(self, thetas):
+        # one batched oracle run per (formula, h), over all of the formula's draws
+        n_max, formulas_per_n = 3, 2
+        result, counts = call_counts(
+            lambda: check_realizability_softmax(
+                n_max=n_max, formulas_per_n=formulas_per_n, thetas_per_formula=thetas, seed=3
+            ),
+            batched=softmax_weights_by_enumeration,
+            per_draw=softmax_weight_by_enumeration,
+        )
+        assert result.passed
+        stages = formulas_per_n * sum(range(1, n_max + 1))
+        assert counts == {"batched": stages, "per_draw": 0}
 
     def test_softmax_rewards_independent_of_thetas(self):
         # each of a formula's 2^n root leaves is read once, whatever the draws
