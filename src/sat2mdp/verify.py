@@ -16,9 +16,8 @@ pattern, cell) pair: Q is read from the formula's table of 2^n leaf counts
 multiplicities, and M stacks every pattern's stage weight.  Fractions are
 built only for the failures recorded, and the look-ahead check reads each
 leaf's reward once per formula and compares it with q as integers.  The
-scalar evaluators
-(``policies.eval_q_greedy``, ``RealizabilityFeature.dot``) are held to the
-same table by the tests.
+scalar evaluators (``policies.eval_q_greedy``, ``RealizabilityFeature.dot``)
+are held to the same table by the tests.
 
 For the softmax class only the probabilities depend on theta': each cell's
 prefix is split once per formula, the probability vector is built once per

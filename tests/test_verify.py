@@ -24,7 +24,6 @@ from sat2mdp import (
     softmax_prob,
     softmax_weight,
 )
-from golden.make_digests import DIGESTS, FAULTS, faulted_run, softmax_binds, suite_digest
 from sat2mdp.mdp import MdpError
 from sat2mdp.policies import iter_states
 from sat2mdp.verify import (
@@ -42,6 +41,7 @@ from sat2mdp.verify import (
 )
 
 from conftest import formulas
+from golden.make_digests import DIGESTS, FAULTS, faulted_run, softmax_binds, suite_digest
 
 
 class TestRandomFormula:
