@@ -182,12 +182,19 @@ def mcdiarmid_tail(t: float, H: int, b: int, C: int) -> float:
 
 
 def calibration_t(H: int, b: int, C: int, p0: float) -> float:
-    """The deviation at which the tail bound equals p0: (b/C) sqrt(H ln(1/p0) / 2)."""
+    """The deviation at which the tail bound equals p0: (b/C) sqrt(H ln(1/p0) / 2).
+
+    ReductionError when that is not a finite float, as for a subnormal p0,
+    whose reciprocal overflows to inf.
+    """
     if not 0.0 < p0 < 1.0:
         raise ReductionError(f"p0 must be in (0, 1), got {p0}")
     if min(H, b, C) < 1:
         raise ReductionError(f"H, b, C must be positive, got {(H, b, C)}")
-    return (b / C) * math.sqrt(H * math.log(1.0 / p0) / 2.0)
+    t = (b / C) * math.sqrt(H * math.log(1.0 / p0) / 2.0)
+    if not math.isfinite(t):
+        raise ReductionError(f"calibration point is not finite for p0={p0}")
+    return t
 
 
 def epsilon_bound_softmax(
@@ -318,117 +325,6 @@ def decide_max3sat(
     )
 
 
-# NumPy's SeedSequence mixing constants and PCG64's 128-bit LCG multiplier,
-# the latter as four 32-bit limbs, low first.
-_M32 = np.uint64(0xFFFFFFFF)
-_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
-_PCG_MULT = tuple(
-    np.uint64((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k)) & 0xFFFFFFFF) for k in range(4)
-)
-
-
-def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint64, np.uint64]]:
-    """The (xor, multiply) pair of each of a SeedSequence's first hash calls.
-
-    The hash constant steps by the same multiply at every call, whatever
-    the hashed value, so its sequence is the same for every seed.
-    """
-    out = []
-    for _ in range(count):
-        nxt = (init * mult) & 0xFFFFFFFF
-        out.append((np.uint64(init), np.uint64(nxt)))
-        init = nxt
-    return out
-
-
-def _hash(value: np.ndarray, constants: tuple[np.uint64, np.uint64]) -> np.ndarray:
-    xor, mult = constants
-    value = ((value ^ xor) * mult) & _M32
-    return value ^ (value >> np.uint64(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = (_MIX_L * x - _MIX_R * y) & _M32
-    return value ^ (value >> np.uint64(16))
-
-
-def _add_limbs(terms: list[np.ndarray]) -> list[np.ndarray]:
-    """Carry a sum held as four (low first) uint64 column sums into 32-bit limbs."""
-    out, carry = [], np.uint64(0)
-    for term in terms:
-        term = term + carry
-        out.append(term & _M32)
-        carry = term >> np.uint64(32)
-    return out
-
-
-def _lcg_step(state: list[np.ndarray], inc: list[np.ndarray]) -> list[np.ndarray]:
-    """state * multiplier + inc mod 2^128, schoolbook on 32-bit limbs.
-
-    Each column sums at most seven 32-bit halves of limb products plus
-    an inc limb, far below 2^64, before ``_add_limbs`` carries it.
-    """
-    columns = list(inc)
-    for i in range(4):
-        for j in range(4 - i):
-            product = state[i] * _PCG_MULT[j]
-            columns[i + j] = columns[i + j] + (product & _M32)
-            if i + j < 3:
-                columns[i + j + 1] = columns[i + j + 1] + (product >> np.uint64(32))
-    return _add_limbs(columns)
-
-
-# pool hashing (16 calls for a 4-word pool) and state hashing (8 words)
-_POOL_CONSTANTS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_STATE_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-
-
-def _episode_draws(trial_seeds: np.ndarray, n: int) -> np.ndarray:
-    """Row i is bit-for-bit ``default_rng(int(trial_seeds[i])).random(n)``.
-
-    Runs NumPy's published algorithms over every seed at once, in uint32
-    arithmetic held in uint64 arrays: ``SeedSequence`` pool hashing of the
-    seed's two 32-bit words (a hi word of 0 hashes as a missing word would)
-    and ``generate_state(4, uint64)``; PCG64's ``srandom`` from that state;
-    then n steps of the 128-bit LCG, each read through the XSL-RR output as
-    ``(x >> 11) * 2**-53``.  Row 0 is checked against ``default_rng``
-    itself, so a NumPy that changed any of these raises ReductionError
-    instead of drawing other leaves.
-    """
-    seeds = np.asarray(trial_seeds, dtype=np.uint64)
-    zero = np.zeros_like(seeds)
-    constants = iter(_POOL_CONSTANTS)
-    words = (seeds & _M32, seeds >> np.uint64(32), zero, zero)
-    pool = [_hash(w, next(constants)) for w in words]
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], next(constants)))
-    w = [_hash(pool[i % 4], c) for i, c in enumerate(_STATE_CONSTANTS)]
-    # generate_state's uint64s are v_k = w[2k] | w[2k+1] << 32; PCG64 seeds
-    # with initstate = v0 << 64 | v1 and inc = (v2 << 64 | v3) << 1 | 1
-    initstate = [w[2], w[3], w[0], w[1]]
-    seq = [w[6], w[7], w[4], w[5]]
-    one, top = np.uint64(1), np.uint64(31)
-    inc = [((seq[0] << one) | one) & _M32] + [
-        ((seq[k] << one) | (seq[k - 1] >> top)) & _M32 for k in (1, 2, 3)
-    ]
-    state = _lcg_step([zero] * 4, inc)
-    state = _lcg_step(_add_limbs([a + b for a, b in zip(state, initstate)]), inc)
-    out = np.empty((len(seeds), n))
-    for c in range(n):
-        state = _lcg_step(state, inc)
-        x = ((state[3] << np.uint64(32)) | state[2]) ^ ((state[1] << np.uint64(32)) | state[0])
-        rot = state[3] >> np.uint64(26)
-        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        out[:, c] = (x >> np.uint64(11)) * 2.0**-53
-    if not np.array_equal(out[0], np.random.default_rng(int(seeds[0])).random(n)):
-        raise ReductionError(
-            f"vectorized episode draws disagree with default_rng under numpy {np.__version__}"
-        )
-    return out
-
-
 def _leaf_indices(leaves: np.ndarray) -> np.ndarray:
     """Each row's index in ``cnf.leaf_counts``: its 0/1 entries, x1 first, read in binary."""
     return leaves @ (1 << np.arange(leaves.shape[1] - 1, -1, -1))
@@ -445,9 +341,12 @@ def empirical_mcdiarmid(
 
     Estimates Pr[R(leaf) <= E[R] - t] over independent softmax episodes and
     compares it against the analytic bound plus three standard errors of
-    sampling slack.  Returns (empirical tail, bound, passed).  Each leaf is
-    scored from the formula's table of leaf counts, so CnfError above
-    ``BRUTE_FORCE_CAP`` variables, before any episode is drawn.
+    sampling slack.  Returns (empirical tail, bound, passed).  The episodes
+    are those of one generator: leaf i is the ``final`` of the i-th of
+    ``trials`` successive ``sample_trajectory(instance, params, rng)`` calls
+    on ``rng = np.random.default_rng(seed)``.  Each leaf is scored from the
+    formula's table of leaf counts, so CnfError above ``BRUTE_FORCE_CAP``
+    variables, before any episode is drawn.
     """
     if trials < 1:
         raise ReductionError(f"trials must be >= 1, got {trials}")
@@ -458,19 +357,15 @@ def empirical_mcdiarmid(
     b = occurrence_bound(formula)
     C = formula.clause_count
     bound = mcdiarmid_tail(t, instance.horizon, b, C)
-    trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
-    # The episode's leaf is all the check reads.  Row i of ``draws`` is the
-    # first n doubles of ``default_rng(trial_seeds[i])``, the n draws
-    # ``sample_trajectory`` makes at that seed, so leaf i is
-    # ``sample_trajectory(..., int(trial_seeds[i])).final`` without the
-    # episode around it.  ``_episode_draws`` computes every row at once from
-    # NumPy's published seeding and PCG64 algorithms; its row-0 check
-    # against ``default_rng`` keeps a NumPy that changed them from silently
-    # scoring other leaves.  Each leaf's satisfied count is read from the
-    # leaf table at the leaf's bit index, and its float from the formula's
+    # The episode's leaf is all the check reads.  ``sample_trajectory`` takes
+    # one ``rng.random()`` per stage, so successive episodes on one generator
+    # read its doubles n at a time, in order: row i of ``draws`` holds the
+    # draws of episode i, and leaf i is that episode's ``final`` without the
+    # episode around it.  Each leaf's satisfied count is read from the leaf
+    # table at the leaf's bit index, and its float from the formula's
     # fractions, the value ``float(satisfied_fraction(...))`` would give.
     probs = np.array([softmax_prob(h, params) for h in range(1, instance.n + 1)])
-    draws = _episode_draws(trial_seeds, instance.n)
+    draws = np.random.default_rng(seed).random((trials, instance.n))
     counts = counts_of[_leaf_indices((draws < probs).astype(np.int64))]
     as_float = np.array([float(f) for f in formula.fraction_of])
     hits = int(np.count_nonzero(as_float[counts] <= threshold))

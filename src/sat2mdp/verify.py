@@ -692,12 +692,14 @@ def check_reduction_roundtrip(
                          "achieved": frac_str(soft.achieved_fraction)})
     cases += 1
     params = PolicyParams(tuple(float(v) for v in np.random.default_rng(seed).uniform(-1, 1, size=n)))
-    emp, bound, ok = empirical_mcdiarmid(inst, params, trials=2000,
-                                         t=calibration_t(inst.horizon, occurrence_bound(sample_formula),
-                                                         sample_formula.clause_count, 0.125),
-                                         seed=seed)
+    t = calibration_t(inst.horizon, occurrence_bound(sample_formula),
+                      sample_formula.clause_count, 0.125)
+    emp, bound, ok = empirical_mcdiarmid(inst, params, trials=2000, t=t, seed=seed)
     if not ok:
-        failures.append({"kind": "empirical_tail", "empirical": emp, "bound": bound})
+        # the call's inputs, so the record replays it on its own
+        failures.append({"kind": "empirical_tail", "formula": sample_formula.to_json()["clauses"],
+                         "n": n, "theta": list(params.theta_prime), "t": t, "trials": 2000,
+                         "seed": seed, "empirical": emp, "bound": bound})
     cases += 1
     if epsilon_bound_softmax(1.0, 4, 2, 200, 0.1, 0.125) <= 0:
         failures.append({"kind": "softmax_bound_positivity"})

@@ -276,6 +276,7 @@ class TestBound:
         ["decide", "{cnf}", "--delta=--"],
         ["bound", "--kind", "softmax-eps", "--v-star=--"],
         ["verify", "--suites", "roundtrip", "--count", "1", "--n", "3", "--delta", "3/4"],
+        ["decide", "{cnf}", "--delta", "1/10", "--p0", "1e-320"],
     ],
 )
 def test_hostile_number_exit_2(capsys, cnf_path, argv):
@@ -305,10 +306,12 @@ def test_double_dash_value_is_type_checked(capsys, cnf_path, argv):
     assert err.startswith("usage: ") and err.rstrip().endswith("'--'")
 
 
-# hostile values tried on every flag; "--" is argparse's end-of-options
-# marker in the separate form and a value in the --flag=value form
+# hostile values tried on every flag; "1e-320" is subnormal, so its
+# reciprocal overflows, and "1e308" overflows when squared or doubled; "--"
+# is argparse's end-of-options marker in the separate form and a value in
+# the --flag=value form
 HUGE = "9" * 401
-HOSTILE = ("", "1/0", "nan", "inf", "-inf", "-0", "-1", "1e400", HUGE, "--")
+HOSTILE = ("", "1/0", "nan", "inf", "-inf", "-0", "-1", "1e-320", "1e308", "1e400", HUGE, "--")
 CLASSES = ("greedy", "softmax")
 # per subcommand: its positional CNF path or not, and each flag's ordinary
 # values (--out is left out: it only moves stdout into a file)

@@ -359,50 +359,18 @@ class TestPlantedInstances:
         assert satisfied_fraction(formula, planted) < 1
 
 
-def _default_rng_rows(seeds, k):
-    return np.stack([np.random.default_rng(int(s)).random(k) for s in seeds])
-
-
-class TestEpisodeDraws:
-    # reduction._episode_draws reproduces default_rng's seeding and PCG64
-    # stream over an array of seeds; default_rng itself is the oracle
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
-        st.integers(1, 24),
-    )
-    def test_rows_match_default_rng(self, seeds, k):
-        seeds = np.array(seeds, dtype=np.uint64)
-        assert np.array_equal(reduction._episode_draws(seeds, k), _default_rng_rows(seeds, k))
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-    def test_edge_seeds(self, seed):
-        # one 32-bit word, the largest one-word seed, the smallest two-word
-        # seed and the largest uint64
-        seeds = np.array([seed, seed ^ 1], dtype=np.uint64)
-        assert np.array_equal(reduction._episode_draws(seeds, 24), _default_rng_rows(seeds, 24))
-
-    def test_guard_rejects_another_generator(self, monkeypatch, example1_instance):
-        # if default_rng stops being the stream the kernel reproduces, the
-        # tail check raises instead of scoring other leaves
-        monkeypatch.setattr(
-            np.random, "default_rng", lambda seed: np.random.Generator(np.random.MT19937(seed))
-        )
-        with pytest.raises(ReductionError, match=f"numpy {np.__version__}"):
-            empirical_mcdiarmid(example1_instance, PolicyParams((0.2, -0.3, 0.4)), 10, 0.0)
-
-
 class TestEmpiricalMcdiarmid:
-    def test_leaves_are_sampled_trajectory_finals(self, monkeypatch):
-        # the leaves the check scores are exactly the final states of
-        # sample_trajectory at the per-trial seeds, and the result is the one
-        # a trajectory-by-trajectory count gives
-        rng = np.random.default_rng(11)
-        formula = random_formula(9, rng)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 64), st.integers(0, 2**64 + 5))
+    def test_leaves_are_sampled_trajectory_finals(self, n, trials, seed):
+        # the leaves the check scores are exactly the finals of successive
+        # sample_trajectory episodes on one default_rng(seed), and the result
+        # is the one a trajectory-by-trajectory count gives
+        rng = np.random.default_rng(seed)
+        formula = random_formula(n, rng)
         instance = build_mdp(formula)
-        params = PolicyParams(tuple(float(v) for v in rng.uniform(-2, 2, size=9)))
-        trials, t, seed = 300, 0.05, 3
+        params = PolicyParams(tuple(float(v) for v in rng.uniform(-2, 2, size=n)))
+        t = 0.05
         scored = []
         real = reduction._leaf_indices
 
@@ -411,15 +379,15 @@ class TestEmpiricalMcdiarmid:
             scored.extend(map(tuple, leaves.tolist()))
             return real(leaves)
 
-        monkeypatch.setattr(reduction, "_leaf_indices", recording)
-        got = empirical_mcdiarmid(instance, params, trials, t, seed=seed)
-        monkeypatch.undo()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reduction, "_leaf_indices", recording)
+            got = empirical_mcdiarmid(instance, params, trials, t, seed=seed)
 
-        trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
-        finals = [sample_trajectory(instance, params, int(s)).final for s in trial_seeds]
+        episodes = np.random.default_rng(seed)
+        finals = [sample_trajectory(instance, params, episodes).final for _ in range(trials)]
         assert scored == finals
         assert all(type(v) is int for leaf in scored for v in leaf)
-        threshold = state_value_softmax(instance, params, initial_state(9)) - t
+        threshold = state_value_softmax(instance, params, initial_state(n)) - t
         hits = sum(float(satisfied_fraction(formula, leaf)) <= threshold for leaf in finals)
         assert got[0] == hits / trials
         assert got[1] == mcdiarmid_tail(
@@ -428,17 +396,17 @@ class TestEmpiricalMcdiarmid:
 
     @pytest.mark.parametrize("n, seed", [(1, 0), (3, 1), (6, 2), (9, 3), (12, 4)])
     def test_triple_matches_trajectory_loop(self, n, seed):
-        # reference: one sample_trajectory episode per trial seed, scored
-        # with satisfied_fraction
+        # reference: successive sample_trajectory episodes on one
+        # default_rng(seed), scored with satisfied_fraction
         rng = np.random.default_rng(100 + seed)
         formula = random_formula(n, rng, clause_count=3 * n)
         instance = build_mdp(formula)
         params = PolicyParams(tuple(float(v) for v in rng.uniform(-2, 2, size=n)))
         trials = 400
-        trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
+        episodes = np.random.default_rng(seed)
         values = [
-            float(satisfied_fraction(formula, sample_trajectory(instance, params, int(s)).final))
-            for s in trial_seeds
+            float(satisfied_fraction(formula, sample_trajectory(instance, params, episodes).final))
+            for _ in range(trials)
         ]
         expected = state_value_softmax(instance, params, initial_state(n))
         rates = []
@@ -460,7 +428,7 @@ class TestEmpiricalMcdiarmid:
         def refuse(*args):
             raise AssertionError("drew episodes above the cap")
 
-        monkeypatch.setattr(reduction, "_episode_draws", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
         instance = build_mdp(Formula.from_ints(25, [[25]]))
         with pytest.raises(CnfError, match="brute-force cap exceeded: n=25 > 24"):
             empirical_mcdiarmid(instance, PolicyParams((0.5,) * 25), 10, 0.0)

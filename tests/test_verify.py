@@ -20,6 +20,7 @@ from sat2mdp import (
     Formula,
     PolicyParams,
     build_mdp,
+    empirical_mcdiarmid,
     occurrence_bound,
     softmax_prob,
     softmax_weight,
@@ -456,6 +457,26 @@ class TestRoundtripSuite:
         monkeypatch.setattr(sat2mdp.verify, "planted_instance", fail)
         with pytest.raises(ValueError, match="cap"):
             check_reduction_roundtrip(count=1, n=n)
+
+    def test_empirical_tail_record_replays(self, monkeypatch):
+        # E[R] raised by the calibrated t (1.35 here) puts the threshold at
+        # about E[R] itself, so the tail check fails with a rate that depends
+        # on every input; the record alone rebuilds the call, which fails
+        # again with the recorded values
+        original = sat2mdp.reduction.state_value_softmax
+        monkeypatch.setattr(
+            sat2mdp.reduction, "state_value_softmax", lambda *args: original(*args) + 1.35
+        )
+        result = check_reduction_roundtrip(count=1, n=6, seed=3)
+        failures = json.loads(result.canonical_json())["failures"]
+        [record] = [f for f in failures if f["kind"] == "empirical_tail"]
+        instance = build_mdp(Formula.from_ints(record["n"], record["formula"]))
+        replayed = empirical_mcdiarmid(
+            instance, PolicyParams(tuple(record["theta"])), record["trials"], record["t"],
+            record["seed"],
+        )
+        assert 0 < record["empirical"] < 1
+        assert replayed == (record["empirical"], record["bound"], False)
 
     @pytest.mark.parametrize("delta", ["1/2", "3/4"])
     def test_contradiction_premise_guard(self, delta):
