@@ -17,11 +17,15 @@ hash their ``canonical_json()`` at seed 0 (keys ``greedy``, ``softmax``,
 ``roundtrip-seed1``).  Under ``faults``, each entry of ``FAULTS`` hashes the
 ``canonical_json()`` of a realizability suite run with one deliberately
 wrong function swapped in, so the failure records themselves stay
-byte-identical, not only the passing output.
+byte-identical, not only the passing output.  Under ``values``, ``bound``
+runs every kind over the product of ``BOUND_GRID``'s values on the flags
+that kind reads, and ``extract`` runs both classes in round mode and in
+sample mode at seeds 0 and 3 on each of ``EXTRACT_THETAS``; each group
+("bound/<kind>", "extract/<class>") hashes to one digest as the corpus's do.
 
 Softmax output is floating point, so its digests bind only under the
-Python and numpy versions recorded beside them.  Greedy and exact output
-binds everywhere.
+Python and numpy versions recorded beside them; so do the ``values``
+groups in ``FLOAT_VALUES``.  Greedy and exact output binds everywhere.
 
 Run ``PYTHONPATH=src python tests/golden/make_digests.py`` to rewrite
 ``digests.json``.  Only do so for a change that is meant to alter output.
@@ -98,6 +102,20 @@ def commands(n: int) -> dict:
     return kinds
 
 
+def command_digest(arg_lists: list[list[str]], *trailing: str) -> str:
+    """One digest over each command's arguments, exit code and stdout.
+
+    ``trailing`` (the input path) is passed to every command but not hashed.
+    """
+    digest = hashlib.sha256()
+    for args in arg_lists:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(args + list(trailing))
+        digest.update(f"{' '.join(args)}\n{code}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
+
+
 def run_corpus() -> tuple[int, dict[str, str]]:
     """(command count, "<input>/<kind>" -> digest) over the whole corpus."""
     count, digests = 0, {}
@@ -106,15 +124,58 @@ def run_corpus() -> tuple[int, dict[str, str]]:
             path = Path(tmp, name + ".cnf")
             path.write_text(formula.to_dimacs())
             for kind, arg_lists in commands(formula.n).items():
-                digest = hashlib.sha256()
-                for args in arg_lists:
-                    out = io.StringIO()
-                    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-                        code = main(args + [str(path)])
-                    digest.update(f"{' '.join(args)}\n{code}\n{out.getvalue()}".encode())
-                    count += 1
-                digests[f"{name}/{kind}"] = digest.hexdigest()
+                digests[f"{name}/{kind}"] = command_digest(arg_lists, str(path))
+                count += len(arg_lists)
     return count, digests
+
+
+BOUND_GRID = {
+    "--t": ("0", "0.5", "2"),
+    "--H": ("4", "11"),
+    "--b": ("1", "3"),
+    "--C": ("10", "1000"),
+    "--p0": ("0.125", "0.5"),
+    "--delta": ("1/10", "0.3", "1/3"),
+    "--v-star": ("1", "0.9"),
+}
+# the flags each bound kind reads
+BOUND_FLAGS = {
+    "mcdiarmid": ("--t", "--H", "--b", "--C"),
+    "calibration-t": ("--H", "--b", "--C", "--p0"),
+    "greedy-eps": ("--delta",),
+    "softmax-eps": ("--v-star", "--H", "--b", "--C", "--delta", "--p0"),
+}
+# theta' -> its --n
+EXTRACT_THETAS = {"+-+": "3", "0.5,-1,2": "3", "--": "2"}
+FLOAT_VALUES = ("bound/mcdiarmid", "bound/calibration-t", "bound/softmax-eps", "extract/softmax")
+
+
+def value_commands() -> dict:
+    """"bound/<kind>" or "extract/<class>" -> full argument lists."""
+    kinds = {
+        f"bound/{kind}": [
+            ["bound", "--kind", kind] + [f"{flag}={value}" for flag, value in zip(flags, values)]
+            for values in product(*(BOUND_GRID[flag] for flag in flags))
+        ]
+        for kind, flags in BOUND_FLAGS.items()
+    }
+    for policy_class in ("greedy", "softmax"):
+        kinds[f"extract/{policy_class}"] = [
+            ["extract", f"--theta={theta}", "--n", n, "--class", policy_class] + mode
+            for theta, n in EXTRACT_THETAS.items()
+            for mode in (["--mode", "round"], ["--mode", "sample", "--seed", "0"],
+                         ["--mode", "sample", "--seed", "3"])
+        ]
+    return kinds
+
+
+def run_values() -> dict:
+    """The ``values`` record: its command count and one digest per group."""
+    kinds = value_commands()
+    return {
+        "commands": sum(map(len, kinds.values())),
+        "digests": {group: command_digest(arg_lists) for group, arg_lists in kinds.items()},
+    }
 
 
 def suite_digest(result) -> str:
@@ -181,6 +242,7 @@ def write_digests() -> None:
             )
         },
         "faults": {name: suite_digest(faulted_run(name)) for name in FAULTS},
+        "values": run_values(),
     }
     DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"{count} commands, {len(digests)} digests -> {DIGESTS}")
