@@ -14,7 +14,6 @@ from .cnf import (
     ClauseUniverse,
     CnfError,
     Formula,
-    Literal,
     enumerate_universe,
     is_zeta_satisfiable,
     occurrence_bound,

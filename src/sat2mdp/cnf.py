@@ -1,11 +1,12 @@
-"""3-CNF formulas: canonical clauses, DIMACS parsing, exhaustive evaluation,
-and the ordered universe of all valid clauses over n variables.
+"""3-CNF formulas: clauses as literal-key tuples, DIMACS parsing, exhaustive
+evaluation, and the ordered universe of all valid clauses over n variables.
 
-Clauses are canonicalized at construction: literals sorted by key
-(2*(var-1) + negated), duplicates removed, complementary pairs rejected.
-A ``Formula`` also keeps each clause as its tuple of literal keys and,
-per variable value, the bitset of clause instances that value makes
-true.  Every clause evaluation reads those bitsets.  ``Formula.split``
+A clause is its sorted tuple of literal keys, 2*(v-1) for x_v and
+2*(v-1) + 1 for ~x_v.  ``Clause.from_ints`` canonicalizes signed DIMACS
+literals: sorted by key, duplicates removed, complementary pairs rejected.
+A ``Formula`` also keeps each clause's key tuple and, per variable value,
+the bitset of clause instances that value makes true.  Every clause
+evaluation reads those bitsets.  ``Formula.split``
 evaluates an assigned prefix: the satisfied instances are the OR of one
 bitset per prefix variable, and the undecided ones are the unsatisfied
 instances with a literal past the prefix.  A full assignment is the case
@@ -37,7 +38,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, combinations
 from math import comb
 from operator import or_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,83 +55,59 @@ class CnfError(ValueError):
     """Malformed clause, formula, or DIMACS input."""
 
 
-class Literal(NamedTuple):
-    """A variable (1-based index) or its negation."""
-
-    variable_index: int
-    negated: bool
-
-    @property
-    def key(self) -> int:
-        """Canonical encoding: 2*(var-1) + (1 if negated else 0)."""
-        return 2 * (self.variable_index - 1) + (1 if self.negated else 0)
-
-    @classmethod
-    def from_key(cls, key: int) -> "Literal":
-        return cls(key // 2 + 1, bool(key % 2))
-
-    @classmethod
-    def from_int(cls, lit: int) -> "Literal":
-        """Build from a signed DIMACS literal (nonzero int)."""
-        if lit == 0:
-            raise CnfError("literal 0 is reserved as the clause terminator")
-        return cls(abs(lit), lit < 0)
-
-    def to_int(self) -> int:
-        return -self.variable_index if self.negated else self.variable_index
-
-    def __str__(self) -> str:
-        return ("~x%d" if self.negated else "x%d") % self.variable_index
+def _name(key: int) -> str:
+    """The literal with this key: x_v for key 2*(v-1), ~x_v for key 2*(v-1) + 1."""
+    return ("~x%d" if key & 1 else "x%d") % ((key >> 1) + 1)
 
 
 @dataclass(frozen=True)
 class Clause:
-    """A disjunction of 1-3 distinct, non-complementary literals, kept sorted."""
+    """A disjunction of 1-3 literals on distinct variables, as its sorted
+    tuple of literal keys: 2*(v-1) for x_v, 2*(v-1) + 1 for ~x_v."""
 
-    literals: tuple[Literal, ...]
+    key: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        lits = self.literals
-        if not 1 <= len(lits) <= MAX_CLAUSE_SIZE:
-            raise CnfError(f"clause must have 1..{MAX_CLAUSE_SIZE} literals, got {len(lits)}")
-        if list(lits) != sorted(lits):
+        key = self.key
+        if not 1 <= len(key) <= MAX_CLAUSE_SIZE:
+            raise CnfError(f"clause must have 1..{MAX_CLAUSE_SIZE} literals, got {len(key)}")
+        if list(key) != sorted(key):
             raise CnfError("clause literals must be sorted by canonical key")
+        if key[0] < 0:
+            raise CnfError(f"literal key {key[0]} is negative: variables start at x1")
         # sorted, so two literals on one variable are adjacent
-        for a, b in zip(lits, lits[1:]):
+        for a, b in zip(key, key[1:]):
             if a == b:
-                raise CnfError(f"duplicate literal {a} in clause")
-            if a.variable_index == b.variable_index:
-                raise CnfError(f"tautological clause: contains both {a} and {b}")
-
-    @classmethod
-    def from_literals(cls, literals: Iterable[Literal]) -> "Clause":
-        """Canonicalize: sort and drop exact duplicates. Complementary pairs raise."""
-        return cls(tuple(sorted(set(literals))))
+                raise CnfError(f"duplicate literal {_name(a)} in clause")
+            if a >> 1 == b >> 1:
+                raise CnfError(f"tautological clause: contains both {_name(a)} and {_name(b)}")
 
     @classmethod
     def from_ints(cls, lits: Iterable[int]) -> "Clause":
-        return cls.from_literals(Literal.from_int(v) for v in lits)
-
-    @property
-    def key(self) -> tuple[int, ...]:
-        return tuple(lit.key for lit in self.literals)
+        """Canonicalize signed DIMACS literals: sort, drop duplicates; 0 or x, -x raise."""
+        keys = set()
+        for lit in lits:
+            if lit == 0:
+                raise CnfError("literal 0 is reserved as the clause terminator")
+            keys.add(2 * abs(lit) - 2 + (lit < 0))
+        return cls(tuple(sorted(keys)))
 
     @property
     def min_variable(self) -> int:
-        return self.literals[0].variable_index
+        return (self.key[0] >> 1) + 1
 
     @property
     def max_variable(self) -> int:
-        return self.literals[-1].variable_index
+        return (self.key[-1] >> 1) + 1
 
     def to_ints(self) -> list[int]:
-        return [lit.to_int() for lit in self.literals]
+        return [-(k >> 1) - 1 if k & 1 else (k >> 1) + 1 for k in self.key]
 
     def __len__(self) -> int:
-        return len(self.literals)
+        return len(self.key)
 
     def __str__(self) -> str:
-        return "(" + " | ".join(str(lit) for lit in self.literals) + ")"
+        return "(" + " | ".join(map(_name, self.key)) + ")"
 
 
 @dataclass(frozen=True)
@@ -420,7 +397,7 @@ class ClauseUniverse:
     @property
     def entries(self) -> tuple[Clause, ...]:
         """Every clause in coordinate order, built on demand."""
-        return tuple(Clause.from_ints(c) for c in self.to_json()["clauses"])
+        return tuple(Clause(tuple(k for k in row if k >= 0)) for row in self.keys.tolist())
 
     def to_json(self) -> dict:
         # padding keys (-1) map to the signed literal 0

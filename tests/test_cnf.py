@@ -10,7 +10,6 @@ from sat2mdp import (
     Clause,
     CnfError,
     Formula,
-    Literal,
     enumerate_universe,
     is_zeta_satisfiable,
     occurrence_bound,
@@ -43,15 +42,11 @@ def signed(split):
 
 
 class TestLiteralAndClause:
-    def test_literal_key_roundtrip(self):
-        for key in range(20):
-            assert Literal.from_key(key).key == key
-
     def test_literal_signed_int(self):
-        assert Literal.from_int(-3) == Literal(3, True)
-        assert Literal(3, True).to_int() == -3
+        assert Clause.from_ints([-3]).key == (5,)
+        assert Clause.from_ints([-3]).to_ints() == [-3]
         with pytest.raises(CnfError):
-            Literal.from_int(0)
+            Clause.from_ints([0])
 
     def test_clause_canonicalization(self):
         c = Clause.from_ints([3, -2, 1])
@@ -63,12 +58,17 @@ class TestLiteralAndClause:
             Clause.from_ints([1, -1])
 
     def test_clause_repeated_variable_messages(self):
-        x1, not_x1 = Literal(1, False), Literal(1, True)
-        x2 = Literal(2, False)
         with pytest.raises(CnfError, match=r"^duplicate literal x1 in clause$"):
-            Clause((x1, x1, x2))
+            Clause((0, 0, 2))
         with pytest.raises(CnfError, match=r"^tautological clause: contains both x1 and ~x1$"):
-            Clause((x1, not_x1, x2))
+            Clause((0, 1, 2))
+
+    @pytest.mark.parametrize("key", [(-2,), (-1, 4)])
+    def test_clause_rejects_negative_key(self, key):
+        # a negative key names no variable; -2 would print as x0 and index
+        # a formula's bitsets from the end
+        with pytest.raises(CnfError, match="negative"):
+            Clause(key)
 
     def test_clause_rejects_oversize(self):
         with pytest.raises(CnfError):
@@ -179,7 +179,7 @@ class TestUniverse:
         n = data.draw(st.integers(1, 60), label="n")
         u = enumerate_universe(n)
         i = data.draw(st.integers(0, u.size - 1), label="i")
-        clause = Clause(tuple(Literal.from_key(int(k)) for k in u.keys[i] if k >= 0))
+        clause = Clause(tuple(int(k) for k in u.keys[i] if k >= 0))
         assert u.index_of(clause.key) == i
 
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -190,10 +190,10 @@ class TestUniverse:
         var0 = np.zeros((u.size, 3), dtype=np.int64)
         neg = np.zeros((u.size, 3), dtype=bool)
         for i, clause in enumerate(u.entries):
-            for j, literal in enumerate(clause.literals):
+            for j, lit in enumerate(clause.to_ints()):
                 valid[i, j] = True
-                var0[i, j] = literal.variable_index - 1
-                neg[i, j] = literal.negated
+                var0[i, j] = abs(lit) - 1
+                neg[i, j] = lit < 0
         for got, expected in ((u.valid, valid), (u.var0, var0), (u.neg, neg)):
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
             assert not got.flags.writeable
@@ -203,7 +203,7 @@ class TestUniverse:
     def test_no_tautologies(self):
         u = enumerate_universe(5)
         for clause in u.entries:
-            variables = [lit.variable_index for lit in clause.literals]
+            variables = [abs(lit) for lit in clause.to_ints()]
             assert len(set(variables)) == len(variables)
 
     def test_rejects_n0(self):

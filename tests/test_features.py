@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sat2mdp import (
     Clause,
     Formula,
-    Literal,
     PolicyParams,
     build_mdp,
     eval_q_greedy,
@@ -120,7 +119,7 @@ class TestUndecidedMultiset:
 
     def test_shrinking_example(self, shrink_formula):
         _, got = shrink_formula.split((0, 0))
-        counted = Counter(tuple(Literal.from_key(k).to_int() for k in key) for key in got)
+        counted = Counter(tuple(Clause(key).to_ints()) for key in got)
         assert counted == Counter({(-4, 5): 2, (3, -6, 7): 1})
 
     def test_example1_after_10(self, example1):
