@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -370,6 +371,13 @@ REQUIRED = {"eval": {"--theta", "--state", "--action"}, "decide": {"--delta"},
 # verify always names these, so no suite falls back to its full default sweep;
 # a huge count would loop for ever, so they never take HUGE
 VERIFY_SIZES = ("--n-max", "--formulas", "--thetas", "--count", "--n")
+CHOICE_FLAGS = ("--kind", "--class", "--mode", "--suites")
+
+
+def hostile_values(command, flag):
+    if command == "verify" and flag in VERIFY_SIZES[1:]:
+        return tuple(v for v in HOSTILE if v != HUGE)
+    return HOSTILE
 
 
 @st.composite
@@ -384,17 +392,54 @@ def cli_argv(draw):
     ]
     argv = [command] + (["{cnf}"] if takes_cnf and draw(st.integers(0, 9)) else [])
     for flag in draw(st.permutations(present)):
-        hostile = HOSTILE
-        if command == "verify" and flag in VERIFY_SIZES[1:]:
-            hostile = tuple(v for v in HOSTILE if v != HUGE)
+        hostile = hostile_values(command, flag)
         # one value in four is hostile, so most draws also get past parsing
         value = draw(st.sampled_from(hostile if not draw(st.integers(0, 3)) else table[flag]))
         argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     return argv
 
 
+def hostile_sweep():
+    """Every hostile value on every flag of every command, once per combination
+    of the command's choice flags; each other flag takes its first ordinary value."""
+    for command, (takes_cnf, table) in ARGV_TABLE.items():
+        for flag in table:
+            others = [f for f in table if f in CHOICE_FLAGS and f != flag]
+            for picks in product(*(table[f] for f in others)):
+                values = {f: table[f][0] for f in table} | dict(zip(others, picks))
+                for value in hostile_values(command, flag):
+                    values[flag] = value
+                    yield [command] + (["{cnf}"] if takes_cnf else []) + [
+                        f"{f}={v}" for f, v in values.items()
+                    ]
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not strict JSON")
+
+
+def argv_fault(argv):
+    """How ``main(argv)`` breaks the clean-exit invariants, or None.
+
+    main returns 0, 1 or 2 without raising; 1 only from decide with a "No"
+    report; stdout is empty or strict JSON, and empty, with a message on
+    stderr, on exit 2.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out = out.getvalue()
+        payload = json.loads(out, parse_constant=_no_constant) if out else None
+    except Exception as exc:  # a fault to report with its argv, not to stop at
+        return f"raised {exc!r}"
+    if code not in (0, 1, 2):
+        return f"exit {code}"
+    if code == 1 and (argv[0] != "decide" or (payload or {}).get("decision") != "No"):
+        return f"exit 1 without a No decision: {out!r}"
+    if code == 2 and (out or not err.getvalue()):
+        return f"exit 2 with stdout {out!r} and stderr {err.getvalue()!r}"
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -407,19 +452,18 @@ def example1_file(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(cli_argv())
 def test_any_argv_exits_cleanly(example1_file, argv):
-    # whatever the flags and values, main returns 0, 1 or 2 without raising;
-    # 1 only from decide with a "No" report; stdout is empty or strict JSON
     argv = [part.format(cnf=example1_file) for part in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    out = out.getvalue()
-    assert code in (0, 1, 2), (argv, code)
-    payload = json.loads(out, parse_constant=_no_constant) if out else None
-    if code == 1:
-        assert argv[0] == "decide" and payload["decision"] == "No", (argv, out)
-    if code == 2:
-        assert out == "" and err.getvalue(), argv
+    fault = argv_fault(argv)
+    assert fault is None, (argv, fault)
+
+
+def test_every_hostile_value_on_every_flag(example1_file):
+    # the property draws a given value on a given flag rarely; this reaches
+    # each one on every flag, deterministically
+    argvs = [[part.format(cnf=example1_file) for part in argv] for argv in hostile_sweep()]
+    faults = [(argv, fault) for argv in argvs if (fault := argv_fault(argv))]
+    assert len(argvs) == 1548
+    assert not faults
 
 
 class TestVerifyCommand:
