@@ -632,7 +632,8 @@ def check_reduction_roundtrip(
         cases += 1
         formula, planted = planted_instance(n, clause_count=3 * n, zeta=zeta, seed=seed + i)
         report = decide_max3sat(formula, d, exact_solver, "greedy", eps)
-        repro = {"formula": formula.to_json()["clauses"], "planted": list(planted), "i": i}
+        repro = {"formula": formula.to_json()["clauses"], "planted": list(planted), "i": i,
+                 "delta": frac_str(d), "epsilon": frac_str(eps)}
         if not report.decision:
             failures.append({**repro, "kind": "expected_yes",
                              "achieved": frac_str(report.achieved_fraction)})
@@ -688,7 +689,8 @@ def check_reduction_roundtrip(
     sampled_leaf = sample_trajectory(inst, soft_params, seed).final
     if (not soft.decision or rounded != extract_assignment_greedy(soft_params, n)
             or soft.extracted != sampled_leaf):
-        failures.append({"kind": "softmax_decide",
+        failures.append({"kind": "softmax_decide", "formula": sample_formula.to_json()["clauses"],
+                         "n": n, "delta": frac_str(d), "epsilon": frac_str(eps), "seed": seed,
                          "achieved": frac_str(soft.achieved_fraction)})
     cases += 1
     params = PolicyParams(tuple(float(v) for v in np.random.default_rng(seed).uniform(-1, 1, size=n)))

@@ -5,6 +5,7 @@ import json
 import pkgutil
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,8 +21,14 @@ from sat2mdp import (
     Formula,
     PolicyParams,
     build_mdp,
+    decide_max3sat,
     empirical_mcdiarmid,
+    exact_solver,
+    extract_assignment_greedy,
+    extract_assignment_softmax,
+    generative_query,
     occurrence_bound,
+    sample_trajectory,
     softmax_prob,
     softmax_weight,
 )
@@ -477,6 +484,42 @@ class TestRoundtripSuite:
         )
         assert 0 < record["empirical"] < 1
         assert replayed == (record["empirical"], record["bound"], False)
+
+    def test_softmax_decide_record_replays(self, monkeypatch):
+        # decide's sampled extraction made to ignore the policy and draw each
+        # bit uniformly from the seed: at seed 1 the drawn assignment
+        # satisfies 5/6 of the formula, below 1 - delta but not below
+        # 1 - 2 delta, so the achieved value and the failed comparisons depend
+        # on the formula, the seed and delta; with the fault still in place
+        # the record alone rebuilds the comparisons, and the same ones fail
+        original = sat2mdp.reduction.extract_assignment_softmax
+
+        def uniform(params, n, mode="round", seed=None):
+            if mode != "sample":
+                return original(params, n, mode, seed)
+            return tuple(int(bit) for bit in np.random.default_rng(seed).integers(0, 2, n))
+
+        monkeypatch.setattr(sat2mdp.reduction, "extract_assignment_softmax", uniform)
+        result = check_reduction_roundtrip(count=1, n=6, seed=1)
+        failures = json.loads(result.canonical_json())["failures"]
+        [record] = [f for f in failures if f["kind"] == "softmax_decide"]
+        n, seed = record["n"], record["seed"]
+        formula = Formula.from_ints(n, record["formula"])
+        delta, epsilon = Fraction(record["delta"]), Fraction(record["epsilon"])
+        instance = build_mdp(formula)
+        params = exact_solver(instance, partial(generative_query, instance), epsilon, "softmax")
+        soft = decide_max3sat(formula, delta, exact_solver, "softmax", epsilon, seed=seed,
+                              extraction_mode="sample")
+        comparisons = (
+            soft.decision,
+            extract_assignment_softmax(params, n, mode="round") == (
+                extract_assignment_greedy(params, n)
+            ),
+            soft.extracted == sample_trajectory(instance, params, seed).final,
+        )
+        assert record["achieved"] == "5/6"
+        assert Fraction(record["achieved"]) == soft.achieved_fraction
+        assert comparisons == (False, True, False)
 
     @pytest.mark.parametrize("delta", ["1/2", "3/4"])
     def test_contradiction_premise_guard(self, delta):
