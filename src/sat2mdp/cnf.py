@@ -6,10 +6,10 @@ A clause is its sorted tuple of literal keys, 2*(v-1) for x_v and
 literals: sorted by key, duplicates removed, complementary pairs rejected.
 A ``Formula`` also keeps each clause's key tuple and, per variable value,
 the bitset of clause instances that value makes true.  Every clause
-evaluation reads those bitsets.  ``Formula.split``
-evaluates an assigned prefix: the satisfied instances are the OR of one
-bitset per prefix variable, and the undecided ones are the unsatisfied
-instances with a literal past the prefix.  A full assignment is the case
+evaluation reads those bitsets.  ``Formula.split`` evaluates an assigned
+prefix: the satisfied instances are the OR of one bitset per prefix
+variable, and the undecided ones are the unsatisfied instances with a
+literal past the prefix.  A full assignment is the case
 with nothing undecided.  ``is_zeta_satisfiable`` is the one exhaustive
 sweep over all 2^n assignments: it ORs a table for the first half of the
 variables with a table for the rest.  ``leaf_counts`` lists the satisfied
