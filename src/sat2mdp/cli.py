@@ -16,7 +16,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .cnf import CnfError, parse_dimacs
+from .cnf import CnfError, parse_dimacs, universe_block_sizes
 from .features import (
     PolicyParams,
     greedy_weight,
@@ -68,11 +68,14 @@ def _say(message: str) -> None:
 
 
 def parse_theta(text: str, n: int | None = None) -> PolicyParams:
-    """theta' from '+-+' sign shorthand, a comma list, or @file.json."""
+    """theta' from '+-+' sign shorthand, a comma list, or @file.json: {"theta_prime": [...]}."""
     text = text.strip()
     if text.startswith("@"):
         data = json.loads(Path(text[1:]).read_text())
-        params = PolicyParams.from_values(data["theta_prime"])
+        values = data.get("theta_prime") if isinstance(data, dict) else None
+        if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+            raise ValueError(f"{text[1:]}: expected an object with a theta_prime number list")
+        params = PolicyParams.from_values(values)
     elif text and set(text) <= set("+-"):
         params = PolicyParams.from_signs(text)
     else:
@@ -116,7 +119,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     instance = build_mdp(formula)
     descriptor = instance.to_json()
     descriptor["universe"] = instance.universe.to_json()["clauses"]
-    descriptor["universe_block_sizes"] = list(instance.universe.block_sizes)
+    descriptor["universe_block_sizes"] = list(universe_block_sizes(instance.n))
     descriptor["psp_features"] = [
         {
             "h": h,

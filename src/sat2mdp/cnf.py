@@ -3,21 +3,21 @@ evaluation, and the ordered universe of all valid clauses over n variables.
 
 A clause is its sorted tuple of literal keys, 2*(v-1) for x_v and
 2*(v-1) + 1 for ~x_v.  ``Clause.from_ints`` canonicalizes signed DIMACS
-literals: sorted by key, duplicates removed, complementary pairs rejected.
-A ``Formula`` also keeps each clause's key tuple and, per variable value,
-the bitset of clause instances that value makes true.  Every clause
-evaluation reads those bitsets.  ``Formula.split`` evaluates an assigned
-prefix: the satisfied instances are the OR of one bitset per prefix
-variable, and the undecided ones are the unsatisfied instances with a
-literal past the prefix.  A full assignment is the case
-with nothing undecided.  ``is_zeta_satisfiable`` is the one exhaustive
-sweep over all 2^n assignments: it ORs a table for the first half of the
-variables with a table for the rest.  ``leaf_counts`` lists the satisfied
-count of every assignment from the same two tables, in the sweep's
-order, for callers that read many leaves of one formula: the greedy
-realizability suite reads every q numerator from it.  Each formula also
-holds the table of its C + 1 possible satisfied fractions, k / C for
-k = 0..C, which every satisfied fraction is read from.
+literals (anything but a non-bool integer is an error): sorted by key,
+duplicates removed, complementary pairs rejected.  A ``Formula`` also keeps,
+per variable value, the bitset of clause instances that value makes true.
+``Formula.split`` evaluates an assigned prefix from those bitsets: the
+satisfied instances are the OR of one bitset per prefix variable, and the
+undecided ones are the unsatisfied instances with a literal past the
+prefix; a full assignment leaves none undecided.  ``_count_rows`` is the one
+exhaustive sweep over all 2^n assignments, with its cap check: it ORs a
+table for the first half of the variables with a table for the rest, one
+row of satisfied counts per first-half assignment.  ``is_zeta_satisfiable``
+scans the rows for the first maximizer; ``leaf_counts`` joins them into one
+array for callers that read many leaves of one formula, such as the greedy
+realizability suite.  Each formula also holds the table of its C + 1
+possible satisfied fractions, k / C for k = 0..C, which every satisfied
+fraction is read from.
 
 The clause universe lists every non-tautological clause of size 1-3 in
 block order (all 1-clauses, then 2-clauses, then 3-clauses), lexicographic
@@ -33,12 +33,13 @@ All arithmetic here is exact: counts are ints, fractions are
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, combinations
 from math import comb
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,6 +72,8 @@ class Clause:
         key = self.key
         if not 1 <= len(key) <= MAX_CLAUSE_SIZE:
             raise CnfError(f"clause must have 1..{MAX_CLAUSE_SIZE} literals, got {len(key)}")
+        if any(type(k) is not int for k in key):  # True would read as ~x1
+            raise CnfError(f"literal keys must be ints, got {key!r}")
         if list(key) != sorted(key):
             raise CnfError("clause literals must be sorted by canonical key")
         if key[0] < 0:
@@ -84,9 +87,13 @@ class Clause:
 
     @classmethod
     def from_ints(cls, lits: Iterable[int]) -> "Clause":
-        """Canonicalize signed DIMACS literals: sort, drop duplicates; 0 or x, -x raise."""
+        """Canonicalize signed DIMACS literals: sort, drop duplicates; 0, x, -x, a bool
+        or a non-integer raise.  numpy integers are read through ``operator.index``."""
         keys = set()
         for lit in lits:
+            if isinstance(lit, bool) or not hasattr(lit, "__index__"):
+                raise CnfError(f"literal {lit!r} is not an integer")
+            lit = operator.index(lit)
             if lit == 0:
                 raise CnfError("literal 0 is reserved as the clause terminator")
             keys.add(2 * abs(lit) - 2 + (lit < 0))
@@ -114,7 +121,6 @@ class Clause:
 class Formula:
     """A multiset of clauses over variables x1..xn. Duplicate instances count.
 
-    ``keys[i]`` is ``clauses[i].key``, the sorted literal keys of instance i.
     ``value_bits[j][v]`` is the bitset of the instances that x_{j+1} = v
     makes true: bit i is set when instance i holds that literal.
     ``open_bits[h]`` is the bitset of the instances with a literal on
@@ -124,7 +130,6 @@ class Formula:
 
     n: int
     clauses: tuple[Clause, ...]
-    keys: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     value_bits: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
     open_bits: tuple[int, ...] = field(init=False, compare=False, repr=False)
     fraction_of: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
@@ -139,17 +144,15 @@ class Formula:
                 raise CnfError(
                     f"clause {i}: variable x{clause.max_variable} exceeds n={self.n}"
                 )
-        keys = tuple(c.key for c in self.clauses)
         # literal key 2*j + neg is true iff x_{j+1} is assigned 1 - neg
         bits = [0] * (2 * self.n)
-        for i, key in enumerate(keys):
-            for k in key:
+        for i, clause in enumerate(self.clauses):
+            for k in clause.key:
                 bits[k ^ 1] |= 1 << i
-        object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "value_bits", tuple(zip(bits[::2], bits[1::2])))
         held = accumulate(reversed([b0 | b1 for b0, b1 in self.value_bits]), or_, initial=0)
         object.__setattr__(self, "open_bits", tuple(held)[::-1])
-        count = len(keys)
+        count = len(self.clauses)
         object.__setattr__(
             self, "fraction_of", tuple(Fraction(k, count) for k in range(count + 1))
         )
@@ -178,7 +181,7 @@ class Formula:
         rest = self.open_bits[len(prefix)] & ~acc
         while rest:
             low = rest & -rest
-            key = self.keys[low.bit_length() - 1]
+            key = self.clauses[low.bit_length() - 1].key
             # keys are sorted, so the unassigned literals are a suffix
             undecided.append(key if key[0] >= cut else tuple(k for k in key if k >= cut))
             rest ^= low
@@ -293,22 +296,27 @@ def _or_table(value_bits: Sequence[tuple[int, int]]) -> list[int]:
     return table
 
 
-def leaf_counts(formula: Formula) -> list[int]:
-    """The satisfied count of each of the 2^n assignments, in index order.
-
-    Entry i belongs to the assignment whose bits, x1 first, spell i in
-    binary, the order ``is_zeta_satisfiable`` sweeps; it is built from the
-    same two half tables.  CnfError above ``BRUTE_FORCE_CAP`` variables.
+def _count_rows(formula: Formula) -> Iterator[list[int]]:
+    """The satisfied counts of all 2^n assignments, one row per value i of the
+    first n // 2 variables (x1 the high bit), so the rows joined are in index
+    order; O(2^(n/2)) ints are held at once.  CnfError above
+    ``BRUTE_FORCE_CAP`` variables, raised on the call, before any row.
     """
     n = formula.n
     if n > BRUTE_FORCE_CAP:
         raise CnfError(f"brute-force cap exceeded: n={n} > {BRUTE_FORCE_CAP}")
     lows = _or_table(formula.value_bits[n // 2:])
-    return [
-        (high | low).bit_count()
+    return (
+        [(high | low).bit_count() for low in lows]
         for high in _or_table(formula.value_bits[: n // 2])
-        for low in lows
-    ]
+    )
+
+
+def leaf_counts(formula: Formula) -> np.ndarray:
+    """The int64 satisfied count of each of the 2^n assignments; entry i belongs to
+    the assignment whose bits, x1 first, spell i.  CnfError above the cap."""
+    rows = _count_rows(formula)
+    return np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=1 << formula.n)
 
 
 def is_zeta_satisfiable(
@@ -317,22 +325,16 @@ def is_zeta_satisfiable(
     """Exhaustively maximize the satisfied fraction over all 2^n assignments.
 
     Returns (max >= zeta, argmax assignment, max fraction).  The argmax is
-    the lexicographically first maximizer over tuples ordered 0 < 1.  The
-    sweep meets in the middle: each OR of the first n // 2 variables'
-    bitsets is combined with each OR of the rest, both tables in
-    lexicographic order, so O(2^(n/2)) ints are held at once.  CnfError
-    above ``BRUTE_FORCE_CAP`` variables.
+    the lexicographically first maximizer over tuples ordered 0 < 1, kept
+    by a strict ``>`` over the rows of ``_count_rows``.  CnfError above
+    ``BRUTE_FORCE_CAP`` variables.
     """
     n = formula.n
-    if n > BRUTE_FORCE_CAP:
-        raise CnfError(f"brute-force cap exceeded: n={n} > {BRUTE_FORCE_CAP}")
-    lows = _or_table(formula.value_bits[n // 2:])
     best_count = best_index = -1
-    for i, high in enumerate(_or_table(formula.value_bits[: n // 2])):
-        counts = [(high | low).bit_count() for low in lows]
+    for i, counts in enumerate(_count_rows(formula)):
         top = max(counts)
         if top > best_count:  # strict, so the first maximizer stays
-            best_count, best_index = top, i * len(lows) + counts.index(top)
+            best_count, best_index = top, i * len(counts) + counts.index(top)
     best = tuple((best_index >> s) & 1 for s in range(n - 1, -1, -1))
     value = formula.fraction_of[best_count]
     return value >= zeta, best, value
@@ -367,7 +369,6 @@ class ClauseUniverse:
     """
 
     n: int
-    block_sizes: tuple[int, int, int]
     keys: np.ndarray = field(repr=False)
     min_var: np.ndarray = field(repr=False)
     valid: np.ndarray = field(repr=False)
@@ -435,13 +436,4 @@ def enumerate_universe(n: int) -> ClauseUniverse:
     neg = valid & (keys & 1 == 1)
     for array in (keys, min_var, valid, var0, neg):
         array.flags.writeable = False
-    return ClauseUniverse(
-        n=n,
-        block_sizes=sizes,
-        keys=keys,
-        min_var=min_var,
-        valid=valid,
-        var0=var0,
-        neg=neg,
-        _offset=offset.tolist(),
-    )
+    return ClauseUniverse(n, keys, min_var, valid, var0, neg, offset.tolist())

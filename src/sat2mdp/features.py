@@ -19,8 +19,8 @@ Greedy-path arithmetic is exact (ints and Fractions); softmax entries are
 64-bit floats.  Weights never read the state or action: they are built
 from (formula, theta', h) alone.  The per-clause continuation results are
 computed in one vectorized pass over the universe's literal-key matrix,
-cached per (universe, policy), and sliced by stage with its min-variable
-array.
+cached per (universe, policy), so per (n, policy): every instance of one
+n shares one universe.  Each is sliced by stage with its min-variable array.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ references: ``generative_query`` returns what ``transition`` followed by
 their leaves without either, so both keep every check for the tests that
 hold those paths to them.  The 2^(n+1) - 1 states are never materialized;
 everything is computed on demand from the formula.  An ``MdpInstance``
-holds only the formula: its dimensions are closed forms, and the
-Theta(n^3) clause universe is enumerated on first use, so paths that
+holds only the formula: its dimensions are closed forms.  The Theta(n^3)
+clause universe depends on n alone: every instance of one n reads one
+universe, enumerated on first use and kept for the process, so paths that
 never read it (the exhaustive solver, and its cap check) never pay for it.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from .cnf import (
@@ -53,14 +54,20 @@ class MdpError(ValueError):
     """Invalid state, action, or query against the constructed MDP."""
 
 
+@cache
+def _universe(n: int) -> ClauseUniverse:
+    """The one clause universe over n variables, enumerated on the first request."""
+    return enumerate_universe(n)
+
+
 @dataclass(frozen=True, eq=False)
 class MdpInstance:
     """A formula and the dimensions of its MDP.
 
     horizon H = n + 1, policy-parameter dimension d_prime = n, and
     realizability dimension d = 1 + |universe|, from the closed-form block
-    sizes.  The clause universe itself is enumerated on first access.  The
-    formula is frozen, so every dimension is computed once and cached.
+    sizes; ``universe`` is shared by every instance of n.  The formula is
+    frozen, so every dimension is computed once and cached.
     """
 
     formula: Formula
@@ -92,9 +99,9 @@ class MdpInstance:
     def d(self) -> int:
         return 1 + sum(universe_block_sizes(self.n))
 
-    @cached_property
+    @property
     def universe(self) -> ClauseUniverse:
-        return enumerate_universe(self.n)
+        return _universe(self.n)
 
     @property
     def implied_state_count(self) -> int:
@@ -113,7 +120,7 @@ class MdpInstance:
 
 
 def build_mdp(formula: Formula) -> MdpInstance:
-    """Construct the MDP instance for a formula; its universe is built on first use."""
+    """Construct the MDP instance for a formula; no clause universe is built."""
     return MdpInstance(formula)
 
 

@@ -351,7 +351,7 @@ def empirical_mcdiarmid(
     if trials < 1:
         raise ReductionError(f"trials must be >= 1, got {trials}")
     formula = instance.formula
-    counts_of = np.asarray(leaf_counts(formula), dtype=np.int64)
+    counts_of = leaf_counts(formula)
     expected = state_value_softmax(instance, params, initial_state(instance.n))
     threshold = expected - t
     b = occurrence_bound(formula)

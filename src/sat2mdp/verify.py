@@ -203,7 +203,7 @@ def _q_numerators(formula: Formula) -> np.ndarray:
     formula's table of 2^n leaf counts.
     """
     n = formula.n
-    leaves = np.asarray(leaf_counts(formula), dtype=np.int64)
+    leaves = leaf_counts(formula)
     patterns = np.arange(2**n)[:, None]
     return np.hstack([
         leaves[(np.arange(2**h) << (n - h)) | (patterns & ((1 << (n - h)) - 1))]
@@ -437,22 +437,19 @@ def check_realizability_softmax(
                 {h: ft.softmax_weight(instance, params, h) for h in range(1, n + 1)}
                 for params in batch
             ]
-            # the weight-definition check, one oracle run per stage over every
-            # draw; each draw's records are kept in stage order
-            weight_failures: list[list[dict]] = [[] for _ in batch]
+            repros = [{"formula": clauses, "n": n, "theta": list(theta)} for theta in thetas]
+            # the weight-definition check, one oracle run per stage over every draw
             for h in range(1, n + 1):
                 cases += len(batch)
                 heads, m_oracle = softmax_weights_by_enumeration(instance, batch, h)
                 closed = np.stack([w[h].m_dense() for w in weights])
                 diffs = np.max(np.abs(closed - m_oracle), axis=1)
-                for records, head, diff in zip(weight_failures, heads.tolist(), diffs.tolist()):
+                for repro, head, diff in zip(repros, heads.tolist(), diffs.tolist()):
                     if abs(head - 1.0) > weight_tol:
-                        records.append({"h": h, "kind": "head_sum", "head": head})
+                        failures.append({**repro, "h": h, "kind": "head_sum", "head": head})
                     if diff > weight_tol:
-                        records.append({"h": h, "kind": "weight_oracle", "max_diff": diff})
-            for theta, params, w, records in zip(thetas, batch, weights, weight_failures):
-                repro = {"formula": clauses, "n": n, "theta": list(theta)}
-                failures += [{**repro, **record} for record in records]
+                        failures.append({**repro, "h": h, "kind": "weight_oracle", "max_diff": diff})
+            for repro, params, w in zip(repros, batch, weights):
                 root = (-1,) * n
                 for action in ACTIONS:
                     cases += 1

@@ -55,6 +55,25 @@ class TestThetaParsing:
         path.write_text(json.dumps({"theta_prime": [1, -1]}))
         assert parse_theta(f"@{path}").theta_prime == (1.0, -1.0)
 
+    @pytest.mark.parametrize("command", ["extract", "eval"])
+    @pytest.mark.parametrize(
+        "payload",
+        [{"theta_prime": 5}, {"theta_prime": None}, {"foo": 1}, [1, 2, 3],
+         {"theta_prime": [True, 1, 2]}],
+    )
+    def test_json_file_without_a_number_list_exit_2(self, capsys, tmp_path, command, payload):
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(payload))
+        cnf = tmp_path / "example1.cnf"
+        cnf.write_text(EXAMPLE1)
+        argv = {
+            "extract": ["extract", f"--theta=@{path}", "--n", "3"],
+            "eval": ["eval", str(cnf), f"--theta=@{path}", "--state=-1,-1,-1", "--action", "1"],
+        }[command]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "theta_prime" in err
+
     def test_length_check(self):
         with pytest.raises(ValueError):
             parse_theta("+-", 3)
@@ -418,12 +437,21 @@ def _no_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
+def failed_suite(argv, payload):
+    """verify's JSON is a list of suite results, at least one not passed."""
+    return (
+        argv[0] == "verify"
+        and isinstance(payload, list)
+        and any(result.get("passed") is False for result in payload)
+    )
+
+
 def argv_fault(argv):
     """How ``main(argv)`` breaks the clean-exit invariants, or None.
 
     main returns 0, 1 or 2 without raising; 1 only from decide with a "No"
-    report; stdout is empty or strict JSON, and empty, with a message on
-    stderr, on exit 2.
+    report or from verify with a failed suite; stdout is empty or strict
+    JSON, and empty, with a message on stderr, on exit 2.
     """
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -435,8 +463,9 @@ def argv_fault(argv):
         return f"raised {exc!r}"
     if code not in (0, 1, 2):
         return f"exit {code}"
-    if code == 1 and (argv[0] != "decide" or (payload or {}).get("decision") != "No"):
-        return f"exit 1 without a No decision: {out!r}"
+    no = argv[0] == "decide" and (payload or {}).get("decision") == "No"
+    if code == 1 and not (no or failed_suite(argv, payload)):
+        return f"exit 1 without a No decision or a failed suite: {out!r}"
     if code == 2 and (out or not err.getvalue()):
         return f"exit 2 with stdout {out!r} and stderr {err.getvalue()!r}"
     return None
@@ -464,6 +493,18 @@ def test_every_hostile_value_on_every_flag(example1_file):
     faults = [(argv, fault) for argv in argvs if (fault := argv_fault(argv))]
     assert len(argvs) == 1548
     assert not faults
+
+
+def test_verify_exit_1_with_a_failed_suite_is_clean():
+    # --tol 0 leaves no room for the rounding between a softmax q and its
+    # dot product, so the softmax suite fails and verify rightly exits 1
+    argv = ["verify", "--formulas", "2", "--count", "1", "--thetas", "1", "--n", "1",
+            "--delta", "1/10", "--n-max", "4", "--tol", "0"]
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 1
+    assert failed_suite(argv, json.loads(out.getvalue()))
+    assert argv_fault(argv) is None
 
 
 class TestVerifyCommand:

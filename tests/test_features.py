@@ -126,7 +126,7 @@ class TestUndecidedMultiset:
         assert example1.split((1, 0))[1] == [Clause.from_ints([-3]).key]
 
     def test_empty_prefix_keeps_all_clauses(self, example1):
-        assert example1.split(()) == (0, list(example1.keys))
+        assert example1.split(()) == (0, [c.key for c in example1.clauses])
 
 
 class TestRealizabilityFeature:

@@ -25,6 +25,7 @@ from sat2mdp import (
     step,
     transition,
 )
+from sat2mdp.features import _greedy_continuation, greedy_weight
 from sat2mdp.verify import random_formula
 
 from conftest import formulas
@@ -53,6 +54,21 @@ class TestBuild:
             inst = build_mdp(Formula.from_ints(n, [[1]]))
             assert inst.horizon == n + 1
             assert inst.d == 1 + inst.universe.size
+
+    def test_instances_of_one_n_share_one_universe(self):
+        a = build_mdp(Formula.from_ints(4, [[1, -2], [3]]))
+        b = build_mdp(Formula.from_ints(4, [[-4, 2, 1]]))
+        assert a.universe is b.universe
+        assert build_mdp(Formula.from_ints(5, [[5]])).universe.n == 5
+        # the continuation cache is keyed on the universe, so a second
+        # instance of the same n hits the first instance's entry
+        params = PolicyParams.from_signs("+-+-")
+        greedy_weight(a, params, 1)
+        before = _greedy_continuation.cache_info()
+        greedy_weight(b, params, 2)
+        after = _greedy_continuation.cache_info()
+        assert after.hits == before.hits + 1
+        assert after.currsize == before.currsize
 
     def test_json_descriptor(self, example1_instance):
         data = example1_instance.to_json()
