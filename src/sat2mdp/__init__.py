@@ -23,7 +23,6 @@ from .cnf import (
 )
 from .features import (
     PolicyParams,
-    PspFeature,
     RealizabilityFeature,
     RealizabilityWeight,
     f_threshold,

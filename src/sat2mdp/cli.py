@@ -123,8 +123,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     descriptor["psp_features"] = [
         {
             "h": h,
-            "true": list(psp_feature(h, 1, instance.d_prime).vector),
-            "false": list(psp_feature(h, 0, instance.d_prime).vector),
+            "true": list(psp_feature(h, 1, instance.d_prime)),
+            "false": list(psp_feature(h, 0, instance.d_prime)),
         }
         for h in range(1, instance.d_prime + 1)
     ]

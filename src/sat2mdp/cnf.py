@@ -194,10 +194,6 @@ class Formula:
     def to_json(self) -> dict:
         return {"n": self.n, "clauses": [c.to_ints() for c in self.clauses]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Formula":
-        return cls.from_ints(int(data["n"]), data["clauses"])
-
     def to_dimacs(self) -> str:
         lines = [f"p cnf {self.n} {self.clause_count}"]
         lines += [" ".join(map(str, c.to_ints())) + " 0" for c in self.clauses]

@@ -5,6 +5,8 @@ Two vector families live here:
 * policy-parameterization vectors: the one-hot stage feature (+-1 at
   coordinate h) and the weight theta' that induces a greedy policy (sign
   of theta'_h picks the action) or a softmax policy (logistic in theta'_h).
+  ``PolicyParams`` owns both per-stage vectors (``greedy_actions``,
+  ``softmax_probs``); a roll-out's tail past stage h is their slice [h:].
 
 * realizability vectors: for a state-action pair, the feature packs
   [satisfied-count, undecided-clause multiplicities] / |C| over the clause
@@ -29,7 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +59,16 @@ class PolicyParams:
     def d_prime(self) -> int:
         return len(self.theta_prime)
 
+    @cached_property
+    def greedy_actions(self) -> tuple[int, ...]:
+        """The greedy policy's action at every stage 1..d'."""
+        return tuple(greedy_action(h, self) for h in range(1, self.d_prime + 1))
+
+    @cached_property
+    def softmax_probs(self) -> tuple[float, ...]:
+        """The softmax policy's probability of action 1 at every stage 1..d'."""
+        return tuple(softmax_prob(h, self) for h in range(1, self.d_prime + 1))
+
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "PolicyParams":
         return cls(tuple(float(v) for v in values))
@@ -80,23 +92,15 @@ class PolicyParams:
         return {"theta_prime": list(self.theta_prime)}
 
 
-@dataclass(frozen=True)
-class PspFeature:
+def psp_feature(h: int, action: int, d_prime: int) -> tuple[int, ...]:
     """One-hot stage feature: +1 at coordinate h for action 1, -1 for action 0."""
-
-    h: int
-    action: int
-    vector: tuple[int, ...]
-
-
-def psp_feature(h: int, action: int, d_prime: int) -> PspFeature:
     if not 1 <= h <= d_prime:
         raise ValueError(f"stage h={h} out of range [1, {d_prime}]")
     if action not in (0, 1):
         raise ValueError(f"action must be 0 or 1, got {action!r}")
     vec = [0] * d_prime
     vec[h - 1] = 1 if action == 1 else -1
-    return PspFeature(h=h, action=action, vector=tuple(vec))
+    return tuple(vec)
 
 
 def greedy_action(h: int, params: PolicyParams) -> int:
@@ -194,10 +198,12 @@ class RealizabilityWeight:
 
     m[i] is nonzero only for clauses whose smallest variable exceeds the
     stage cutoff h; there it carries the clause's truth value under the
-    greedy continuation (0/1 int) or its satisfaction probability under
-    the softmax continuation (float in [0, 1]).  The dense vector is
-    materialized lazily; building the weight itself is O(1) after a cached
-    per-(universe, policy) pass.
+    greedy continuation, the policy's ``greedy_actions`` (0/1 int), or its
+    satisfaction probability under the softmax continuation (float in
+    [0, 1]).  The greedy suite's tie-rule check holds ``greedy_actions``
+    equal to ``f_threshold``.  The dense vector is materialized lazily;
+    building the weight itself is O(1) after a cached per-(universe,
+    policy) pass.
     """
 
     kind: str
@@ -265,18 +271,19 @@ def _check_weight_stage(instance: MdpInstance, params: PolicyParams, h: int) -> 
 
 
 def greedy_weight(instance: MdpInstance, params: PolicyParams, h: int) -> RealizabilityWeight:
-    """Stage-h weight for the greedy policy induced by theta'. State-independent."""
+    """Stage-h weight for the greedy policy induced by theta'. State-independent.
+
+    Its continuation is ``params.greedy_actions``, which the greedy suite's
+    tie-rule check holds equal to ``f_threshold``."""
     _check_weight_stage(instance, params, h)
-    pattern = tuple(f_threshold(params, j) for j in range(1, instance.n + 1))
-    continuation = _greedy_continuation(instance.universe, pattern)
+    continuation = _greedy_continuation(instance.universe, params.greedy_actions)
     return RealizabilityWeight(GREEDY, h, instance.universe.min_var, continuation)
 
 
 def softmax_weight(instance: MdpInstance, params: PolicyParams, h: int) -> RealizabilityWeight:
     """Stage-h weight for the softmax policy induced by theta'. State-independent."""
     _check_weight_stage(instance, params, h)
-    probs = tuple(softmax_prob(j, params) for j in range(1, instance.n + 1))
-    continuation = _softmax_continuation(instance.universe, probs)
+    continuation = _softmax_continuation(instance.universe, params.softmax_probs)
     return RealizabilityWeight(SOFTMAX, h, instance.universe.min_var, continuation)
 
 
@@ -295,6 +302,5 @@ def lookahead_state(state: Sequence[int], action: int, params: PolicyParams) -> 
         raise MdpError(f"action must be 0 or 1, got {action!r}")
     if params.d_prime != len(values):
         raise ValueError(f"theta' has {params.d_prime} entries, state needs {len(values)}")
-    tail = tuple(f_threshold(params, j) for j in range(h + 1, len(values) + 1))
-    return values[: h - 1] + (action,) + tail
+    return values[: h - 1] + (action,) + params.greedy_actions[h:]
 

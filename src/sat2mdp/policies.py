@@ -1,8 +1,9 @@
 """Exact policy evaluation on the assignment-tree MDP.
 
 A roll-out from (state, action) is named by its leaf: the assigned prefix,
-the action, then the policy's later actions.  Each entry point takes one
-checked ``mdp.step`` and builds the leaf directly; ``transition`` and
+the action, then the policy's later actions, the slice ``[h:]`` of the
+params' ``greedy_actions`` (or ``softmax_probs``).  Each entry point takes
+one checked ``mdp.step`` and builds the leaf directly; ``transition`` and
 ``reward`` stay in ``mdp`` as the references that leaf and its value are
 tested against.  A greedy q is one checked step plus the leaf its sign
 pattern names, returned as an exact Fraction from the formula's table of
@@ -50,7 +51,7 @@ def eval_q_greedy(
     """
     h, nxt = step(instance, state, action)
     check_theta(instance, params)
-    leaf = nxt[:h] + tuple(greedy_action(j, params) for j in range(h + 1, instance.n + 1))
+    leaf = nxt[:h] + params.greedy_actions[h:]
     formula = instance.formula
     return formula.fraction_of[formula.split(leaf)[0]]
 
@@ -69,13 +70,13 @@ def eval_q_softmax(
 ) -> float:
     """Expected terminal reward after (state, action) under the softmax policy.
 
-    ``softmax_q_of_split`` of the checked step's prefix.
+    ``softmax_q_of_split`` of the checked step's prefix and the params'
+    ``softmax_probs``.
     """
     h, nxt = step(instance, state, action)
     check_theta(instance, params)
-    probs = [0.0] * h + [softmax_prob(j, params) for j in range(h + 1, instance.n + 1)]
     formula = instance.formula
-    return softmax_q_of_split(formula.split(nxt[:h]), probs, formula.clause_count)
+    return softmax_q_of_split(formula.split(nxt[:h]), params.softmax_probs, formula.clause_count)
 
 
 def softmax_q_of_split(
@@ -127,7 +128,7 @@ def enumerate_trajectories(
     free = instance.n - h
     if free > ENUMERATION_CAP:
         raise MdpError(f"{free} free stages exceed the enumeration cap {ENUMERATION_CAP}")
-    p1 = [softmax_prob(j, params) for j in range(h + 1, instance.n + 1)]
+    p1 = params.softmax_probs[h:]
     prefix = nxt[:h]
     out: list[Trajectory] = []
     for suffix in product(ACTIONS, repeat=free):
@@ -151,8 +152,7 @@ def sample_trajectory(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     actions = []
     probability = 1.0
-    for h in range(1, instance.n + 1):
-        p1 = softmax_prob(h, params)
+    for p1 in params.softmax_probs:
         action = 1 if rng.random() < p1 else 0
         actions.append(action)
         probability *= p1 if action == 1 else 1.0 - p1

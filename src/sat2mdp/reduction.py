@@ -28,7 +28,7 @@ from .cnf import (
     occurrence_bound,
     satisfied_fraction,
 )
-from .features import PolicyParams, greedy_action, softmax_prob
+from .features import PolicyParams
 from .mdp import ZERO_REWARD, MdpInstance, State, build_mdp, generative_query, initial_state
 from .policies import state_value_softmax
 
@@ -93,7 +93,7 @@ def extract_assignment_greedy(params: PolicyParams, n: int) -> Assignment:
     """Read the assignment the greedy policy plays: x_h = the stage-h action."""
     if params.d_prime != n:
         raise ReductionError(f"theta' has {params.d_prime} entries, expected n={n}")
-    return tuple(greedy_action(h, params) for h in range(1, n + 1))
+    return params.greedy_actions
 
 
 def extract_assignment_softmax(
@@ -110,14 +110,13 @@ def extract_assignment_softmax(
     """
     if params.d_prime != n:
         raise ReductionError(f"theta' has {params.d_prime} entries, expected n={n}")
-    probs = [softmax_prob(h, params) for h in range(1, n + 1)]
     if mode == "round":
-        return tuple(1 if p > 0.5 else 0 for p in probs)
+        return tuple(1 if p > 0.5 else 0 for p in params.softmax_probs)
     if mode == "sample":
         if seed is None:
             raise ReductionError("sample mode needs an explicit seed")
         rng = np.random.default_rng(seed)
-        return tuple(1 if rng.random() < p else 0 for p in probs)
+        return tuple(1 if rng.random() < p else 0 for p in params.softmax_probs)
     raise ReductionError(f"unknown extraction mode {mode!r}")
 
 
@@ -364,9 +363,8 @@ def empirical_mcdiarmid(
     # episode around it.  Each leaf's satisfied count is read from the leaf
     # table at the leaf's bit index, and its float from the formula's
     # fractions, the value ``float(satisfied_fraction(...))`` would give.
-    probs = np.array([softmax_prob(h, params) for h in range(1, instance.n + 1)])
     draws = np.random.default_rng(seed).random((trials, instance.n))
-    counts = counts_of[_leaf_indices((draws < probs).astype(np.int64))]
+    counts = counts_of[_leaf_indices((draws < params.softmax_probs).astype(np.int64))]
     as_float = np.array([float(f) for f in formula.fraction_of])
     hits = int(np.count_nonzero(as_float[counts] <= threshold))
     empirical = hits / trials

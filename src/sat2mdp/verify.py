@@ -349,15 +349,14 @@ def softmax_weights_by_enumeration(
     Exponential in n - h; this is the oracle the closed form is checked
     against.  MdpError above ``ENUMERATION_CAP`` free stages.
     """
+    for params in batch:
+        ft._check_weight_stage(instance, params, h)
     n = instance.n
     if n - h > ENUMERATION_CAP:
         raise MdpError(f"{n - h} free stages exceed the enumeration cap {ENUMERATION_CAP}")
     universe = instance.universe
     live = universe.min_var > h
-    probs = np.array(
-        [[ft.softmax_prob(j, params) for j in range(h + 1, n + 1)] for params in batch],
-        dtype=np.float64,
-    ).reshape(len(batch), n - h)
+    probs = np.array([params.softmax_probs[h:] for params in batch]).reshape(len(batch), n - h)
     head = np.zeros(len(batch), dtype=np.float64)
     m = np.zeros((len(batch), universe.size), dtype=np.float64)
     values = np.zeros(n, dtype=np.int64)
@@ -464,10 +463,9 @@ def check_realizability_softmax(
                             {**repro, "action": action, "kind": "dp_vs_enumeration",
                              "dp": dp, "enumeration": brute}
                         )
-                probs = [ft.softmax_prob(j, params) for j in range(1, n + 1)]
                 for (state, h, action, phi), split in zip(cells, splits):
                     cases += 1
-                    q = softmax_q_of_split(split, probs, formula.clause_count)
+                    q = softmax_q_of_split(split, params.softmax_probs, formula.clause_count)
                     got = phi.dot(w[h])
                     if abs(q - got) > tol:
                         failures.append(
@@ -717,8 +715,10 @@ def check_reduction_roundtrip(
 # with a call counter on each op and asserts this map exactly
 SUITE_COVERAGE: dict[str, list[str]] = {
     "features.psp_feature": [],
-    "features.greedy_action": ["realizability_greedy", "reduction_roundtrip"],
-    "features.f_threshold": ["realizability_greedy", "construction_scaling"],
+    "features.greedy_action": [
+        "realizability_greedy", "construction_scaling", "reduction_roundtrip"
+    ],
+    "features.f_threshold": ["realizability_greedy"],
     "features.softmax_prob": [
         "realizability_softmax", "construction_scaling", "reduction_roundtrip"
     ],

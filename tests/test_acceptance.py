@@ -97,7 +97,7 @@ def test_criterion_1_worked_example_fidelity():
     for leaf in product((0, 1), repeat=3):
         if leaf not in ((0, 1, 0), (1, 0, 1)):
             ok = ok and reward(instance, leaf) == 1
-    ok = ok and psp_feature(1, 1, 3).vector == (1, 0, 0)
+    ok = ok and psp_feature(1, 1, 3) == (1, 0, 0)
     params = PolicyParams((1.0, 1.0, 1.0))
     phi = realizability_feature(instance, (1, -1, -1), 0)
     ok = ok and phi.b == 1

@@ -85,9 +85,9 @@ class TestLiteralAndClause:
         key = Clause.from_ints([np.int64(-3), np.int32(1)]).key
         assert key == (0, 5) and all(type(k) is int for k in key)
 
-    def test_from_json_non_integer_literal_is_cnf_error(self):
+    def test_formula_from_ints_non_integer_literal_is_cnf_error(self):
         with pytest.raises(CnfError, match="is not an integer"):
-            Formula.from_json({"n": 2, "clauses": [[1.5]]})
+            Formula.from_ints(2, [[1.5]])
 
     def test_clause_rejects_oversize(self):
         with pytest.raises(CnfError):
@@ -137,7 +137,8 @@ class TestParseDimacs:
             parse_dimacs("p cnf 2 1\n1 2 3 4 0\n")
 
     def test_json_roundtrip(self, example1):
-        assert Formula.from_json(example1.to_json()) == example1
+        data = example1.to_json()
+        assert Formula.from_ints(data["n"], data["clauses"]) == example1
 
     def test_dimacs_roundtrip(self, example1):
         assert parse_dimacs(example1.to_dimacs()) == example1

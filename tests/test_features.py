@@ -46,17 +46,17 @@ def falsified_by(clause, prefix):
 
 class TestPspFeature:
     def test_stage_one(self):
-        assert psp_feature(1, 1, 3).vector == (1, 0, 0)
-        assert psp_feature(1, 0, 3).vector == (-1, 0, 0)
+        assert psp_feature(1, 1, 3) == (1, 0, 0)
+        assert psp_feature(1, 0, 3) == (-1, 0, 0)
 
     def test_stage_three(self):
-        assert psp_feature(3, 1, 3).vector == (0, 0, 1)
+        assert psp_feature(3, 1, 3) == (0, 0, 1)
 
     def test_one_hot_everywhere(self):
         for d_prime in (1, 4, 7):
             for h in range(1, d_prime + 1):
                 for action in (0, 1):
-                    vec = psp_feature(h, action, d_prime).vector
+                    vec = psp_feature(h, action, d_prime)
                     nonzero = [(i, v) for i, v in enumerate(vec) if v != 0]
                     assert nonzero == [(h - 1, 1 if action else -1)]
 

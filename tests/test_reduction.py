@@ -141,7 +141,7 @@ class TestDecide:
         assert data["decision"] == "Yes"
         assert data["achieved_fraction"] == "1/1"
         assert data["delta"] == "1/10"
-        recovered = Formula.from_json(data["formula"])
+        recovered = Formula.from_ints(data["formula"]["n"], data["formula"]["clauses"])
         assert satisfied_fraction(recovered, tuple(data["extracted"])) == 1
 
     def test_exact_solver_uses_only_generative_access(self, example1_instance):

@@ -32,7 +32,7 @@ from sat2mdp import (
     softmax_prob,
     softmax_weight,
 )
-from sat2mdp.mdp import MdpError
+from sat2mdp.mdp import MdpError, initial_state, stage
 from sat2mdp.policies import iter_states
 from sat2mdp.verify import (
     SUITE_COVERAGE,
@@ -124,6 +124,24 @@ class TestWeightEnumerationOracle:
         instance = build_mdp(Formula.from_ints(22, [[22]]))
         with pytest.raises(MdpError, match="cap"):
             softmax_weight_by_enumeration(instance, PolicyParams((0.5,) * 22), 1)
+
+    @pytest.mark.parametrize("theta, h", [
+        ((0.3, -0.2, 0.5, 9.0), 1),
+        ((0.3, -0.2, 0.5), 0),
+        ((0.3, -0.2, 0.5), 4),
+        ((0.3, -0.2), 3),
+    ])
+    def test_refuses_what_the_closed_form_refuses(self, example1_instance, theta, h):
+        params = PolicyParams(theta)
+        with pytest.raises(ValueError) as closed:
+            softmax_weight(example1_instance, params, h)
+        with pytest.raises(ValueError) as single:
+            softmax_weight_by_enumeration(example1_instance, params, h)
+        # one bad draw refuses the whole batch, wherever it sits
+        valid = PolicyParams((0.1, 0.2, 0.3))
+        with pytest.raises(ValueError) as batched:
+            softmax_weights_by_enumeration(example1_instance, [valid, params], h)
+        assert str(single.value) == str(batched.value) == str(closed.value)
 
 
 def call_counts(run, **functions):
@@ -310,6 +328,62 @@ class TestPolicyIndependentWorkOnce:
         assert leaves
         for instance, got in leaves.values():
             assert len(got) == len(set(got)) <= 2**instance.n
+
+
+class TestOneDerivationPerPolicy:
+    """Every reader of a policy's whole per-stage vector shares one
+    derivation of it: n per-stage calls per ``PolicyParams``, however many
+    weights, cells, roll-outs and extractions read it."""
+
+    N = 5
+    THETA = (0.4, -1.0, 0.0, 2.5, -0.3)
+
+    @pytest.fixture
+    def instance(self):
+        return build_mdp(random_formula(self.N, np.random.default_rng(0)))
+
+    def cells(self, at_stage=None):
+        return [(state, action) for state in iter_states(self.N) for action in (0, 1)
+                if at_stage in (None, stage(state))]
+
+    def test_greedy_readers(self, instance):
+        params = PolicyParams(self.THETA)
+
+        def read_all():
+            for h in range(1, self.N + 1):
+                sat2mdp.features.greedy_weight(instance, params, h)
+            for state, action in self.cells(at_stage=self.N - 1):
+                sat2mdp.features.lookahead_state(state, action, params)
+            for state, action in self.cells():
+                sat2mdp.policies.eval_q_greedy(instance, params, state, action)
+            return extract_assignment_greedy(params, self.N)
+
+        extracted, counts = call_counts(
+            read_all,
+            greedy_action=sat2mdp.features.greedy_action,
+            f_threshold=sat2mdp.features.f_threshold,
+        )
+        assert extracted == (1, 0, 0, 1, 0)
+        assert counts == {"greedy_action": self.N, "f_threshold": 0}
+
+    def test_softmax_readers(self, instance):
+        params = PolicyParams(self.THETA)
+        root = initial_state(self.N)
+
+        def read_all():
+            for h in range(1, self.N + 1):
+                softmax_weight(instance, params, h)
+                softmax_weight_by_enumeration(instance, params, h)
+            for state, action in self.cells():
+                sat2mdp.policies.eval_q_softmax(instance, params, state, action)
+            for action in (0, 1):
+                sat2mdp.policies.enumerate_trajectories(instance, params, root, action)
+            sample_trajectory(instance, params, 0)
+            extract_assignment_softmax(params, self.N, mode="round")
+            extract_assignment_softmax(params, self.N, mode="sample", seed=0)
+
+        _, counts = call_counts(read_all, softmax_prob=softmax_prob)
+        assert counts == {"softmax_prob": self.N}
 
 
 class TestFaultStaysWithItsPolicy:
