@@ -218,8 +218,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         if args.v_star is None:
             raise ValueError("softmax-eps needs --v-star")
         value = epsilon_bound_softmax(
-            float(as_fraction(args.v_star)), args.H, args.b, args.C,
-            float(as_fraction(args.delta)), args.p0,
+            args.v_star, args.H, args.b, args.C, float(as_fraction(args.delta)), args.p0
         )
     else:  # unreachable through argparse choices
         raise ValueError(f"unknown bound kind {args.kind!r}")

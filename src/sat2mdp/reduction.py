@@ -104,9 +104,10 @@ def extract_assignment_softmax(
 ) -> Assignment:
     """Assignment from a softmax policy.
 
-    mode="round": x_h = 1 iff the stage-h probability of action 1 is >= 1/2
-    (ties go to 0, mirroring the greedy tie rule).  mode="sample": draw each
-    x_h independently, reproducibly from the seed.
+    mode="round": x_h = 1 iff the stage-h probability of action 1 is above
+    1/2, so a probability of exactly 1/2 gives 0, mirroring the greedy tie
+    rule.  mode="sample": draw each x_h independently, reproducibly from the
+    seed.
     """
     if params.d_prime != n:
         raise ReductionError(f"theta' has {params.d_prime} entries, expected n={n}")
@@ -197,16 +198,21 @@ def calibration_t(H: int, b: int, C: int, p0: float) -> float:
 
 
 def epsilon_bound_softmax(
-    v_star: float, H: int, b: int, C: int, delta: float, p0: float
+    v_star: Fraction | float | str, H: int, b: int, C: int, delta: float, p0: float
 ) -> float:
     """Solver-tolerance budget for the softmax chain.
 
     v* + delta - (b/C) sqrt(H ln(1/p0) / 2) - 1.  May be negative; a
     nonpositive value means the instance is too small for the chain.
+    ReductionError for a v* outside [0, 1], where this MDP's values lie,
+    checked exactly before any float conversion.
     """
+    v = as_fraction(v_star)
+    if not 0 <= v <= 1:
+        raise ReductionError(f"v* must be in [0, 1], got {v_star}")
     if delta <= 0:
         raise ReductionError(f"delta must be positive, got {delta}")
-    return float(v_star) + float(delta) - calibration_t(H, b, C, p0) - 1.0
+    return float(v) + float(delta) - calibration_t(H, b, C, p0) - 1.0
 
 
 def gap3sat_to_delta_b(
@@ -279,8 +285,8 @@ def decide_max3sat(
         details["epsilon_cap"] = frac_str(d / 2)
     else:
         if v_star is not None:
+            budget = epsilon_bound_softmax(v_star, H, b, C, float(d), p0_f)
             v = float(as_fraction(v_star))
-            budget = epsilon_bound_softmax(v, H, b, C, float(d), p0_f)
             details["epsilon_budget"] = budget
             details["v_star"] = v
             if budget <= 0:

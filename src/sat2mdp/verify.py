@@ -9,15 +9,17 @@ and excluded from the canonical form).
 The realizability feature phi(s, a) depends on the formula alone and only
 the weight depends on the policy, so the greedy and softmax suites build
 phi once per formula (``_feature_cells``) and check that one table against
-every policy's weight.  For the greedy class that check is one identity of
-integer numerators per formula, Q = 1 b^T + M Y^T over every (sign
-pattern, cell) pair: Q is read from the formula's table of 2^n leaf counts
-(``cnf.leaf_counts``), b and Y stack phi's satisfied counts and undecided
-multiplicities, and M stacks every pattern's stage weight.  Fractions are
-built only for the failures recorded, and the look-ahead check reads each
-leaf's reward once per formula and compares it with q as integers.  The
-scalar evaluators (``policies.eval_q_greedy``, ``RealizabilityFeature.dot``)
-are held to the same table by the tests.
+every policy's weight.  Both run through one sweep loop (``_sweep``) and
+read one table of each formula's 2^n leaf rewards (``_leaf_rewards``).
+For the greedy class the check is one identity of integer numerators per
+formula, Q = 1 b^T + M Y^T over every (sign pattern, cell) pair: Q is read
+from the formula's table of 2^n leaf counts (``cnf.leaf_counts``), b and Y
+stack phi's satisfied counts and undecided multiplicities, and M stacks
+every pattern's stage weight.  Fractions are built only for the failures
+recorded, and the look-ahead check compares q with the reward table at
+each roll-out leaf's index as integer arrays.  The tests hold the scalar
+evaluators (``policies.eval_q_greedy``, ``RealizabilityFeature.dot``) to
+the same table, and ``features.lookahead_state`` to the leaf index.
 
 For the softmax class only the probabilities depend on theta': each cell's
 prefix is split once per formula, the probability vector is built once per
@@ -27,8 +29,7 @@ drawn before its checks, and the enumeration-defined weight oracle
 (``softmax_weights_by_enumeration``) runs once per (formula, h) over all of
 the formula's draws: which clauses a continuation satisfies does not depend
 on theta', only its probability does.  The trajectory-enumeration oracle at
-the root still runs per draw, and each root leaf's reward is read once per
-formula.
+the root still runs per draw.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -193,6 +194,33 @@ def _feature_cells(
     return cells
 
 
+def _leaf_rewards(instance: MdpInstance) -> list[Fraction]:
+    """``reward`` of each of the 2^n leaves, in ``cnf.leaf_counts`` order
+    (x1 the high bit): the one reward table both realizability suites read,
+    built once per formula."""
+    return [reward(instance, leaf) for leaf in product((0, 1), repeat=instance.n)]
+
+
+def _sweep(
+    suite: str, n_max: int, formulas_per_n: int, seed: int,
+    check: Callable[[Formula, np.random.Generator], tuple[int, list[dict]]], **params,
+) -> SuiteResult:
+    """``check(formula, rng) -> (cases, failures)`` summed over
+    ``formulas_per_n`` random formulas per n up to n_max, all drawn from one
+    generator that the check may draw from too; ``params`` are recorded
+    after n_max and formulas_per_n."""
+    started = time.perf_counter()
+    rng = np.random.default_rng(seed)
+    cases, failures = 0, []
+    for n in range(1, n_max + 1):
+        for _ in range(formulas_per_n):
+            formula_cases, formula_failures = check(random_formula(n, rng, max_occurrences=3), rng)
+            cases += formula_cases
+            failures += formula_failures
+    params = {"n_max": n_max, "formulas_per_n": formulas_per_n, **params}
+    return SuiteResult(suite, cases, failures, seed, params, time.perf_counter() - started)
+
+
 def _q_numerators(formula: Formula) -> np.ndarray:
     """Q[p, c]: C times the greedy q of cell c under sign pattern p.
 
@@ -264,27 +292,21 @@ def _greedy_formula_failures(formula: Formula) -> tuple[int, list[dict]]:
     trace = dots[rows, 2**stages - 2 + (rows >> (n - stages))]
     for p, i in zip(*np.nonzero(trace[:, :-1] != trace[:, 1:])):
         fail(p, "telescoping", h=int(i) + 2)
-    # one stage out, q must equal the look-ahead leaf reward (stage n - 1
-    # has no cells when n = 1), read once per distinct leaf and kept as the
-    # integers (C * numerator, denominator), so that q = q_row[c] / C equals
-    # it exactly when q_row[c] * denominator == C * numerator; the tie rules
-    # are checked per pattern too
-    penultimate = range(max(0, 2 ** (n - 1) - 2), last)
-    leaf_rewards: dict[State, tuple[int, int]] = {}
-    for p, (params, q_row, passed_row) in enumerate(zip(params_of, q.tolist(), passed.tolist())):
+    for p, params in enumerate(params_of):
         for h in range(1, n + 1):
             if greedy_action(h, params) != f_threshold(params, h):
                 fail(p, "tie_rule_mismatch", h=h)
-        for c in penultimate:
-            if passed_row[c]:
-                state, _, action, _ = cells[c]
-                leaf = ft.lookahead_state(state, action, params)
-                if leaf not in leaf_rewards:
-                    r = reward(instance, leaf)
-                    leaf_rewards[leaf] = (r.numerator * C, r.denominator)
-                num, den = leaf_rewards[leaf]
-                if q_row[c] * den != num:
-                    fail(p, "lookahead_form", c)
+    # one stage out, q must equal the reward of the greedy roll-out's leaf,
+    # at the index ``_q_numerators`` reads at h = n - 1: the cell's bits P,
+    # then the pattern's last bit (no cells when n = 1); q / C equals the
+    # reward num / (C * den) exactly when q * den == num
+    num, den = np.array([(r.numerator * C, r.denominator) for r in _leaf_rewards(instance)],
+                        dtype=np.int64).T
+    first = 2 ** (n - 1) - 2
+    ahead = np.arange(max(0, first), last)
+    leaves = ((ahead - first) << 1) | (rows & 1)
+    for p, i in zip(*np.nonzero(passed[:, ahead] & (q[:, ahead] * den[leaves] != num[leaves]))):
+        fail(p, "lookahead_form", ahead[i])
     # per pattern: n tie-rule checks, one per cell, n - 1 telescoping steps
     return len(patterns) * (2 * n - 1 + len(cells)), failures
 
@@ -312,25 +334,8 @@ def check_realizability_greedy(
     _require_positive(n_max=n_max, formulas_per_n=formulas_per_n)
     if n_max > GREEDY_SUITE_N_MAX:
         raise ValueError(f"full greedy sweep is O(4^n); n_max={n_max} > {GREEDY_SUITE_N_MAX}")
-    started = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    failures: list[dict] = []
-    cases = 0
-    for n in range(1, n_max + 1):
-        for _ in range(formulas_per_n):
-            formula_cases, formula_failures = _greedy_formula_failures(
-                random_formula(n, rng, max_occurrences=3)
-            )
-            cases += formula_cases
-            failures += formula_failures
-    return SuiteResult(
-        suite="realizability_greedy",
-        cases=cases,
-        failures=failures,
-        seed=seed,
-        params={"n_max": n_max, "formulas_per_n": formulas_per_n, "tolerance": 0},
-        wall_time=time.perf_counter() - started,
-    )
+    return _sweep("realizability_greedy", n_max, formulas_per_n, seed,
+                  lambda formula, rng: _greedy_formula_failures(formula), tolerance=0)
 
 
 def softmax_weights_by_enumeration(
@@ -382,6 +387,70 @@ def softmax_weight_by_enumeration(
     return heads.item(0), m[0]
 
 
+def _softmax_formula_failures(
+    formula: Formula, rng: np.random.Generator, thetas_per_formula: int, tol: float,
+    weight_tol: float,
+) -> tuple[int, list[dict]]:
+    """(cases, failures) of the softmax checks on one formula, over
+    ``thetas_per_formula`` theta' draws from ``rng``."""
+    n = formula.n
+    instance = build_mdp(formula)
+    cells = _feature_cells(instance)
+    # the split of each cell's checked step prefix, as eval_q_softmax takes it
+    splits = [
+        formula.split(step(instance, state, action)[1][:h])
+        for state, h, action, _ in cells
+    ]
+    rewards = [float(r) for r in _leaf_rewards(instance)]
+    clauses = formula.to_json()["clauses"]
+    # every draw of the formula first: the suite draws nothing else
+    # inside a formula, so the generator's order is unchanged
+    thetas = [
+        tuple(float(v) for v in rng.uniform(-3.0, 3.0, size=n))
+        for _ in range(thetas_per_formula)
+    ]
+    batch = [PolicyParams(theta) for theta in thetas]
+    weights = [
+        {h: ft.softmax_weight(instance, params, h) for h in range(1, n + 1)}
+        for params in batch
+    ]
+    repros = [{"formula": clauses, "n": n, "theta": list(theta)} for theta in thetas]
+    cases, failures = 0, []
+    # the weight-definition check, one oracle run per stage over every draw
+    for h in range(1, n + 1):
+        cases += len(batch)
+        heads, m_oracle = softmax_weights_by_enumeration(instance, batch, h)
+        closed = np.stack([w[h].m_dense() for w in weights])
+        diffs = np.max(np.abs(closed - m_oracle), axis=1)
+        for repro, head, diff in zip(repros, heads.tolist(), diffs.tolist()):
+            if abs(head - 1.0) > weight_tol:
+                failures.append({**repro, "h": h, "kind": "head_sum", "head": head})
+            if diff > weight_tol:
+                failures.append({**repro, "h": h, "kind": "weight_oracle", "max_diff": diff})
+    root = (-1,) * n
+    for repro, params, w in zip(repros, batch, weights):
+        for action in ACTIONS:
+            cases += 1
+            dp = eval_q_softmax(instance, params, root, action)
+            brute = 0.0
+            for traj in enumerate_trajectories(instance, params, root, action):
+                leaf = sum(bit << (n - 1 - j) for j, bit in enumerate(traj.final))
+                brute += traj.probability * rewards[leaf]
+            if abs(dp - brute) > weight_tol:
+                failures.append(
+                    {**repro, "action": action, "kind": "dp_vs_enumeration",
+                     "dp": dp, "enumeration": brute}
+                )
+        for (state, h, action, phi), split in zip(cells, splits):
+            cases += 1
+            q = softmax_q_of_split(split, params.softmax_probs, formula.clause_count)
+            got = phi.dot(w[h])
+            if abs(q - got) > tol:
+                failures.append({**repro, "state": list(state), "action": action,
+                                 "kind": "dot_mismatch", "q": q, "dot": got})
+    return cases, failures
+
+
 def check_realizability_softmax(
     n_max: int = 5,
     formulas_per_n: int = 10,
@@ -395,7 +464,7 @@ def check_realizability_softmax(
     q (per-clause probability path) must match the feature/weight inner
     product within tol on every non-terminal cell, and the closed-form
     weights must match the enumeration-defined weights within weight_tol.
-    The features, each cell's split and each root leaf's reward are built
+    The features, each cell's split and each leaf's reward are built
     once per formula; the probability vector is built once per theta' draw
     and scores every cell's q from its split.  ValueError when n_max,
     formulas_per_n or thetas_per_formula is below 1, n_max is above the cap,
@@ -409,89 +478,9 @@ def check_realizability_softmax(
         raise ValueError(
             f"trajectory-sum oracle is exponential; n_max={n_max} > {SOFTMAX_SUITE_N_MAX}"
         )
-    started = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    failures: list[dict] = []
-    cases = 0
-    for n in range(1, n_max + 1):
-        for _ in range(formulas_per_n):
-            formula = random_formula(n, rng, max_occurrences=3)
-            instance = build_mdp(formula)
-            cells = _feature_cells(instance)
-            # the split of each cell's checked step prefix, as eval_q_softmax takes it
-            splits = [
-                formula.split(step(instance, state, action)[1][:h])
-                for state, h, action, _ in cells
-            ]
-            root_rewards: dict[State, float] = {}
-            clauses = formula.to_json()["clauses"]
-            # every draw of the formula first: the suite draws nothing else
-            # inside a formula, so the generator's order is unchanged
-            thetas = [
-                tuple(float(v) for v in rng.uniform(-3.0, 3.0, size=n))
-                for _ in range(thetas_per_formula)
-            ]
-            batch = [PolicyParams(theta) for theta in thetas]
-            weights = [
-                {h: ft.softmax_weight(instance, params, h) for h in range(1, n + 1)}
-                for params in batch
-            ]
-            repros = [{"formula": clauses, "n": n, "theta": list(theta)} for theta in thetas]
-            # the weight-definition check, one oracle run per stage over every draw
-            for h in range(1, n + 1):
-                cases += len(batch)
-                heads, m_oracle = softmax_weights_by_enumeration(instance, batch, h)
-                closed = np.stack([w[h].m_dense() for w in weights])
-                diffs = np.max(np.abs(closed - m_oracle), axis=1)
-                for repro, head, diff in zip(repros, heads.tolist(), diffs.tolist()):
-                    if abs(head - 1.0) > weight_tol:
-                        failures.append({**repro, "h": h, "kind": "head_sum", "head": head})
-                    if diff > weight_tol:
-                        failures.append({**repro, "h": h, "kind": "weight_oracle", "max_diff": diff})
-            for repro, params, w in zip(repros, batch, weights):
-                root = (-1,) * n
-                for action in ACTIONS:
-                    cases += 1
-                    dp = eval_q_softmax(instance, params, root, action)
-                    brute = 0.0
-                    for traj in enumerate_trajectories(instance, params, root, action):
-                        if traj.final not in root_rewards:
-                            root_rewards[traj.final] = float(reward(instance, traj.final))
-                        brute += traj.probability * root_rewards[traj.final]
-                    if abs(dp - brute) > weight_tol:
-                        failures.append(
-                            {**repro, "action": action, "kind": "dp_vs_enumeration",
-                             "dp": dp, "enumeration": brute}
-                        )
-                for (state, h, action, phi), split in zip(cells, splits):
-                    cases += 1
-                    q = softmax_q_of_split(split, params.softmax_probs, formula.clause_count)
-                    got = phi.dot(w[h])
-                    if abs(q - got) > tol:
-                        failures.append(
-                            {
-                                **repro,
-                                "state": list(state),
-                                "action": action,
-                                "kind": "dot_mismatch",
-                                "q": q,
-                                "dot": got,
-                            }
-                        )
-    return SuiteResult(
-        suite="realizability_softmax",
-        cases=cases,
-        failures=failures,
-        seed=seed,
-        params={
-            "n_max": n_max,
-            "formulas_per_n": formulas_per_n,
-            "thetas_per_formula": thetas_per_formula,
-            "tol": tol,
-            "weight_tol": weight_tol,
-        },
-        wall_time=time.perf_counter() - started,
-    )
+    settings = {"thetas_per_formula": thetas_per_formula, "tol": tol, "weight_tol": weight_tol}
+    return _sweep("realizability_softmax", n_max, formulas_per_n, seed,
+                  partial(_softmax_formula_failures, **settings), **settings)
 
 
 def _timed(fn, repeats: int = 3) -> float:
@@ -658,7 +647,9 @@ def check_reduction_roundtrip(
     contradiction = Formula.from_ints(1, [[1], [-1]])
     report = decide_max3sat(contradiction, d, exact_solver, "greedy", eps)
     if report.decision or report.achieved_fraction != Fraction(1, 2):
-        failures.append({"kind": "expected_no", "formula": contradiction.to_json()["clauses"]})
+        failures.append({"kind": "expected_no", "formula": contradiction.to_json()["clauses"],
+                         "n": contradiction.n, "delta": frac_str(d), "epsilon": frac_str(eps),
+                         "achieved": frac_str(report.achieved_fraction)})
 
     # side checks: bounds, transforms, extraction modes, concentration
     cases += 1
@@ -727,7 +718,7 @@ SUITE_COVERAGE: dict[str, list[str]] = {
     ],
     "features.greedy_weight": ["realizability_greedy", "construction_scaling"],
     "features.softmax_weight": ["realizability_softmax", "construction_scaling"],
-    "features.lookahead_state": ["realizability_greedy"],
+    "features.lookahead_state": [],
     "policies.eval_q_greedy": [],
     "policies.eval_q_softmax": ["realizability_softmax", "reduction_roundtrip"],
     "policies.softmax_q_of_split": ["realizability_softmax", "reduction_roundtrip"],

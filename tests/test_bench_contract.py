@@ -14,6 +14,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,15 @@ def test_workload_round_passes_its_checks(name, tmp_path):
     workload.setup(0, tmp_path)
     errors = [(op.label, op.check(op.run())) for op in workload.round(1)]
     assert all(error is None for _, error in errors), errors
+
+
+def test_traced_decide_round_makes_n_2n_queries(monkeypatch, tmp_path):
+    # the traced run fails any decision whose generative_query calls are
+    # not n * 2^n; one decide-planted round reaches n = 12
+    monkeypatch.syspath_prepend(str(BENCH))
+    workload = WORKLOADS["decide-planted"]()
+    workload.setup(0, tmp_path)
+    run = RUN.Run(workload)
+    measured = RUN.measure_traced(run, 1, time.perf_counter() + 600)
+    assert run.failed == 0, run.errors
+    assert measured["metrics"]["reduction.queries_per_decision"][0] == 12 * 2**12

@@ -309,6 +309,23 @@ def test_hostile_number_exit_2(capsys, cnf_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("v_star", ["2", "-5", "1e308", "1e400"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "{cnf}", "--delta", "1/10", "--class", "softmax", "--epsilon", "1e300"],
+        ["bound", "--kind", "softmax-eps"],
+    ],
+)
+def test_v_star_outside_unit_interval_exit_2(capsys, cnf_path, argv, v_star):
+    # the MDP's values lie in [0, 1]: a v* above 1 would pass the softmax
+    # budget check for any epsilon, and 1e400 does not fit a float
+    code, out, err = run(capsys, [part.format(cnf=cnf_path) for part in argv]
+                         + [f"--v-star={v_star}"])
+    assert code == 2 and out == ""
+    assert err == f"error: v* must be in [0, 1], got {v_star}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -192,6 +192,20 @@ class TestGreedySuite:
         assert counts == {"fraction": tables, "eval_q_greedy": 0}
 
 
+class TestLookaheadLeafIndex:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_greedy_rollout_leaf_is_cell_bits_then_pattern_low_bit(self, n):
+        # the suite's look-ahead reads the leaf of (pattern p, stage n - 1
+        # cell with prefix-and-action bits P) at index (P << 1) | (p & 1);
+        # lookahead_state walks the roll-out that index stands for
+        for p, signs in enumerate(itertools.product((0, 1), repeat=n)):
+            params = PolicyParams.from_signs(signs)
+            for P, bits in enumerate(itertools.product((0, 1), repeat=n - 1)):
+                state = bits[:-1] + (-1, -1)
+                leaf = sat2mdp.features.lookahead_state(state, bits[-1], params)
+                assert int("".join(map(str, leaf)), 2) == (P << 1) | (p & 1)
+
+
 class TestSoftmaxSuite:
     def test_small_sweep_passes(self):
         result = check_realizability_softmax(
@@ -308,7 +322,8 @@ class TestPolicyIndependentWorkOnce:
 
     def test_greedy_lookahead_reads_each_leaf_once(self, monkeypatch):
         # every (sign pattern, stage n - 1 cell) pair is still looked ahead,
-        # and reward reads each of the formula's 2^n leaves at most once
+        # by the leaf's index rather than a state walk, and reward reads
+        # each of the formula's 2^n leaves at most once
         original = sat2mdp.verify.reward
         leaves = {}
 
@@ -323,8 +338,9 @@ class TestPolicyIndependentWorkOnce:
             lookahead_state=sat2mdp.features.lookahead_state,
         )
         assert result.passed
-        # 2^n patterns times 2^(n-1) stage-(n-1) cells; n = 1 has none
-        assert counts["lookahead_state"] == sum(2**n * 2 ** (n - 1) for n in range(2, 7)) == 2728
+        assert counts["lookahead_state"] == 0
+        # one table of 2^n leaf rewards per formula, one formula per n
+        assert sum(len(got) for _, got in leaves.values()) == sum(2**n for n in range(1, 7)) == 126
         assert leaves
         for instance, got in leaves.values():
             assert len(got) == len(set(got)) <= 2**instance.n
@@ -594,6 +610,29 @@ class TestRoundtripSuite:
         assert record["achieved"] == "5/6"
         assert Fraction(record["achieved"]) == soft.achieved_fraction
         assert comparisons == (False, True, False)
+
+    def test_expected_no_record_replays(self, monkeypatch):
+        # decide's recount made 2/5 too high on one-variable formulas: the
+        # contradiction then achieves 9/10, exactly 1 - delta at delta = 1/10,
+        # so it decides Yes; with the fault still in place the record alone
+        # rebuilds the call, which decides Yes again at the recorded value
+        original = sat2mdp.reduction.satisfied_fraction
+
+        def raised(formula, assignment):
+            value = original(formula, assignment)
+            return value + Fraction(2, 5) if formula.n == 1 else value
+
+        monkeypatch.setattr(sat2mdp.reduction, "satisfied_fraction", raised)
+        result = check_reduction_roundtrip(count=1, n=4, seed=0)
+        failures = json.loads(result.canonical_json())["failures"]
+        [record] = [f for f in failures if f["kind"] == "expected_no"]
+        report = decide_max3sat(
+            Formula.from_ints(record["n"], record["formula"]), Fraction(record["delta"]),
+            exact_solver, "greedy", Fraction(record["epsilon"]),
+        )
+        assert record["achieved"] == "9/10"
+        assert report.decision
+        assert report.achieved_fraction == Fraction(record["achieved"])
 
     @pytest.mark.parametrize("delta", ["1/2", "3/4"])
     def test_contradiction_premise_guard(self, delta):
