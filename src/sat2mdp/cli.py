@@ -49,6 +49,27 @@ from .verify import SOFTMAX_SUITE_N_MAX, SUITES, run_suites
 USER_ERRORS = (CnfError, MdpError, ReductionError, ValueError, OSError, OverflowError)
 
 
+# flags whose value is an exact number, as the library reads it with
+# ``as_fraction``: flag -> argparse dest
+_EXACT_FLAGS = {"--delta": "delta", "--epsilon": "epsilon", "--p0": "p0", "--v-star": "v_star"}
+
+
+def _check_exact_flags(args: argparse.Namespace) -> None:
+    """Refuse an exact-number flag value that ``as_fraction`` cannot read,
+    such as nan or 1/0, with a ValueError that names the flag.  A valid value
+    stays text, so the library reads it as before."""
+    for flag, dest in _EXACT_FLAGS.items():
+        value = getattr(args, dest, None)
+        if not isinstance(value, str):  # not given, or bound's float --p0
+            continue
+        try:
+            as_fraction(value)
+        except ValueError:
+            raise ValueError(
+                f"{flag} must be an exact number such as 1/10 or 0.1, got {value!r}"
+            ) from None
+
+
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -374,6 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has printed its usage error or help
         return exc.code
     try:
+        _check_exact_flags(args)
         return args.fn(args)
     except USER_ERRORS as exc:
         _say(f"error: {exc}")

@@ -14,16 +14,27 @@ state-action pair calls it for the stage and the next state, so all of
 them raise the same errors in the same order.  ``generative_query`` is
 ``step`` plus the leaf reward: ``Formula.split``'s count of the leaf, a
 popcount over the formula's clause bitsets, looked up in the formula's
-table of satisfied fractions.  ``transition`` and ``reward`` are the
-references: ``generative_query`` returns what ``transition`` followed by
-``reward`` would, with the same errors, and the policy evaluators build
-their leaves without either, so both keep every check for the tests that
-hold those paths to them.  The 2^(n+1) - 1 states are never materialized;
-everything is computed on demand from the formula.  An ``MdpInstance``
-holds only the formula: its dimensions are closed forms.  The Theta(n^3)
-clause universe depends on n alone: every instance of one n reads one
-universe, enumerated on first use and kept for the process, so paths that
-never read it (the exhaustive solver, and its cap check) never pay for it.
+table of satisfied fractions.  The one exception is its cursor fast path.
+Each instance keeps the non-final next state its last query returned,
+with that state's stage.  A query from that very tuple (by identity, not
+equality) with an action in ``ACTIONS`` skips ``step`` and its four
+``stage`` scans, and joins the known prefix to the shared tail directly.
+That is sound because the instance built the tuple itself, in prefix
+form and of length n, and a tuple cannot change; the cursor holds a
+reference to it, so no other object can take its id.  Any other query,
+a list or an equal copy included, goes through ``step``, so every error
+keeps its type, message and order.  A caller that chains queries, as the
+exact solver does, pays for ``step`` only on each chain's first query.
+``transition`` and ``reward`` are the references: ``generative_query``
+returns what ``transition`` followed by ``reward`` would, with the same
+errors, and the policy evaluators build their leaves without either, so
+both keep every check for the tests that hold those paths to them.  The
+2^(n+1) - 1 states are never materialized; everything is computed on
+demand from the formula.  An ``MdpInstance`` holds the formula and the
+query cursor: its dimensions are closed forms.  The Theta(n^3) clause
+universe depends on n alone: every instance of one n reads one universe,
+enumerated on first use and kept for the process, so paths that never
+read it (the exhaustive solver, and its cap check) never pay for it.
 """
 
 from __future__ import annotations
@@ -91,9 +102,22 @@ class MdpInstance:
         """_next_tails[a][k]: (a,) then k entries -1, for k < n.
 
         The part of a next state from the slot that action a writes on;
-        ``step`` joins it to the state's assigned prefix.
+        ``step``, and ``generative_query``'s fast path, join it to the
+        state's assigned prefix.
         """
         return {a: [(a,) + (-1,) * k for k in range(self.n)] for a in ACTIONS}
+
+    @cached_property
+    def _cursor(self) -> list[tuple[object, int]]:
+        """[(state, h)]: the non-final next state that the last
+        ``generative_query`` returned, and its stage.
+
+        Starts at a private sentinel that no caller can pass.  Each query
+        replaces the one pair whole, so a reader never sees a state with
+        another state's stage; callers that interleave queries on one
+        instance, threads included, only miss the fast path.
+        """
+        return [(object(), 0)]
 
     @cached_property
     def d(self) -> int:
@@ -199,10 +223,18 @@ def generative_query(
 
     Equal to ``(nxt, reward(instance, nxt))`` for ``nxt = transition(state,
     action)``, raising the same errors in the same order through ``step``.
-    The leaf is counted directly: ``step`` has just built and checked it.
+    The leaf is counted directly: this query has just built it, in prefix
+    form.  A query from the very tuple the instance's last query returned
+    (by identity) skips ``step``: the instance built that state itself, in
+    prefix form and of length n, and knows its stage.
     """
-    h, nxt = step(instance, state, action)
-    if h < len(nxt):
+    last, h = instance._cursor[0]
+    if state is last and action in ACTIONS:
+        nxt = state[: h - 1] + instance._next_tails[action][instance.n - h]
+    else:
+        h, nxt = step(instance, state, action)
+    if h < instance.n:
+        instance._cursor[0] = (nxt, h + 1)
         return nxt, ZERO_REWARD
     formula = instance.formula
     return nxt, formula.fraction_of[formula.split(nxt)[0]]

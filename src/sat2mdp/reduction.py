@@ -197,6 +197,14 @@ def calibration_t(H: int, b: int, C: int, p0: float) -> float:
     return t
 
 
+def _checked_v_star(v_star: Fraction | float | str) -> Fraction:
+    """v* read exactly; ReductionError outside [0, 1], where this MDP's values lie."""
+    v = as_fraction(v_star)
+    if not 0 <= v <= 1:
+        raise ReductionError(f"v* must be in [0, 1], got {v_star}")
+    return v
+
+
 def epsilon_bound_softmax(
     v_star: Fraction | float | str, H: int, b: int, C: int, delta: float, p0: float
 ) -> float:
@@ -207,9 +215,7 @@ def epsilon_bound_softmax(
     ReductionError for a v* outside [0, 1], where this MDP's values lie,
     checked exactly before any float conversion.
     """
-    v = as_fraction(v_star)
-    if not 0 <= v <= 1:
-        raise ReductionError(f"v* must be in [0, 1], got {v_star}")
+    v = _checked_v_star(v_star)
     if delta <= 0:
         raise ReductionError(f"delta must be positive, got {delta}")
     return float(v) + float(delta) - calibration_t(H, b, C, p0) - 1.0
@@ -253,7 +259,8 @@ def decide_max3sat(
     rounded or sampled for softmax), and recomputes the achieved fraction
     from scratch.  Preconditions: epsilon <= delta/2 for the greedy class;
     for softmax, epsilon must fit the concentration budget whenever v* is
-    supplied (otherwise the check is recorded as skipped).
+    supplied (otherwise the check is recorded as skipped).  A supplied v*
+    must lie in [0, 1] for either class, though only softmax reads it.
     """
     d = as_fraction(delta)
     if not 0 < d < 1:
@@ -280,6 +287,8 @@ def decide_max3sat(
     }
 
     if policy_class == "greedy":
+        if v_star is not None:
+            _checked_v_star(v_star)
         if eps > d / 2:
             raise ReductionError(f"greedy chain needs epsilon <= delta/2, got {eps} > {d / 2}")
         details["epsilon_cap"] = frac_str(d / 2)

@@ -314,16 +314,41 @@ def test_hostile_number_exit_2(capsys, cnf_path, argv):
     "argv",
     [
         ["decide", "{cnf}", "--delta", "1/10", "--class", "softmax", "--epsilon", "1e300"],
+        ["decide", "{cnf}", "--delta", "1/10"],
         ["bound", "--kind", "softmax-eps"],
     ],
 )
 def test_v_star_outside_unit_interval_exit_2(capsys, cnf_path, argv, v_star):
     # the MDP's values lie in [0, 1]: a v* above 1 would pass the softmax
-    # budget check for any epsilon, and 1e400 does not fit a float
+    # budget check for any epsilon, and 1e400 does not fit a float; the
+    # greedy chain reads no v*, but one supplied is checked all the same
     code, out, err = run(capsys, [part.format(cnf=cnf_path) for part in argv]
                          + [f"--v-star={v_star}"])
     assert code == 2 and out == ""
     assert err == f"error: v* must be in [0, 1], got {v_star}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1/0", "--", "1/2/3"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["decide", "{cnf}", "--delta", "1/10", "--class", "softmax"], "--v-star"),
+        (["decide", "{cnf}", "--delta", "1/10"], "--v-star"),
+        (["decide", "{cnf}"], "--delta"),
+        (["decide", "{cnf}", "--delta", "1/10"], "--epsilon"),
+        (["decide", "{cnf}", "--delta", "1/10", "--class", "softmax"], "--p0"),
+        (["bound", "--kind", "softmax-eps"], "--v-star"),
+        (["bound", "--kind", "greedy-eps"], "--delta"),
+        (["verify", "--suites", "roundtrip", "--count", "1", "--n", "3"], "--epsilon"),
+    ],
+)
+def test_unreadable_exact_value_names_its_flag(capsys, cnf_path, argv, flag, value):
+    # a value that is no exact number is refused before any work, in one
+    # line that names the flag rather than the Fraction parser's complaint
+    code, out, err = run(capsys, [part.format(cnf=cnf_path) for part in argv]
+                         + [f"{flag}={value}"])
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be an exact number such as 1/10 or 0.1, got {value!r}\n"
 
 
 @pytest.mark.parametrize(

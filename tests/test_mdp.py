@@ -187,17 +187,43 @@ def _oracle_query(instance, state, action):
         return str(exc)
 
 
+# actions a caller may pass: valid ones, and values step must refuse
+_HOSTILE_ACTIONS = st.sampled_from((0, 1, 0, 1, -1, 2, None, "1"))
+
+
 @st.composite
-def _query_inputs(draw):
-    n = draw(st.integers(1, 6))
+def _states(draw, n):
+    """A state for n variables: mostly length n, in prefix form or with
+    arbitrary entries, sometimes one entry short or long."""
     length = draw(st.sampled_from((n, n, n, n - 1, n + 1)))
     assigned = draw(st.integers(0, length))
     prefix_form = tuple(draw(st.lists(st.integers(0, 1), min_size=assigned, max_size=assigned)))
     prefix_form += (-1,) * (length - assigned)
     arbitrary = tuple(draw(st.lists(st.integers(-2, 2), min_size=length, max_size=length)))
-    state = draw(st.sampled_from((prefix_form, prefix_form, arbitrary)))
-    action = draw(st.sampled_from((0, 1, 0, 1, -1, 2, None, "1")))
+    return draw(st.sampled_from((prefix_form, prefix_form, arbitrary)))
+
+
+@st.composite
+def _query_inputs(draw):
+    n = draw(st.integers(1, 6))
+    state = draw(_states(n))
+    action = draw(_HOSTILE_ACTIONS)
     return n, draw(st.integers(0, 2**16)), state, action
+
+
+def _assert_query_matches_oracle(instance, state, action):
+    """Assert that generative_query gives the oracle's answer, its pair or
+    its MdpError message; return the pair, or None after an error."""
+    expected = _oracle_query(instance, state, action)
+    if isinstance(expected, str):
+        with pytest.raises(MdpError) as info:
+            generative_query(instance, state, action)
+        assert str(info.value) == expected
+        return None
+    got = generative_query(instance, state, action)
+    assert got == expected
+    assert type(got[0]) is tuple and type(got[1]) is Fraction
+    return got
 
 
 class TestFusedQueryOracle:
@@ -214,15 +240,64 @@ class TestFusedQueryOracle:
     def test_matches_transition_then_reward(self, case):
         n, seed, state, action = case
         instance = build_mdp(random_formula(n, np.random.default_rng(seed)))
-        expected = _oracle_query(instance, state, action)
-        if isinstance(expected, str):
-            with pytest.raises(MdpError) as info:
-                generative_query(instance, state, action)
-            assert str(info.value) == expected
-        else:
-            got = generative_query(instance, state, action)
-            assert got == expected
-            assert type(got[0]) is tuple and type(got[1]) is Fraction
+        _assert_query_matches_oracle(instance, state, action)
+
+
+class TestChainedQueryOracle:
+    """A query from the very tuple the instance's last query returned takes
+    the cursor's fast path; every answer is still the oracle's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**16), st.data())
+    def test_chain_matches_transition_then_reward(self, n, seed, data):
+        rng = np.random.default_rng(seed)
+        instance = build_mdp(random_formula(n, rng))
+        # another instance, of another n, whose own last answer is passed in
+        other = build_mdp(random_formula(n + 1, rng))
+        last, other_last, leaves = initial_state(n), initial_state(n + 1), []
+        sources = ("last", "last", "last", "copy", "list", "leaf", "arbitrary", "other")
+        for _ in range(data.draw(st.integers(1, 4 * n + 4))):
+            source = data.draw(st.sampled_from(sources))
+            if source == "copy":
+                state = tuple(list(last))
+            elif source == "list":
+                state = list(last)
+            elif source == "leaf" and leaves:
+                state = data.draw(st.sampled_from(leaves))
+            elif source == "arbitrary":
+                state = data.draw(_states(n))
+            elif source == "other":
+                state, _ = generative_query(other, other_last, data.draw(st.sampled_from((0, 1))))
+                other_last = initial_state(n + 1) if is_terminal(state) else state
+            else:  # "last", or "leaf" before any leaf was returned
+                state = last
+            got = _assert_query_matches_oracle(instance, state, data.draw(_HOSTILE_ACTIONS))
+            if got is not None:
+                last = got[0]
+                if is_terminal(last):
+                    leaves.append(last)
+                    last = initial_state(n)
+
+    @pytest.mark.parametrize("state", [None, ()], ids=["None", "empty"])
+    @pytest.mark.parametrize("action", [0, 1])
+    def test_fresh_instance_refuses_what_step_refuses(self, state, action):
+        # the cursor starts at a private sentinel: None, which a caller may
+        # pass, and the shared empty tuple must both reach step
+        formula = Formula.from_ints(3, [[1, -2]])
+        with pytest.raises(Exception) as want:
+            step(build_mdp(formula), state, action)
+        with pytest.raises(want.type) as got:
+            generative_query(build_mdp(formula), state, action)
+        assert str(got.value) == str(want.value)
+
+    def test_query_from_a_returned_leaf_is_terminal(self, example1_instance):
+        state = initial_state(3)
+        for action in (1, 0, 1):
+            state, _ = generative_query(example1_instance, state, action)
+        terminal = r"^cannot transition from terminal state \(1, 0, 1\)$"
+        for action in (0, 1):
+            with pytest.raises(MdpError, match=terminal):
+                generative_query(example1_instance, state, action)
 
 
 def _recount(formula, assignment):

@@ -173,8 +173,9 @@ class TestDecide:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_exact_solver_checks_each_query_state_once(self, n, monkeypatch):
-        # one stage() call per generative query: the step is checked once,
-        # not once in transition and again in reward
+        # one stage() call per sign pattern: the root query's step is
+        # checked once, not once in transition and again in reward, and
+        # every later query starts from the state the instance just returned
         instance = build_mdp(random_formula(n, np.random.default_rng(200 + n)))
         counts = {"stage": 0, "query": 0}
         real_stage = mdp.stage
@@ -190,7 +191,7 @@ class TestDecide:
         monkeypatch.setattr(mdp, "stage", counting_stage)
         exact_solver(instance, counting_query, Fraction(1, 20), "greedy")
         assert counts["query"] == n * 2**n
-        assert counts["stage"] == counts["query"]
+        assert counts["stage"] == 2**n
 
     @pytest.mark.parametrize("zero", [Fraction(0), 0], ids=["fresh_fraction", "int"])
     @pytest.mark.parametrize("n", range(1, 7))
@@ -214,8 +215,9 @@ class TestDecide:
 
     def test_exact_solver_call_budget(self):
         # per-query overhead, counted rather than timed: one stage() per
-        # query, no Fraction.__bool__ at all, and the MdpInstance.n getter
-        # at most once, not once per query
+        # sign pattern (the root query; the rest chain from the state the
+        # instance returned), no Fraction.__bool__ at all, and the
+        # MdpInstance.n getter at most once, not once per query
         n = 6
         instance = build_mdp(random_formula(n, np.random.default_rng(406)))
         n_getter = vars(MdpInstance)["n"]
@@ -237,7 +239,8 @@ class TestDecide:
             exact_solver(instance, query, Fraction(1, 20), "greedy")
         finally:
             sys.setprofile(None)
-        assert counts["query"] == counts["stage"] == n * 2**n, counts
+        assert counts["query"] == n * 2**n, counts
+        assert counts["stage"] == 2**n, counts
         assert counts["bool"] == 0, counts
         assert counts["n"] <= 1, counts
 
