@@ -60,7 +60,7 @@ def _check_exact_flags(args: argparse.Namespace) -> None:
     stays text, so the library reads it as before."""
     for flag, dest in _EXACT_FLAGS.items():
         value = getattr(args, dest, None)
-        if not isinstance(value, str):  # not given, or bound's float --p0
+        if value is None:
             continue
         try:
             as_fraction(value)
@@ -232,14 +232,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if args.kind == "mcdiarmid":
         value = mcdiarmid_tail(args.t, args.H, args.b, args.C)
     elif args.kind == "calibration-t":
-        value = calibration_t(args.H, args.b, args.C, args.p0)
+        value = calibration_t(args.H, args.b, args.C, float(as_fraction(args.p0)))
     elif args.kind == "greedy-eps":
         value = frac_str(epsilon_bound_greedy(args.delta))
     elif args.kind == "softmax-eps":
         if args.v_star is None:
             raise ValueError("softmax-eps needs --v-star")
         value = epsilon_bound_softmax(
-            args.v_star, args.H, args.b, args.C, float(as_fraction(args.delta)), args.p0
+            args.v_star, args.H, args.b, args.C, args.delta, float(as_fraction(args.p0))
         )
     else:  # unreachable through argparse choices
         raise ValueError(f"unknown bound kind {args.kind!r}")
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", type=int, default=1)
     p.add_argument("--b", type=int, default=1)
     p.add_argument("--C", type=int, default=1)
-    p.add_argument("--p0", type=float, default=0.125)
+    p.add_argument("--p0", default="1/8")
     p.add_argument("--delta", default="1/10")
     p.add_argument("--v-star", default=None)
     add_common(p)

@@ -45,11 +45,23 @@ import numpy as np
 
 MAX_CLAUSE_SIZE = 3
 
-# The caps on exponential work, named once.  Sweeps over all 2^n
-# assignments refuse n above BRUTE_FORCE_CAP; enumerations of the 2^(n-h)
-# continuations of a stage-h state refuse n - h above ENUMERATION_CAP.
+# The caps on exponential and super-cubic work, named once; every cap site
+# calls ``_check_cap`` before that work and raises its own module's error.
+# Sweeps over all 2^n assignments refuse n above BRUTE_FORCE_CAP;
+# enumerations of the 2^(n-h) continuations of a stage-h state refuse n - h
+# above ENUMERATION_CAP.  The clause universe, about 4n^3/3 rows, refuses a
+# row count above UNIVERSE_CAP: a 1 GiB memory budget over the about 140 B
+# by which CLI ``eval``'s peak RSS grows per row (measured from n = 120 to
+# 160: 344 to 768 MiB), so n <= 179.
 BRUTE_FORCE_CAP = 24
 ENUMERATION_CAP = 20
+UNIVERSE_CAP = (1 << 30) // 140
+
+
+def _check_cap(name: str, quantity: str, size: int, cap: int, error: type[Exception]) -> None:
+    """Raise ``error`` with the one cap message when size exceeds cap."""
+    if size > cap:
+        raise error(f"{name} cap exceeded: {quantity}={size} > {cap}")
 
 
 class CnfError(ValueError):
@@ -299,8 +311,7 @@ def _count_rows(formula: Formula) -> Iterator[list[int]]:
     ``BRUTE_FORCE_CAP`` variables, raised on the call, before any row.
     """
     n = formula.n
-    if n > BRUTE_FORCE_CAP:
-        raise CnfError(f"brute-force cap exceeded: n={n} > {BRUTE_FORCE_CAP}")
+    _check_cap("brute-force", "n", n, BRUTE_FORCE_CAP, CnfError)
     lows = _or_table(formula.value_bits[n // 2:])
     return (
         [(high | low).bit_count() for low in lows]
@@ -403,8 +414,10 @@ class ClauseUniverse:
 
 
 def enumerate_universe(n: int) -> ClauseUniverse:
-    """Enumerate the full valid-clause universe for n variables in canonical order."""
+    """The valid-clause universe for n variables in canonical order; CnfError
+    above ``UNIVERSE_CAP`` rows, raised before any allocation."""
     sizes = universe_block_sizes(n)
+    _check_cap("universe", "rows", sum(sizes), UNIVERSE_CAP, CnfError)
     blocks = []
     for width in (1, 2, 3):
         combos = np.fromiter(

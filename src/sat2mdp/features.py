@@ -182,11 +182,13 @@ def realizability_feature(
     instance: MdpInstance, state: Sequence[int], action: int
 ) -> RealizabilityFeature:
     """Feature of (state, action): counts after extending the prefix by the action."""
+    # read first, so the universe cap refuses a large n before step's O(n^2) tails
+    universe = instance.universe
     h, nxt = step(instance, state, action)
     b, undecided = instance.formula.split(nxt[:h])
     return RealizabilityFeature(
         b=b,
-        y_counts=Counter(map(instance.universe.index_of, undecided)),
+        y_counts=Counter(map(universe.index_of, undecided)),
         clause_count=instance.formula.clause_count,
         dim=instance.d,
     )

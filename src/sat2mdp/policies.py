@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cnf import ENUMERATION_CAP, is_zeta_satisfiable
+from .cnf import ENUMERATION_CAP, _check_cap, is_zeta_satisfiable
 from .features import PolicyParams, check_theta, greedy_action, softmax_prob
 from .mdp import ACTIONS, MdpError, MdpInstance, State, stage, step
 
@@ -126,8 +126,7 @@ def enumerate_trajectories(
     h, nxt = step(instance, state, action)
     check_theta(instance, params)
     free = instance.n - h
-    if free > ENUMERATION_CAP:
-        raise MdpError(f"{free} free stages exceed the enumeration cap {ENUMERATION_CAP}")
+    _check_cap("enumeration", "n-h", free, ENUMERATION_CAP, MdpError)
     p1 = params.softmax_probs[h:]
     prefix = nxt[:h]
     out: list[Trajectory] = []

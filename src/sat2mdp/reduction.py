@@ -24,6 +24,7 @@ from .cnf import (
     BRUTE_FORCE_CAP,
     Assignment,
     Formula,
+    _check_cap,
     leaf_counts,
     occurrence_bound,
     satisfied_fraction,
@@ -142,8 +143,7 @@ def exact_solver(
     For the softmax class the winning pattern is scaled to saturation so
     extraction recovers the same assignment.
     """
-    if instance.n > BRUTE_FORCE_CAP:
-        raise ReductionError(f"brute-force cap exceeded: n={instance.n} > {BRUTE_FORCE_CAP}")
+    _check_cap("brute-force", "n", instance.n, BRUTE_FORCE_CAP, ReductionError)
     best_bits: tuple[int, ...] | None = None
     best_value = Fraction(-1)
     root = initial_state(instance.n)
@@ -206,19 +206,30 @@ def _checked_v_star(v_star: Fraction | float | str) -> Fraction:
 
 
 def epsilon_bound_softmax(
-    v_star: Fraction | float | str, H: int, b: int, C: int, delta: float, p0: float
+    v_star: Fraction | float | str,
+    H: int,
+    b: int,
+    C: int,
+    delta: Fraction | float | str,
+    p0: float,
 ) -> float:
     """Solver-tolerance budget for the softmax chain.
 
     v* + delta - (b/C) sqrt(H ln(1/p0) / 2) - 1.  May be negative; a
     nonpositive value means the instance is too small for the chain.
     ReductionError for a v* outside [0, 1], where this MDP's values lie,
-    checked exactly before any float conversion.
+    for a delta that is not positive, and for one too large for a float;
+    v* and delta are checked exactly before any float conversion.
     """
     v = _checked_v_star(v_star)
-    if delta <= 0:
+    d = as_fraction(delta)
+    if d <= 0:
         raise ReductionError(f"delta must be positive, got {delta}")
-    return float(v) + float(delta) - calibration_t(H, b, C, p0) - 1.0
+    try:
+        d_float = float(d)
+    except OverflowError:
+        raise ReductionError(f"delta is too large for a float: {delta}") from None
+    return float(v) + d_float - calibration_t(H, b, C, p0) - 1.0
 
 
 def gap3sat_to_delta_b(
@@ -294,7 +305,7 @@ def decide_max3sat(
         details["epsilon_cap"] = frac_str(d / 2)
     else:
         if v_star is not None:
-            budget = epsilon_bound_softmax(v_star, H, b, C, float(d), p0_f)
+            budget = epsilon_bound_softmax(v_star, H, b, C, d, p0_f)
             v = float(as_fraction(v_star))
             details["epsilon_budget"] = budget
             details["v_star"] = v

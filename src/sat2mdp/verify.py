@@ -50,6 +50,7 @@ from .cnf import (
     BRUTE_FORCE_CAP,
     ENUMERATION_CAP,
     Formula,
+    _check_cap,
     enumerate_universe,
     is_zeta_satisfiable,
     leaf_counts,
@@ -332,8 +333,7 @@ def check_realizability_greedy(
     formulas_per_n is below 1 or n_max is above the cap.
     """
     _require_positive(n_max=n_max, formulas_per_n=formulas_per_n)
-    if n_max > GREEDY_SUITE_N_MAX:
-        raise ValueError(f"full greedy sweep is O(4^n); n_max={n_max} > {GREEDY_SUITE_N_MAX}")
+    _check_cap("greedy suite", "n_max", n_max, GREEDY_SUITE_N_MAX, ValueError)
     return _sweep("realizability_greedy", n_max, formulas_per_n, seed,
                   lambda formula, rng: _greedy_formula_failures(formula), tolerance=0)
 
@@ -357,8 +357,7 @@ def softmax_weights_by_enumeration(
     for params in batch:
         ft._check_weight_stage(instance, params, h)
     n = instance.n
-    if n - h > ENUMERATION_CAP:
-        raise MdpError(f"{n - h} free stages exceed the enumeration cap {ENUMERATION_CAP}")
+    _check_cap("enumeration", "n-h", n - h, ENUMERATION_CAP, MdpError)
     universe = instance.universe
     live = universe.min_var > h
     probs = np.array([params.softmax_probs[h:] for params in batch]).reshape(len(batch), n - h)
@@ -474,10 +473,7 @@ def check_realizability_softmax(
         n_max=n_max, formulas_per_n=formulas_per_n, thetas_per_formula=thetas_per_formula
     )
     _require_tolerance(tol=tol, weight_tol=weight_tol)
-    if n_max > SOFTMAX_SUITE_N_MAX:
-        raise ValueError(
-            f"trajectory-sum oracle is exponential; n_max={n_max} > {SOFTMAX_SUITE_N_MAX}"
-        )
+    _check_cap("softmax suite", "n_max", n_max, SOFTMAX_SUITE_N_MAX, ValueError)
     settings = {"thetas_per_formula": thetas_per_formula, "tol": tol, "weight_tol": weight_tol}
     return _sweep("realizability_softmax", n_max, formulas_per_n, seed,
                   partial(_softmax_formula_failures, **settings), **settings)
@@ -599,9 +595,8 @@ def check_reduction_roundtrip(
     the brute-force cap, epsilon exceeds delta/2 or delta is not below 1/2.
     """
     _require_positive(count=count)
-    if n > BRUTE_FORCE_CAP:
-        # before planting: the exact solver would refuse the first instance
-        raise ValueError(f"brute-force cap exceeded: n={n} > {BRUTE_FORCE_CAP}")
+    # before planting: the exact solver would refuse the first instance
+    _check_cap("brute-force", "n", n, BRUTE_FORCE_CAP, ValueError)
     d, eps = as_fraction(delta), as_fraction(epsilon)
     if eps > d / 2:
         raise ValueError(f"roundtrip premise needs epsilon <= delta/2, got {eps} > {d / 2}")

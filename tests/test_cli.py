@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sat2mdp import cli
 from sat2mdp.cli import main, parse_state, parse_theta
+from sat2mdp.reduction import calibration_t
 
 EXAMPLE1 = "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
 CONTRADICTION = "p cnf 1 2\n1 0\n-1 0\n"
@@ -340,6 +341,7 @@ def test_v_star_outside_unit_interval_exit_2(capsys, cnf_path, argv, v_star):
         (["bound", "--kind", "softmax-eps"], "--v-star"),
         (["bound", "--kind", "greedy-eps"], "--delta"),
         (["verify", "--suites", "roundtrip", "--count", "1", "--n", "3"], "--epsilon"),
+        (["bound", "--kind", "calibration-t"], "--p0"),
     ],
 )
 def test_unreadable_exact_value_names_its_flag(capsys, cnf_path, argv, flag, value):
@@ -349,6 +351,37 @@ def test_unreadable_exact_value_names_its_flag(capsys, cnf_path, argv, flag, val
                          + [f"{flag}={value}"])
     assert code == 2 and out == ""
     assert err == f"error: {flag} must be an exact number such as 1/10 or 0.1, got {value!r}\n"
+
+
+@pytest.mark.parametrize("kind", ["calibration-t", "softmax-eps"])
+def test_bound_p0_reads_exact_text(capsys, kind):
+    # bound reads --p0 as decide does: 1/8 and 0.125 are one value
+    argv = ["bound", "--kind", kind, "--v-star", "1", "--H", "4", "--b", "3", "--C", "10"]
+    outs = [run(capsys, argv + ["--p0", p0]) for p0 in ("1/8", "0.125")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+def test_decide_underflowing_delta_is_positive(capsys, cnf_path):
+    # 1e-400 is a positive delta, though it rounds to the float 0.0: the
+    # softmax chain reports its budget, not a nonpositive delta
+    code, out, err = run(capsys, ["decide", cnf_path, "--delta", "1e-400", "--class",
+                                  "softmax", "--v-star", "1", "--epsilon", "1e-500"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: softmax chain infeasible: epsilon budget ")
+
+
+def test_bound_underflowing_delta_is_positive(capsys):
+    code, out, _ = run(capsys, ["bound", "--kind", "softmax-eps", "--v-star", "1",
+                                "--delta", "1e-400"])
+    assert code == 0
+    assert json.loads(out)["value"] == 1.0 + 0.0 - calibration_t(1, 1, 1, 0.125) - 1.0
+
+
+def test_bound_overflowing_delta_names_delta(capsys):
+    code, out, err = run(capsys, ["bound", "--kind", "softmax-eps", "--v-star", "1",
+                                  "--delta", "1e400"])
+    assert code == 2 and out == ""
+    assert err == "error: delta is too large for a float: 1e400\n"
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from sat2mdp import (
     transition,
 )
 from sat2mdp.cnf import leaf_counts
-from sat2mdp.mdp import MdpError, is_terminal, stage
+from sat2mdp.mdp import MdpError, initial_state, is_terminal, reward, stage
 from sat2mdp.policies import iter_states
 from sat2mdp.reduction import SOFTMAX_SATURATION
 from sat2mdp.verify import random_formula
@@ -367,6 +367,37 @@ class TestRealizabilityProperties:
         hard = PolicyParams.from_signs(bits)
         greedy_q = eval_q_greedy(instance, hard, state, action)
         assert abs(eval_q_softmax(instance, soft, state, action) - float(greedy_q)) <= 1e-6
+
+
+def parity_q(instance, state, action):
+    """q of the parity policy (each action is the parity of the prefix), a
+    policy outside Pi, read through ``transition`` and ``reward``."""
+    state = transition(state, action)
+    while not is_terminal(state):
+        state = transition(state, sum(state[: stage(state) - 1]) % 2)
+    return reward(instance, state)
+
+
+class TestPartialRealizability:
+    # the minimal witness: on (x2) with n = 2 both root actions leave the one
+    # clause undecided, so they share one feature, but the parity policy
+    # sets x2 = x1 and earns 0 after action 0 and 1 after action 1; no
+    # weight realizes its q, while every greedy pattern's q is a dot
+    instance = build_mdp(Formula.from_ints(2, [[2]]))
+    root = initial_state(2)
+
+    def test_parity_policy_is_not_realizable(self):
+        phis = [realizability_feature(self.instance, self.root, a).to_json() for a in (0, 1)]
+        assert phis[0] == phis[1]
+        assert [parity_q(self.instance, self.root, a) for a in (0, 1)] == [0, 1]
+
+    @pytest.mark.parametrize("bits", list(product((0, 1), repeat=2)))
+    def test_greedy_patterns_are_realizable(self, bits):
+        params = PolicyParams.from_signs(bits)
+        w = greedy_weight(self.instance, params, 1)
+        for action in (0, 1):
+            phi = realizability_feature(self.instance, self.root, action)
+            assert eval_q_greedy(self.instance, params, self.root, action) == phi.dot(w)
 
 
 class TestPolicyParams:
