@@ -28,7 +28,6 @@ from .features import (
     f_threshold,
     greedy_action,
     greedy_weight,
-    lookahead_state,
     psp_feature,
     realizability_feature,
     softmax_prob,
@@ -43,11 +42,9 @@ from .mdp import (
     build_mdp,
     generative_query,
     initial_state,
-    is_terminal,
     reward,
     stage,
     step,
-    transition,
 )
 from .policies import (
     Trajectory,

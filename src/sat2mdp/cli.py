@@ -34,6 +34,7 @@ from .policies import (
 )
 from .reduction import (
     ReductionError,
+    _checked_p0,
     as_fraction,
     calibration_t,
     decide_max3sat,
@@ -232,14 +233,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if args.kind == "mcdiarmid":
         value = mcdiarmid_tail(args.t, args.H, args.b, args.C)
     elif args.kind == "calibration-t":
-        value = calibration_t(args.H, args.b, args.C, float(as_fraction(args.p0)))
+        value = calibration_t(args.H, args.b, args.C, _checked_p0(args.p0))
     elif args.kind == "greedy-eps":
         value = frac_str(epsilon_bound_greedy(args.delta))
     elif args.kind == "softmax-eps":
         if args.v_star is None:
             raise ValueError("softmax-eps needs --v-star")
         value = epsilon_bound_softmax(
-            args.v_star, args.H, args.b, args.C, args.delta, float(as_fraction(args.p0))
+            args.v_star, args.H, args.b, args.C, args.delta, _checked_p0(args.p0)
         )
     else:  # unreachable through argparse choices
         raise ValueError(f"unknown bound kind {args.kind!r}")

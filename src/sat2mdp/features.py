@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .cnf import ClauseUniverse
-from .mdp import MdpInstance, MdpError, State, stage, step
+from .mdp import MdpInstance, step
 
 GREEDY = "greedy"
 SOFTMAX = "softmax"
@@ -287,22 +287,3 @@ def softmax_weight(instance: MdpInstance, params: PolicyParams, h: int) -> Reali
     _check_weight_stage(instance, params, h)
     continuation = _softmax_continuation(instance.universe, params.softmax_probs)
     return RealizabilityWeight(SOFTMAX, h, instance.universe.min_var, continuation)
-
-
-def lookahead_state(state: Sequence[int], action: int, params: PolicyParams) -> State:
-    """Terminal state reached from (state, action) by following the greedy policy.
-
-    A terminal input is returned unchanged.  Otherwise MdpError for an
-    action outside ``ACTIONS``, then ValueError unless theta' has one entry
-    per variable of the state.
-    """
-    values = tuple(state)
-    h = stage(values)
-    if h > len(values):
-        return values
-    if action not in (0, 1):
-        raise MdpError(f"action must be 0 or 1, got {action!r}")
-    if params.d_prime != len(values):
-        raise ValueError(f"theta' has {params.d_prime} entries, state needs {len(values)}")
-    return values[: h - 1] + (action,) + params.greedy_actions[h:]
-

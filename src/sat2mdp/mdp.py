@@ -25,10 +25,11 @@ reference to it, so no other object can take its id.  Any other query,
 a list or an equal copy included, goes through ``step``, so every error
 keeps its type, message and order.  A caller that chains queries, as the
 exact solver does, pays for ``step`` only on each chain's first query.
-``transition`` and ``reward`` are the references: ``generative_query``
-returns what ``transition`` followed by ``reward`` would, with the same
-errors, and the policy evaluators build their leaves without either, so
-both keep every check for the tests that hold those paths to them.  The
+``step`` is the package's one next-state rule; the tests keep an
+independent one, ``transition`` in ``tests/reference.py``, and hold
+``generative_query`` to what that ``transition`` followed by ``reward``
+returns, with the same errors in the same order.  ``reward`` keeps every
+check: the policy evaluators build their leaves without it.  The
 2^(n+1) - 1 states are never materialized; everything is computed on
 demand from the formula.  An ``MdpInstance`` holds the formula and the
 query cursor: its dimensions are closed forms.  The Theta(n^3) clause
@@ -168,21 +169,6 @@ def stage(state: Sequence[int]) -> int:
     return h
 
 
-def is_terminal(state: Sequence[int]) -> bool:
-    return stage(state) > len(state)
-
-
-def transition(state: Sequence[int], action: int) -> State:
-    """Deterministic next state: the first -1 entry becomes the action value."""
-    values = tuple(state)
-    h = stage(values)
-    if action not in ACTIONS:
-        raise MdpError(f"action must be 0 or 1, got {action!r}")
-    if h > len(values):
-        raise MdpError(f"cannot transition from terminal state {values}")
-    return values[: h - 1] + (action,) + values[h:]
-
-
 def reward(instance: MdpInstance, state: Sequence[int]) -> Fraction:
     """0 before the final stage; exact satisfied fraction at a terminal state."""
     values = tuple(state)
@@ -199,8 +185,9 @@ def step(instance: MdpInstance, state: Sequence[int], action: int) -> tuple[int,
 
     Raises ``MdpError`` when the state is not in prefix form, the action is
     not in ``ACTIONS``, the state is terminal, or its length is not n, in
-    that order: the order of ``transition`` followed by ``reward``.  The
-    next state of a valid step is in prefix form by construction.
+    that order: the order of the tests' reference ``transition`` followed
+    by ``reward``.  The next state of a valid step is in prefix form by
+    construction.
     """
     values = tuple(state)
     h = stage(values)
@@ -221,8 +208,8 @@ def generative_query(
 ) -> tuple[State, Fraction]:
     """Simulator access: (next state, reward of the next state). Deterministic.
 
-    Equal to ``(nxt, reward(instance, nxt))`` for ``nxt = transition(state,
-    action)``, raising the same errors in the same order through ``step``.
+    Equal to ``(nxt, reward(instance, nxt))`` for the next state ``nxt``
+    of ``step``, raising the same errors in the same order.
     The leaf is counted directly: this query has just built it, in prefix
     form.  A query from the very tuple the instance's last query returned
     (by identity) skips ``step``: the instance built that state itself, in

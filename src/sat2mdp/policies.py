@@ -3,16 +3,16 @@
 A roll-out from (state, action) is named by its leaf: the assigned prefix,
 the action, then the policy's later actions, the slice ``[h:]`` of the
 params' ``greedy_actions`` (or ``softmax_probs``).  Each entry point takes
-one checked ``mdp.step`` and builds the leaf directly; ``transition`` and
-``reward`` stay in ``mdp`` as the references that leaf and its value are
-tested against.  A greedy q is one checked step plus the leaf its sign
-pattern names, returned as an exact Fraction from the formula's table of
-satisfied fractions.  Softmax values sum per-clause satisfaction
-probabilities (polynomial, over ``Formula.split`` of the prefix) in one
-evaluator, ``softmax_q_of_split``, which the softmax suite also calls on
-splits it keeps across policies; ``enumerate_trajectories`` lists every
-continuation's leaf with its probability and is the independent oracle
-they are checked against.
+one checked ``mdp.step`` and builds the leaf directly; the tests hold that
+leaf to the reference roll-out ``lookahead_state`` in ``tests/reference.py``,
+and its value to ``mdp.reward`` of that leaf.  A greedy q is one checked
+step plus the leaf its sign pattern names, returned as an exact Fraction
+from the formula's table of satisfied fractions.  Softmax values sum
+per-clause satisfaction probabilities (polynomial, over ``Formula.split``
+of the prefix) in one evaluator, ``softmax_q_of_split``, which the softmax
+suite also calls on splits it keeps across policies;
+``enumerate_trajectories`` lists every continuation's leaf with its
+probability and is the independent oracle they are checked against.
 ``best_greedy`` reads the best sign pattern off ``cnf.is_zeta_satisfiable``:
 sign pattern x plays assignment x, and actions depend on the stage only, so
 the best assignment is the best greedy policy.

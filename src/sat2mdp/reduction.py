@@ -172,13 +172,29 @@ def epsilon_bound_greedy(delta: Fraction | float | str) -> Fraction:
     return d / 2
 
 
-def mcdiarmid_tail(t: float, H: int, b: int, C: int) -> float:
-    """Bounded-difference tail bound exp(-2 t^2 C^2 / (H b^2)) for the terminal reward."""
-    if not t >= 0:
-        raise ReductionError(f"t must be nonnegative, got {t}")
+def _check_sizes(H: int, b: int, C: int) -> None:
+    """ReductionError unless H, b and C are positive and each fits a float."""
     if min(H, b, C) < 1:
         raise ReductionError(f"H, b, C must be positive, got {(H, b, C)}")
-    return math.exp(-2.0 * t * t * C * C / (H * b * b))
+    for name, value in (("H", H), ("b", b), ("C", C)):
+        try:
+            float(value)
+        except OverflowError:
+            raise ReductionError(f"{name} is too large for a float: {value}") from None
+
+
+def mcdiarmid_tail(t: float, H: int, b: int, C: int) -> float:
+    """Bounded-difference tail bound exp(-2 t^2 C^2 / (H b^2)) for the terminal reward.
+
+    ReductionError when H b^2 is too large for a float, although H and b fit.
+    """
+    if not t >= 0:
+        raise ReductionError(f"t must be nonnegative, got {t}")
+    _check_sizes(H, b, C)
+    try:
+        return math.exp(-2.0 * t * t * C * C / (H * b * b))
+    except OverflowError:
+        raise ReductionError(f"H * b^2 is too large for a float: H={H}, b={b}") from None
 
 
 def calibration_t(H: int, b: int, C: int, p0: float) -> float:
@@ -189,12 +205,23 @@ def calibration_t(H: int, b: int, C: int, p0: float) -> float:
     """
     if not 0.0 < p0 < 1.0:
         raise ReductionError(f"p0 must be in (0, 1), got {p0}")
-    if min(H, b, C) < 1:
-        raise ReductionError(f"H, b, C must be positive, got {(H, b, C)}")
+    _check_sizes(H, b, C)
     t = (b / C) * math.sqrt(H * math.log(1.0 / p0) / 2.0)
     if not math.isfinite(t):
         raise ReductionError(f"calibration point is not finite for p0={p0}")
     return t
+
+
+def _checked_p0(p0: Fraction | float | str) -> float:
+    """p0 read exactly and checked in (0, 1) before its float conversion;
+    ReductionError outside (0, 1), and for a p0 whose float is 0.0."""
+    p = as_fraction(p0)
+    if not 0 < p < 1:
+        raise ReductionError(f"p0 must be in (0, 1), got {p0}")
+    p_float = float(p)
+    if p_float == 0.0:
+        raise ReductionError(f"p0 is too small for a float: {p0}")
+    return p_float
 
 
 def _checked_v_star(v_star: Fraction | float | str) -> Fraction:
@@ -286,7 +313,7 @@ def decide_max3sat(
     b = occurrence_bound(formula)
     C = formula.clause_count
     H = instance.horizon
-    p0_f = float(as_fraction(p0))
+    p0_f = _checked_p0(p0)
     t_cal = calibration_t(H, b, C, p0_f)
     details: dict = {
         "b": b,

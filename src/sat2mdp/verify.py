@@ -19,7 +19,8 @@ every pattern's stage weight.  Fractions are built only for the failures
 recorded, and the look-ahead check compares q with the reward table at
 each roll-out leaf's index as integer arrays.  The tests hold the scalar
 evaluators (``policies.eval_q_greedy``, ``RealizabilityFeature.dot``) to
-the same table, and ``features.lookahead_state`` to the leaf index.
+the same table, and the leaf index to the reference roll-out
+``lookahead_state`` in ``tests/reference.py``.
 
 For the softmax class only the probabilities depend on theta': each cell's
 prefix is split once per formula, the probability vector is built once per
@@ -55,6 +56,7 @@ from .cnf import (
     is_zeta_satisfiable,
     leaf_counts,
     occurrence_bound,
+    satisfied_fraction,
     universe_block_sizes,
 )
 from .features import PolicyParams, f_threshold, greedy_action
@@ -78,6 +80,7 @@ from .policies import (
     softmax_q_of_split,
 )
 from .reduction import (
+    ReductionError,
     as_fraction,
     calibration_t,
     decide_max3sat,
@@ -578,6 +581,51 @@ def check_construction_scaling(
     )
 
 
+def _refuses(transform: Callable, *args) -> bool:
+    """Whether ``transform(*args)`` raises ``ReductionError``."""
+    try:
+        transform(*args)
+    except ReductionError:
+        return True
+    return False
+
+
+def _gap_transform_failure(
+    formula: Formula, b: int, epsilon: Fraction, delta: Fraction
+) -> dict | None:
+    """The roundtrip's ``gap_transform_identity`` record, or None.
+
+    The transform must copy the clauses verbatim at occurrence bound b, and
+    refuse both of its obligations broken: a bound one below the formula's,
+    and a delta equal to epsilon.  The record carries the inputs.
+    """
+    checks = {
+        "copied": gap3sat_to_delta_b(formula, b, epsilon, delta).clauses == formula.clauses,
+        "refuses_b_below_bound": _refuses(
+            gap3sat_to_delta_b, formula, occurrence_bound(formula) - 1, epsilon, delta
+        ),
+        "refuses_delta_equal_epsilon": _refuses(gap3sat_to_delta_b, formula, b, epsilon, epsilon),
+    }
+    if all(checks.values()):
+        return None
+    return {"kind": "gap_transform_identity", "formula": formula.to_json()["clauses"],
+            "n": formula.n, "b": b, "epsilon": frac_str(epsilon), "delta": frac_str(delta),
+            **checks}
+
+
+def _softmax_budget_failure(
+    v_star: Fraction, H: int, b: int, C: int, delta: Fraction, p0: float
+) -> dict | None:
+    """The roundtrip's ``softmax_bound_positivity`` record, or None: the
+    softmax chain's epsilon budget must be positive.  The record carries
+    the inputs and the budget."""
+    budget = epsilon_bound_softmax(v_star, H, b, C, delta, p0)
+    if budget > 0:
+        return None
+    return {"kind": "softmax_bound_positivity", "v_star": frac_str(v_star), "H": H, "b": b,
+            "C": C, "delta": frac_str(delta), "p0": p0, "budget": budget}
+
+
 def check_reduction_roundtrip(
     count: int = 100,
     n: int = 10,
@@ -658,8 +706,9 @@ def check_reduction_roundtrip(
     sample_formula, _ = planted_instance(
         n, clause_count=n, zeta=zeta, seed=seed + count, max_occurrences=3
     )
-    if gap3sat_to_delta_b(sample_formula, 3, eps / 2, d).clauses != sample_formula.clauses:
-        failures.append({"kind": "gap_transform_identity"})
+    failure = _gap_transform_failure(sample_formula, 3, eps / 2, d)
+    if failure:
+        failures.append(failure)
     cases += 1
     inst = build_mdp(sample_formula)
     soft_params = exact_solver(inst, partial(generative_query, inst), eps, "softmax")
@@ -684,8 +733,15 @@ def check_reduction_roundtrip(
                          "n": n, "theta": list(params.theta_prime), "t": t, "trials": 2000,
                          "seed": seed, "empirical": emp, "bound": bound})
     cases += 1
-    if epsilon_bound_softmax(1.0, 4, 2, 200, 0.1, 0.125) <= 0:
-        failures.append({"kind": "softmax_bound_positivity"})
+    # a formula whose budget is positive: satisfiable, so v* = 1, with
+    # H = 65, b = 3 and C = 64, where delta = 9/20 leaves a budget of 0.065
+    budget_formula, planted = planted_instance(64, 64, 1, seed=64, max_occurrences=3)
+    failure = _softmax_budget_failure(
+        satisfied_fraction(budget_formula, planted), build_mdp(budget_formula).horizon,
+        occurrence_bound(budget_formula), budget_formula.clause_count, Fraction(9, 20), 0.125,
+    )
+    if failure:
+        failures.append(failure)
 
     return SuiteResult(
         suite="reduction_roundtrip",
@@ -713,7 +769,6 @@ SUITE_COVERAGE: dict[str, list[str]] = {
     ],
     "features.greedy_weight": ["realizability_greedy", "construction_scaling"],
     "features.softmax_weight": ["realizability_softmax", "construction_scaling"],
-    "features.lookahead_state": [],
     "policies.eval_q_greedy": [],
     "policies.eval_q_softmax": ["realizability_softmax", "reduction_roundtrip"],
     "policies.softmax_q_of_split": ["realizability_softmax", "reduction_roundtrip"],

@@ -384,6 +384,58 @@ def test_bound_overflowing_delta_names_delta(capsys):
     assert err == "error: delta is too large for a float: 1e400\n"
 
 
+P0_READERS = [
+    ["decide", "{cnf}", "--delta", "1/10"],
+    ["bound", "--kind", "calibration-t"],
+    ["bound", "--kind", "softmax-eps", "--v-star", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", P0_READERS)
+def test_underflowing_p0_names_p0(capsys, cnf_path, argv):
+    # 1e-400 is a positive p0, though it rounds to the float 0.0: the
+    # message says that, not that p0 is outside (0, 1)
+    code, out, err = run(capsys, [part.format(cnf=cnf_path) for part in argv]
+                         + ["--p0", "1e-400"])
+    assert code == 2 and out == ""
+    assert err == "error: p0 is too small for a float: 1e-400\n"
+
+
+@pytest.mark.parametrize("argv", P0_READERS)
+def test_overflowing_p0_names_p0(capsys, cnf_path, argv):
+    # 1e400 is checked against (0, 1) exactly, before a float conversion
+    # that would overflow
+    code, out, err = run(capsys, [part.format(cnf=cnf_path) for part in argv]
+                         + ["--p0", "1e400"])
+    assert code == 2 and out == ""
+    assert err == "error: p0 must be in (0, 1), got 1e400\n"
+
+
+@pytest.mark.parametrize("flag", ["--H", "--b", "--C"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--kind", "mcdiarmid", "--t", "0.1"],
+        ["bound", "--kind", "calibration-t"],
+        ["bound", "--kind", "softmax-eps", "--v-star", "1"],
+    ],
+)
+def test_size_too_large_for_a_float_names_its_flag(capsys, argv, flag):
+    huge = str(10**400)
+    code, out, err = run(capsys, argv + [flag, huge])
+    assert code == 2 and out == ""
+    assert err == f"error: {flag[2:]} is too large for a float: {huge}\n"
+
+
+def test_tail_denominator_too_large_for_a_float(capsys):
+    # H and b each fit a float, but H b^2 does not
+    big = str(10**200)
+    code, out, err = run(capsys, ["bound", "--kind", "mcdiarmid", "--t", "0.1",
+                                  "--H", big, "--b", big])
+    assert code == 2 and out == ""
+    assert err == f"error: H * b^2 is too large for a float: H={big}, b={big}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

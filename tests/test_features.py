@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sat2mdp.policies
 from sat2mdp import (
     Clause,
     Formula,
@@ -18,20 +19,19 @@ from sat2mdp import (
     f_threshold,
     greedy_action,
     greedy_weight,
-    lookahead_state,
     psp_feature,
     realizability_feature,
     softmax_prob,
     softmax_weight,
-    transition,
 )
 from sat2mdp.cnf import leaf_counts
-from sat2mdp.mdp import MdpError, initial_state, is_terminal, reward, stage
+from sat2mdp.mdp import MdpError, initial_state, reward, stage, step
 from sat2mdp.policies import iter_states
 from sat2mdp.reduction import SOFTMAX_SATURATION
 from sat2mdp.verify import random_formula
 
 from conftest import formulas
+from reference import is_terminal, lookahead_state, transition
 
 
 def satisfied_by(clause, prefix):
@@ -369,13 +369,93 @@ class TestRealizabilityProperties:
         assert abs(eval_q_softmax(instance, soft, state, action) - float(greedy_q)) <= 1e-6
 
 
-def parity_q(instance, state, action):
-    """q of the parity policy (each action is the parity of the prefix), a
-    policy outside Pi, read through ``transition`` and ``reward``."""
+def parity(state):
+    """The parity policy: each action is the parity of the assigned prefix."""
+    return sum(state[: stage(state) - 1]) % 2
+
+
+def repeat_previous(state):
+    """Repeat the previous action; a roll-out asks it only past the root."""
+    return state[stage(state) - 2]
+
+
+def rollout_q(instance, policy, state, action):
+    """q of a policy that reads the prefix, so lies outside Pi: rolled out
+    through the reference ``transition`` and scored by ``reward``."""
     state = transition(state, action)
     while not is_terminal(state):
-        state = transition(state, sum(state[: stage(state) - 1]) % 2)
+        state = transition(state, policy(state))
     return reward(instance, state)
+
+
+def exact_rank(rows):
+    """Rank of equal-length rows, by Gaussian elimination over Fractions."""
+    matrix = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        top = matrix[rank]
+        for r in range(rank + 1, len(matrix)):
+            if matrix[r][col]:
+                factor = matrix[r][col] / top[col]
+                matrix[r] = [a - factor * b for a, b in zip(matrix[r], top)]
+        rank += 1
+    return rank
+
+
+def unrealizable_stages(instance, q_of):
+    """The stages h < n at which no weight realizes q_of(state, action).
+
+    Stage h stacks the [b, y] rows of its 2^h cells, over the universe
+    coordinates some row uses (the others are zero in every row and leave
+    the rank alone); q is realizable there exactly when appending the
+    column C * q leaves the rank unchanged.  At stage n every cell is a
+    leaf, whose q is b / C for any policy.
+    """
+    C = instance.formula.clause_count
+    stages = []
+    for h in range(1, instance.n):
+        cells = [(prefix + (-1,) * (instance.n - h + 1), action)
+                 for prefix in product((0, 1), repeat=h - 1) for action in (0, 1)]
+        phis = [realizability_feature(instance, state, action) for state, action in cells]
+        coordinates = sorted(set().union(*(phi.y_counts for phi in phis)))
+        rows = [[phi.b] + [phi.y_counts.get(i, 0) for i in coordinates] for phi in phis]
+        q = [C * q_of(state, action) for state, action in cells]
+        if exact_rank([row + [v] for row, v in zip(rows, q)]) > exact_rank(rows):
+            stages.append(h)
+    return stages
+
+
+def greedy_unrealizable(formula):
+    """(sign pattern, stages) for each pattern whose q, read through
+    ``policies.eval_q_greedy``, fails the rank test somewhere."""
+    instance = build_mdp(formula)
+    out = []
+    for bits in product((0, 1), repeat=formula.n):
+        params = PolicyParams.from_signs(bits)
+        stages = unrealizable_stages(
+            instance, lambda s, a: sat2mdp.policies.eval_q_greedy(instance, params, s, a)
+        )
+        if stages:
+            out.append((bits, stages))
+    return out
+
+
+# formulas built so that both policies outside Pi fail the rank test: the
+# minimal witness (x2) first, then (n, clauses) pairs with the one clause's
+# variables past x1
+RANK_WITNESSES = [(2, [[2]]), (3, [[3]]), (3, [[2, 3]]), (4, [[4]]), (4, [[2, -4]])]
+# the fixed family for the Pi side: the witnesses, then two random formulas per n
+RANK_FAMILY = {
+    **{f"witness{i}": Formula.from_ints(n, clauses)
+       for i, (n, clauses) in enumerate(RANK_WITNESSES)},
+    **{f"random-n{n}-{i}": random_formula(n, np.random.default_rng(10 * n + i), 3, 2 * n)
+       for n in (3, 4, 5) for i in range(2)},
+}
+OUTSIDE_PI = {"parity": parity, "repeat_previous": repeat_previous}
 
 
 class TestPartialRealizability:
@@ -389,7 +469,7 @@ class TestPartialRealizability:
     def test_parity_policy_is_not_realizable(self):
         phis = [realizability_feature(self.instance, self.root, a).to_json() for a in (0, 1)]
         assert phis[0] == phis[1]
-        assert [parity_q(self.instance, self.root, a) for a in (0, 1)] == [0, 1]
+        assert [rollout_q(self.instance, parity, self.root, a) for a in (0, 1)] == [0, 1]
 
     @pytest.mark.parametrize("bits", list(product((0, 1), repeat=2)))
     def test_greedy_patterns_are_realizable(self, bits):
@@ -398,6 +478,48 @@ class TestPartialRealizability:
         for action in (0, 1):
             phi = realizability_feature(self.instance, self.root, action)
             assert eval_q_greedy(self.instance, params, self.root, action) == phi.dot(w)
+
+
+class TestRankWitness:
+    """Partial realizability by exact rank, per stage: every greedy sign
+    pattern's q lies in the span of its stage's features, and the q of a
+    policy that reads the prefix need not."""
+
+    @pytest.mark.parametrize("name", RANK_FAMILY)
+    def test_every_greedy_pattern_passes(self, name):
+        assert greedy_unrealizable(RANK_FAMILY[name]) == []
+
+    @pytest.mark.parametrize("name", sorted(OUTSIDE_PI))
+    def test_policies_outside_pi_fail(self, name):
+        policy = OUTSIDE_PI[name]
+        passing = []
+        for n, clauses in RANK_WITNESSES:
+            formula = Formula.from_ints(n, clauses)
+            instance = build_mdp(formula)
+            if not unrealizable_stages(instance, lambda s, a: rollout_q(instance, policy, s, a)):
+                passing.append(formula.to_dimacs())
+        # the rate on random formulas, reported beside the result, not asserted
+        rng = np.random.default_rng(0)
+        drawn = [random_formula(n, rng, 3, 2 * n) for n in (3, 4, 5) for _ in range(30)]
+        failing = sum(
+            bool(unrealizable_stages(instance, lambda s, a: rollout_q(instance, policy, s, a)))
+            for instance in map(build_mdp, drawn)
+        )
+        assert passing == [], (
+            f"{name} passes the rank test on {passing}; it fails on {failing} of "
+            f"{len(drawn)} random formulas (n = 3, 4, 5, seed 0)"
+        )
+
+    def test_prefix_dependent_rollout_fails(self, monkeypatch):
+        # eval_q_greedy with a roll-out that flips the pattern's later
+        # actions when x1 = 1: a policy that reads the prefix
+        def flipped(instance, params, state, action):
+            h, nxt = step(instance, state, action)
+            leaf = nxt[:h] + tuple(a ^ nxt[0] for a in params.greedy_actions[h:])
+            return instance.formula.fraction_of[instance.formula.split(leaf)[0]]
+
+        monkeypatch.setattr(sat2mdp.policies, "eval_q_greedy", flipped)
+        assert any(greedy_unrealizable(formula) for formula in RANK_FAMILY.values())
 
 
 class TestPolicyParams:

@@ -17,18 +17,17 @@ from sat2mdp import (
     eval_q_softmax,
     generative_query,
     initial_state,
-    is_terminal,
     realizability_feature,
     reward,
     satisfied_fraction,
     stage,
     step,
-    transition,
 )
 from sat2mdp.features import _greedy_continuation, greedy_weight
 from sat2mdp.verify import random_formula
 
 from conftest import formulas
+from reference import is_terminal, transition
 
 
 class TestBuild:

@@ -17,7 +17,6 @@ from sat2mdp import (
     eval_q_greedy,
     eval_q_softmax,
     greedy_weight,
-    lookahead_state,
     realizability_feature,
     reward,
     sample_trajectory,
@@ -31,6 +30,7 @@ from sat2mdp.policies import iter_states, softmax_q_of_split
 from sat2mdp.verify import random_formula
 
 from conftest import formulas
+from reference import lookahead_state
 
 ALL_TRUE = PolicyParams((1.0, 1.0, 1.0))
 

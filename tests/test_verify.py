@@ -48,6 +48,7 @@ from sat2mdp.verify import (
     softmax_weights_by_enumeration,
 )
 
+import reference
 from conftest import formulas
 from golden.make_digests import DIGESTS, FAULTS, faulted_run, softmax_binds, suite_digest
 
@@ -202,7 +203,7 @@ class TestLookaheadLeafIndex:
             params = PolicyParams.from_signs(signs)
             for P, bits in enumerate(itertools.product((0, 1), repeat=n - 1)):
                 state = bits[:-1] + (-1, -1)
-                leaf = sat2mdp.features.lookahead_state(state, bits[-1], params)
+                leaf = reference.lookahead_state(state, bits[-1], params)
                 assert int("".join(map(str, leaf)), 2) == (P << 1) | (p & 1)
 
 
@@ -335,7 +336,7 @@ class TestPolicyIndependentWorkOnce:
         monkeypatch.setattr(sat2mdp.verify, "reward", recording)
         result, counts = call_counts(
             lambda: check_realizability_greedy(n_max=6, formulas_per_n=1, seed=0),
-            lookahead_state=sat2mdp.features.lookahead_state,
+            lookahead_state=reference.lookahead_state,
         )
         assert result.passed
         assert counts["lookahead_state"] == 0
@@ -369,7 +370,7 @@ class TestOneDerivationPerPolicy:
             for h in range(1, self.N + 1):
                 sat2mdp.features.greedy_weight(instance, params, h)
             for state, action in self.cells(at_stage=self.N - 1):
-                sat2mdp.features.lookahead_state(state, action, params)
+                reference.lookahead_state(state, action, params)
             for state, action in self.cells():
                 sat2mdp.policies.eval_q_greedy(instance, params, state, action)
             return extract_assignment_greedy(params, self.N)
@@ -634,6 +635,61 @@ class TestRoundtripSuite:
         assert report.decision
         assert report.achieved_fraction == Fraction(record["achieved"])
 
+    @staticmethod
+    def ignores_b(original):
+        return lambda formula, b, epsilon, delta: original(
+            formula, max(b, occurrence_bound(formula)), epsilon, delta
+        )
+
+    @staticmethod
+    def accepts_delta_equal_epsilon(original):
+        return lambda formula, b, epsilon, delta: original(
+            formula, b, epsilon - Fraction(1, 10**9), delta
+        )
+
+    @pytest.mark.parametrize(
+        "fault, broken",
+        [("ignores_b", "refuses_b_below_bound"),
+         ("accepts_delta_equal_epsilon", "refuses_delta_equal_epsilon")],
+    )
+    def test_gap_transform_record_replays(self, monkeypatch, fault, broken):
+        # with one obligation of the transform left unchecked, the record
+        # names it, and the record's inputs alone fail the same way again
+        original = sat2mdp.verify.gap3sat_to_delta_b
+        monkeypatch.setattr(sat2mdp.verify, "gap3sat_to_delta_b", getattr(self, fault)(original))
+        result = check_reduction_roundtrip(count=1, n=4, seed=0)
+        failures = json.loads(result.canonical_json())["failures"]
+        [record] = [f for f in failures if f["kind"] == "gap_transform_identity"]
+        checks = ("copied", "refuses_b_below_bound", "refuses_delta_equal_epsilon")
+        assert {name: record[name] for name in checks} == {name: name != broken for name in checks}
+        replayed = sat2mdp.verify._gap_transform_failure(
+            Formula.from_ints(record["n"], record["formula"]), record["b"],
+            Fraction(record["epsilon"]), Fraction(record["delta"]),
+        )
+        assert replayed == record
+
+    def test_softmax_budget_record_replays(self, monkeypatch):
+        # a calibration point twice too large takes the planted n = 64
+        # formula's budget from 0.065 to about -0.32; with the fault still in
+        # place the record's inputs alone give the same budget again
+        original = sat2mdp.reduction.calibration_t
+        monkeypatch.setattr(sat2mdp.reduction, "calibration_t", lambda *args: 2 * original(*args))
+        result = check_reduction_roundtrip(count=1, n=4, seed=0)
+        failures = json.loads(result.canonical_json())["failures"]
+        [record] = [f for f in failures if f["kind"] == "softmax_bound_positivity"]
+        assert (record["v_star"], record["H"], record["b"], record["C"]) == ("1/1", 65, 3, 64)
+        assert (record["delta"], record["p0"]) == ("9/20", 0.125)
+        assert -0.33 < record["budget"] < -0.31
+        replayed = sat2mdp.verify._softmax_budget_failure(
+            Fraction(record["v_star"]), record["H"], record["b"], record["C"],
+            Fraction(record["delta"]), record["p0"],
+        )
+        assert replayed == record
+        monkeypatch.undo()
+        assert 0.064 < sat2mdp.epsilon_bound_softmax(
+            1, 65, 3, 64, Fraction(9, 20), 0.125
+        ) < 0.065
+
     @pytest.mark.parametrize("delta", ["1/2", "3/4"])
     def test_contradiction_premise_guard(self, delta):
         # at delta >= 1/2 a contradiction's 1/2 reaches 1 - delta, so its
@@ -750,7 +806,6 @@ class TestCoverageManifest:
             "features.realizability_feature",
             "features.greedy_weight",
             "features.softmax_weight",
-            "features.lookahead_state",
             "policies.eval_q_greedy",
             "policies.eval_q_softmax",
             "policies.enumerate_trajectories",
