@@ -34,6 +34,7 @@ All arithmetic here is exact: counts are ints, fractions are
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, combinations
@@ -223,7 +224,9 @@ def parse_dimacs(text: str) -> Formula:
     """Parse DIMACS CNF text into a canonicalized Formula.
 
     Clauses may span lines and are terminated by 0.  Comment lines start
-    with 'c'; a line starting with '%' ends the input.  The declared
+    with 'c'; a line starting with '%' ends the input; one leading UTF-8
+    byte-order mark is skipped.  The header's variable count must be a
+    positive integer no larger than ``sys.maxsize``, and the declared
     clause count must match the clauses found.
     Duplicate literals inside one clause are dropped; complementary pairs,
     clauses with more than three distinct variables, and out-of-range
@@ -233,7 +236,7 @@ def parse_dimacs(text: str) -> Formula:
     declared = None
     clauses: list[Clause] = []
     pending: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if line.startswith("%"):
             break  # SATLIB trailer: '%' then a lone '0'
@@ -249,6 +252,11 @@ def parse_dimacs(text: str) -> Formula:
                 n, declared = int(fields[2]), int(fields[3])
             except ValueError:
                 raise CnfError(f"line {lineno}: non-integer counts in problem line") from None
+            if not 1 <= n <= sys.maxsize:
+                raise CnfError(
+                    f"line {lineno}: 'p cnf' header declares n={n}, "
+                    f"expected a positive integer no larger than {sys.maxsize}"
+                )
             continue
         if n is None:
             raise CnfError(f"line {lineno}: clause before 'p cnf' header")

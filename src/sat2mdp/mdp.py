@@ -12,19 +12,26 @@ formula; every reward before the leaf is one shared exact zero,
 ``step`` is the one (state, action) check: every function that takes a
 state-action pair calls it for the stage and the next state, so all of
 them raise the same errors in the same order.  ``generative_query`` is
-``step`` plus the leaf reward: ``Formula.split``'s count of the leaf, a
-popcount over the formula's clause bitsets, looked up in the formula's
-table of satisfied fractions.  The one exception is its cursor fast path.
-Each instance keeps the non-final next state its last query returned,
-with that state's stage.  A query from that very tuple (by identity, not
-equality) with an action in ``ACTIONS`` skips ``step`` and its four
-``stage`` scans, and joins the known prefix to the shared tail directly.
-That is sound because the instance built the tuple itself, in prefix
-form and of length n, and a tuple cannot change; the cursor holds a
-reference to it, so no other object can take its id.  Any other query,
-a list or an equal copy included, goes through ``step``, so every error
-keeps its type, message and order.  A caller that chains queries, as the
-exact solver does, pays for ``step`` only on each chain's first query.
+``step`` plus the leaf reward: the count of the leaf's satisfied clause
+instances, a popcount over the OR of one clause bitset per variable
+(``Formula.value_bits``), looked up in the formula's table of satisfied
+fractions.  Each instance keeps the path its queries walk: one entry per
+stage h, holding a stage-h state, the OR of the bitsets of its assigned
+prefix, and the action and answer of the last query from it.  A query
+from an entry's state (by identity, not equality; the entry at the stage
+of the last returned state is looked at first, then stage 1, where a
+sweep restarts from its root) skips ``step`` and its four ``stage``
+scans.  The entry's last action returns the last answer as is; the other
+action builds the next state from the known prefix and the shared tail,
+ORs in one more bitset, and replaces the entry and its child's.  That is
+sound because every state on the path is a plain tuple of plain ints
+that ``step`` checked, in prefix form and of length n, or that the
+instance built from one; a tuple cannot change, and the entry holds a
+reference to it, so no other object can take its id.  Any other query, a
+list or an equal copy included, goes through ``step``, so every error
+keeps its type, message and order.  So the exact solver's sweep, n * 2^n
+queries from one root object, runs ``step`` once, builds each of the
+2^(n+1) - 2 non-root states once, and ORs one bitset per state built.
 ``step`` is the package's one next-state rule; the tests keep an
 independent one, ``transition`` in ``tests/reference.py``, and hold
 ``generative_query`` to what that ``transition`` followed by ``reward``
@@ -32,10 +39,11 @@ returns, with the same errors in the same order.  ``reward`` keeps every
 check: the policy evaluators build their leaves without it.  The
 2^(n+1) - 1 states are never materialized; everything is computed on
 demand from the formula.  An ``MdpInstance`` holds the formula and the
-query cursor: its dimensions are closed forms.  The Theta(n^3) clause
-universe depends on n alone: every instance of one n reads one universe,
-enumerated on first use and kept for the process, so paths that never
-read it (the exhaustive solver, and its cap check) never pay for it.
+query path, O(n) entries: its dimensions are closed forms.  The
+Theta(n^3) clause universe depends on n alone: every instance of one n
+reads one universe, enumerated on first use and kept for the process, so
+paths that never read it (the exhaustive solver, and its cap check)
+never pay for it.
 """
 
 from __future__ import annotations
@@ -60,6 +68,10 @@ ACTIONS = (0, 1)
 # shared instance spares a construction per query, and clients may test a
 # reward against it by identity.
 ZERO_REWARD = Fraction(0)
+
+# The action of a path entry that has answered no query yet: no caller can
+# pass this object, so such an entry's answer is never read.
+_NO_ACTION = object()
 
 
 class MdpError(ValueError):
@@ -103,22 +115,31 @@ class MdpInstance:
         """_next_tails[a][k]: (a,) then k entries -1, for k < n.
 
         The part of a next state from the slot that action a writes on;
-        ``step``, and ``generative_query``'s fast path, join it to the
+        ``step``, and ``_extend`` on the query path, join it to the
         state's assigned prefix.
         """
         return {a: [(a,) + (-1,) * k for k in range(self.n)] for a in ACTIONS}
 
     @cached_property
-    def _cursor(self) -> list[tuple[object, int]]:
-        """[(state, h)]: the non-final next state that the last
-        ``generative_query`` returned, and its stage.
+    def _path(self) -> list:
+        """[cursor stage, entry for stage 1, ..., entry for stage n, sentinel]:
+        the solver's current path, one entry per stage h.
 
-        Starts at a private sentinel that no caller can pass.  Each query
-        replaces the one pair whole, so a reader never sees a state with
-        another state's stage; callers that interleave queries on one
-        instance, threads included, only miss the fast path.
+        Entry h is ``(state, acc, action, answer)``: a stage-h state that
+        the instance built or checked, a plain tuple of plain ints; the OR
+        of ``value_bits`` over its assigned prefix; the action of the last
+        query from it; and that query's ``(next state, reward)``.  Slot 0
+        holds the stage of the last returned state, where the next query
+        most likely starts; slot n + 1, the stage past a leaf, holds a
+        sentinel, so a query after a leaf is looked up at stage 1, where
+        a sweep restarts from its root.  Every entry starts as that
+        sentinel, a private object that no caller can pass, with an action
+        that no caller can pass either.  Each entry is a self-consistent
+        tuple swapped whole, so a reader never pairs one state with another
+        state's answer; callers that interleave queries on one instance,
+        threads included, only miss the fast path.
         """
-        return [(object(), 0)]
+        return [1] + [(object(), 0, _NO_ACTION, None)] * (self.n + 1)
 
     @cached_property
     def d(self) -> int:
@@ -210,18 +231,54 @@ def generative_query(
 
     Equal to ``(nxt, reward(instance, nxt))`` for the next state ``nxt``
     of ``step``, raising the same errors in the same order.
-    The leaf is counted directly: this query has just built it, in prefix
-    form.  A query from the very tuple the instance's last query returned
-    (by identity) skips ``step``: the instance built that state itself, in
-    prefix form and of length n, and knows its stage.
+    A query from a state on the instance's path (by identity) skips
+    ``step``: the instance checked that state itself, and its entry knows
+    the stage and the prefix OR.  The entry's last action again returns
+    the entry's answer as is; the other action builds one next state and
+    ORs in one bitset, and a leaf's reward is that OR's popcount.  Any
+    other query goes through ``step``, then puts its state on the path
+    when state and action are plain (a plain tuple of plain ints, and a
+    plain int); a list, a bool or a numpy entry is answered through
+    ``Formula.split`` and left off the path.
     """
-    last, h = instance._cursor[0]
-    if state is last and action in ACTIONS:
-        nxt = state[: h - 1] + instance._next_tails[action][instance.n - h]
-    else:
-        h, nxt = step(instance, state, action)
+    path = instance._path
+    h = path[0]
+    entry = path[h]
+    if entry[0] is not state:
+        h = 1
+        entry = path[1]
+    if entry[0] is state:
+        if action is entry[2]:
+            path[0] = h + 1
+            return entry[3]
+        if type(action) is int and action in ACTIONS:
+            return _extend(instance, path, h, state, entry[1], action)
+    h, nxt = step(instance, state, action)
+    if type(state) is tuple and type(action) is int and all(type(v) is int for v in state):
+        acc = 0
+        for bits, v in zip(instance.formula.value_bits, state[: h - 1]):
+            acc |= bits[v]
+        return _extend(instance, path, h, state, acc, action)
     if h < instance.n:
-        instance._cursor[0] = (nxt, h + 1)
         return nxt, ZERO_REWARD
     formula = instance.formula
     return nxt, formula.fraction_of[formula.split(nxt)[0]]
+
+
+def _extend(
+    instance: MdpInstance, path: list, h: int, state: State, acc: int, action: int
+) -> tuple[State, Fraction]:
+    """Answer a checked query from stage-h ``state``, whose prefix OR is
+    ``acc``, and install the state's entry and its next state's."""
+    n = instance.n
+    formula = instance.formula
+    nxt = state[: h - 1] + instance._next_tails[action][n - h]
+    held = acc | formula.value_bits[h - 1][action]
+    if h < n:
+        answer = nxt, ZERO_REWARD
+        path[h + 1] = (nxt, held, _NO_ACTION, None)
+    else:
+        answer = nxt, formula.fraction_of[held.bit_count()]
+    path[h] = (state, acc, action, answer)
+    path[0] = h + 1
+    return answer

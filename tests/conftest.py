@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import strategies as st
 
@@ -38,3 +40,20 @@ def formulas(draw, max_n=8, max_clauses=12):
         lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs))
     )
     return Formula.from_ints(n, draw(st.lists(clause, min_size=1, max_size=max_clauses)))
+
+
+def call_counts(run, **functions):
+    """(run(), name -> calls): every call of each function, counted by its code object."""
+    watched = {fn.__code__: name for name, fn in functions.items()}
+    counts = dict.fromkeys(functions, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            counts[watched[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, counts

@@ -237,6 +237,21 @@ class TestSolveAndExtract:
         assert data["value"] == "1/1"
         assert len(data["assignment"]) == 3
 
+    @pytest.mark.parametrize(
+        "declared", ["-3", "99999999999999999999"], ids=["negative", "huge"]
+    )
+    def test_bad_header_variable_count_exit_2(self, capsys, tmp_path, declared):
+        path = tmp_path / "header.cnf"
+        path.write_text(f"p cnf {declared} 1\n1 0\n")
+        code, out, err = run(capsys, ["solve", str(path)])
+        assert code == 2 and out == ""
+        assert f"line 1: 'p cnf' header declares n={declared}" in err
+
+    def test_solve_reads_a_byte_order_mark(self, capsys, tmp_path, cnf_path):
+        path = tmp_path / "bom.cnf"
+        path.write_bytes(b"\xef\xbb\xbf" + EXAMPLE1.encode())
+        assert run(capsys, ["solve", str(path)]) == run(capsys, ["solve", cnf_path])
+
     def test_extract_greedy(self, capsys):
         code, out, _ = run(capsys, ["extract", "--theta=-+-", "--n", "3"])
         assert code == 0

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -135,6 +136,25 @@ class TestParseDimacs:
             parse_dimacs("p cnf 2 1\n1 2\n")
         with pytest.raises(CnfError):
             parse_dimacs("p cnf 2 1\n1 2 3 4 0\n")
+
+    @pytest.mark.parametrize(
+        "declared", ["-3", "0", "99999999999999999999"], ids=["negative", "zero", "huge"]
+    )
+    def test_header_variable_count_checked(self, declared):
+        # refused at the header, before any clause is read against it or
+        # any per-variable table is sized from it
+        with pytest.raises(CnfError) as info:
+            parse_dimacs(f"c n\np cnf {declared} 1\n1 0\n")
+        assert str(info.value) == (
+            f"line 2: 'p cnf' header declares n={declared}, "
+            f"expected a positive integer no larger than {sys.maxsize}"
+        )
+
+    def test_leading_byte_order_mark_skipped(self, example1):
+        assert parse_dimacs("\ufeff" + example1.to_dimacs()) == example1
+        # only one, and only at the start
+        with pytest.raises(CnfError, match="line 1: clause before 'p cnf' header"):
+            parse_dimacs("\ufeff\ufeff" + example1.to_dimacs())
 
     def test_json_roundtrip(self, example1):
         data = example1.to_json()

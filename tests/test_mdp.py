@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -242,9 +244,21 @@ class TestFusedQueryOracle:
         _assert_query_matches_oracle(instance, state, action)
 
 
+@st.composite
+def _coerced(draw, state):
+    """The state with one assigned entry replaced by an equal bool, numpy
+    int or float, which ``stage`` accepts and the path must not cache."""
+    assigned = [i for i, v in enumerate(state) if v != -1]
+    if not assigned:
+        return tuple(state)
+    i = draw(st.sampled_from(assigned))
+    kind = draw(st.sampled_from((bool, np.int64, float)))
+    return state[:i] + (kind(state[i]),) + state[i + 1:]
+
+
 class TestChainedQueryOracle:
-    """A query from the very tuple the instance's last query returned takes
-    the cursor's fast path; every answer is still the oracle's."""
+    """A query from a state on the instance's path takes the fast path;
+    every answer is still the oracle's."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2**16), st.data())
@@ -253,14 +267,32 @@ class TestChainedQueryOracle:
         instance = build_mdp(random_formula(n, rng))
         # another instance, of another n, whose own last answer is passed in
         other = build_mdp(random_formula(n + 1, rng))
-        last, other_last, leaves = initial_state(n), initial_state(n + 1), []
-        sources = ("last", "last", "last", "copy", "list", "leaf", "arbitrary", "other")
+        # two chains interleave their queries on the one instance, and each
+        # restarts from one shared root object, as the solver's sweep does
+        root = initial_state(n)
+        chains, other_last, leaves, earlier = [root, root], initial_state(n + 1), [], []
+        refilled = list(root)  # one list object, refilled in place before each use
+        sources = (
+            "last", "last", "last", "root", "earlier", "coerced", "copy", "list",
+            "refilled", "refilled", "leaf", "arbitrary", "other",
+        )
         for _ in range(data.draw(st.integers(1, 4 * n + 4))):
+            chain = data.draw(st.integers(0, 1))
+            last = chains[chain]
             source = data.draw(st.sampled_from(sources))
-            if source == "copy":
+            if source == "root":
+                state = root
+            elif source == "earlier" and earlier:
+                state = data.draw(st.sampled_from(earlier))
+            elif source == "coerced":
+                state = data.draw(_coerced(last))
+            elif source == "copy":
                 state = tuple(list(last))
             elif source == "list":
                 state = list(last)
+            elif source == "refilled":
+                refilled[:] = data.draw(st.sampled_from((last, root)))
+                state = refilled
             elif source == "leaf" and leaves:
                 state = data.draw(st.sampled_from(leaves))
             elif source == "arbitrary":
@@ -268,20 +300,22 @@ class TestChainedQueryOracle:
             elif source == "other":
                 state, _ = generative_query(other, other_last, data.draw(st.sampled_from((0, 1))))
                 other_last = initial_state(n + 1) if is_terminal(state) else state
-            else:  # "last", or "leaf" before any leaf was returned
+            else:  # "last", or "earlier" or "leaf" before there is one
                 state = last
             got = _assert_query_matches_oracle(instance, state, data.draw(_HOSTILE_ACTIONS))
             if got is not None:
-                last = got[0]
-                if is_terminal(last):
-                    leaves.append(last)
-                    last = initial_state(n)
+                if is_terminal(got[0]):
+                    leaves.append(got[0])
+                    chains[chain] = root
+                else:
+                    earlier.append(got[0])
+                    chains[chain] = got[0]
 
     @pytest.mark.parametrize("state", [None, ()], ids=["None", "empty"])
     @pytest.mark.parametrize("action", [0, 1])
     def test_fresh_instance_refuses_what_step_refuses(self, state, action):
-        # the cursor starts at a private sentinel: None, which a caller may
-        # pass, and the shared empty tuple must both reach step
+        # every path entry starts at a private sentinel: None, which a
+        # caller may pass, and the shared empty tuple must both reach step
         formula = Formula.from_ints(3, [[1, -2]])
         with pytest.raises(Exception) as want:
             step(build_mdp(formula), state, action)
@@ -297,6 +331,44 @@ class TestChainedQueryOracle:
         for action in (0, 1):
             with pytest.raises(MdpError, match=terminal):
                 generative_query(example1_instance, state, action)
+
+    def test_threads_sharing_one_instance_get_the_oracle_answers(self):
+        # four threads walk random paths from one shared root on one
+        # instance, switching every microsecond: each path entry is swapped
+        # whole, so no answer pairs one state with another state's answer
+        n = 6
+        instance = build_mdp(random_formula(n, np.random.default_rng(7)))
+        root = initial_state(n)
+        expected = {}
+        for bits in product((0, 1), repeat=n):
+            state = root
+            for action in bits:
+                expected[state, action] = _oracle_query(instance, state, action)
+                state = expected[state, action][0]
+        wrong = []
+
+        def walk(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(4000):
+                state = root
+                for action in rng.integers(0, 2, size=n).tolist():
+                    got = generative_query(instance, state, action)
+                    if got != expected[state, action]:
+                        wrong.append((state, action, got))
+                    state = got[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=walk, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 def _recount(formula, assignment):

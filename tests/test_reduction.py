@@ -37,6 +37,8 @@ from sat2mdp.mdp import generative_query, initial_state
 from sat2mdp.policies import sample_trajectory, state_value_softmax
 from sat2mdp.verify import random_formula
 
+from conftest import call_counts
+
 
 class TestExtraction:
     def test_greedy_all_true(self):
@@ -173,9 +175,9 @@ class TestDecide:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_exact_solver_checks_each_query_state_once(self, n, monkeypatch):
-        # one stage() call per sign pattern: the root query's step is
-        # checked once, not once in transition and again in reward, and
-        # every later query starts from the state the instance just returned
+        # one stage() call per solve: the first query from the root runs
+        # step, once, and puts the root on the instance's path; every later
+        # query, the root's included, starts from a state on that path
         instance = build_mdp(random_formula(n, np.random.default_rng(200 + n)))
         counts = {"stage": 0, "query": 0}
         real_stage = mdp.stage
@@ -191,7 +193,7 @@ class TestDecide:
         monkeypatch.setattr(mdp, "stage", counting_stage)
         exact_solver(instance, counting_query, Fraction(1, 20), "greedy")
         assert counts["query"] == n * 2**n
-        assert counts["stage"] == 2**n
+        assert counts["stage"] == 1
 
     @pytest.mark.parametrize("zero", [Fraction(0), 0], ids=["fresh_fraction", "int"])
     @pytest.mark.parametrize("n", range(1, 7))
@@ -215,8 +217,8 @@ class TestDecide:
 
     def test_exact_solver_call_budget(self):
         # per-query overhead, counted rather than timed: one stage() per
-        # sign pattern (the root query; the rest chain from the state the
-        # instance returned), no Fraction.__bool__ at all, and the
+        # solve (the first root query; the rest start from states on the
+        # instance's path), no Fraction.__bool__ at all, and the
         # MdpInstance.n getter at most once, not once per query
         n = 6
         instance = build_mdp(random_formula(n, np.random.default_rng(406)))
@@ -240,9 +242,31 @@ class TestDecide:
         finally:
             sys.setprofile(None)
         assert counts["query"] == n * 2**n, counts
-        assert counts["stage"] == 2**n, counts
+        assert counts["stage"] == 1, counts
         assert counts["bool"] == 0, counts
         assert counts["n"] <= 1, counts
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_solver_builds_each_state_once(self, n):
+        # the path builds each of the tree's 2^(n+1) - 2 non-root states
+        # once per sweep, however often the n * 2^n queries reach it, and
+        # a leaf's reward is the carried prefix OR, with no Formula.split
+        instance = build_mdp(random_formula(n, np.random.default_rng(500 + n)))
+        returned = []
+
+        def keeping_query(state, action):
+            answer = generative_query(instance, state, action)
+            returned.append(answer[0])  # kept alive, so no id is reused
+            return answer
+
+        params, counts = call_counts(
+            lambda: exact_solver(instance, keeping_query, Fraction(1, 20), "greedy"),
+            split=Formula.split,
+        )
+        assert len(returned) == n * 2**n
+        assert len({id(state) for state in returned}) == 2 ** (n + 1) - 2
+        assert counts == {"split": 0}
+        assert params == best_greedy(instance)[0]
 
     def test_exact_solver_sums_rewards_before_the_leaf(self):
         # only patterns (0, 0) and (0, 1) satisfy (~x1); a query that pays 2

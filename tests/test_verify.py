@@ -3,7 +3,6 @@ import importlib
 import itertools
 import json
 import pkgutil
-import sys
 from fractions import Fraction
 from functools import partial
 
@@ -49,7 +48,7 @@ from sat2mdp.verify import (
 )
 
 import reference
-from conftest import formulas
+from conftest import call_counts, formulas
 from golden.make_digests import DIGESTS, FAULTS, faulted_run, softmax_binds, suite_digest
 
 
@@ -143,23 +142,6 @@ class TestWeightEnumerationOracle:
         with pytest.raises(ValueError) as batched:
             softmax_weights_by_enumeration(example1_instance, [valid, params], h)
         assert str(single.value) == str(batched.value) == str(closed.value)
-
-
-def call_counts(run, **functions):
-    """(run(), name -> calls): every call of each function, counted by its code object."""
-    watched = {fn.__code__: name for name, fn in functions.items()}
-    counts = dict.fromkeys(functions, 0)
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in watched:
-            counts[watched[frame.f_code]] += 1
-
-    sys.setprofile(profile)
-    try:
-        result = run()
-    finally:
-        sys.setprofile(None)
-    return result, counts
 
 
 class TestGreedySuite:
@@ -337,9 +319,12 @@ class TestPolicyIndependentWorkOnce:
         result, counts = call_counts(
             lambda: check_realizability_greedy(n_max=6, formulas_per_n=1, seed=0),
             lookahead_state=reference.lookahead_state,
+            eval_q_greedy=sat2mdp.policies.eval_q_greedy,
         )
         assert result.passed
         assert counts["lookahead_state"] == 0
+        # nor is any cell rolled out through the package's greedy q
+        assert counts["eval_q_greedy"] == 0
         # one table of 2^n leaf rewards per formula, one formula per n
         assert sum(len(got) for _, got in leaves.values()) == sum(2**n for n in range(1, 7)) == 126
         assert leaves
