@@ -9,7 +9,6 @@ only if every requested suite passes.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import sys
@@ -45,9 +44,12 @@ from .reduction import (
     frac_str,
     mcdiarmid_tail,
 )
-from .verify import SOFTMAX_SUITE_N_MAX, SUITES, run_suites
 
 USER_ERRORS = (CnfError, MdpError, ReductionError, ValueError, OSError, OverflowError)
+
+# verify's suite names in ``verify.SUITES`` order, for the parser's --suites
+# default and help; ``verify`` itself is imported only by ``cmd_verify``
+_SUITE_NAMES = ("greedy", "softmax", "scaling", "roundtrip")
 
 
 # flags whose value is an exact number, as the library reads it with
@@ -252,6 +254,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import inspect
+
+    from .verify import SOFTMAX_SUITE_N_MAX, SUITES, run_suites
+
     names = [s.strip() for s in args.suites.split(",") if s.strip()]
     if not names:
         raise ValueError(f"no suites named; available: {','.join(SUITES)}")
@@ -373,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bound)
 
     p = command("verify", "run the named verification suites")
-    p.add_argument("--suites", default=",".join(SUITES), help="comma list: " + ",".join(SUITES))
+    p.add_argument("--suites", default=",".join(_SUITE_NAMES),
+                   help="comma list: " + ",".join(_SUITE_NAMES))
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--formulas", type=int, default=None, help="formulas per n")
     p.add_argument("--thetas", type=int, default=None, help="theta draws per formula")

@@ -40,9 +40,10 @@ from fractions import Fraction
 from itertools import accumulate, chain, combinations
 from math import comb
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # each function that builds an array imports numpy itself
+    import numpy as np
 
 MAX_CLAUSE_SIZE = 3
 
@@ -330,6 +331,8 @@ def _count_rows(formula: Formula) -> Iterator[list[int]]:
 def leaf_counts(formula: Formula) -> np.ndarray:
     """The int64 satisfied count of each of the 2^n assignments; entry i belongs to
     the assignment whose bits, x1 first, spell i.  CnfError above the cap."""
+    import numpy as np
+
     rows = _count_rows(formula)
     return np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=1 << formula.n)
 
@@ -416,6 +419,8 @@ class ClauseUniverse:
         return tuple(Clause(tuple(k for k in row if k >= 0)) for row in self.keys.tolist())
 
     def to_json(self) -> dict:
+        import numpy as np
+
         # padding keys (-1) map to the signed literal 0
         signed = np.where(self.keys & 1, -(self.keys >> 1) - 1, (self.keys >> 1) + 1)
         return {"n": self.n, "clauses": [[v for v in row if v] for row in signed.tolist()]}
@@ -424,6 +429,8 @@ class ClauseUniverse:
 def enumerate_universe(n: int) -> ClauseUniverse:
     """The valid-clause universe for n variables in canonical order; CnfError
     above ``UNIVERSE_CAP`` rows, raised before any allocation."""
+    import numpy as np
+
     sizes = universe_block_sizes(n)
     _check_cap("universe", "rows", sum(sizes), UNIVERSE_CAP, CnfError)
     blocks = []

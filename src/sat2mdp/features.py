@@ -32,12 +32,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .cnf import ClauseUniverse
 from .mdp import MdpInstance, step
+
+if TYPE_CHECKING:  # each function that builds an array imports numpy itself
+    import numpy as np
 
 GREEDY = "greedy"
 SOFTMAX = "softmax"
@@ -228,6 +229,8 @@ class RealizabilityWeight:
 
     def m_dense(self) -> np.ndarray:
         """The m block as a dense array (int8 for greedy, float64 for softmax)."""
+        import numpy as np
+
         live = self._min_var > self.cutoff
         if self.kind == GREEDY:
             return (live & self._continuation).astype(np.int8)
@@ -244,6 +247,8 @@ class RealizabilityWeight:
 @lru_cache(maxsize=512)
 def _greedy_continuation(universe: ClauseUniverse, pattern: tuple[int, ...]) -> np.ndarray:
     """Truth value of every universe clause under the full look-ahead assignment."""
+    import numpy as np
+
     values = np.asarray(pattern, dtype=np.int64)[universe.var0]
     lit_true = universe.valid & (values != universe.neg)
     return lit_true.any(axis=1)
@@ -252,6 +257,8 @@ def _greedy_continuation(universe: ClauseUniverse, pattern: tuple[int, ...]) -> 
 @lru_cache(maxsize=512)
 def _softmax_continuation(universe: ClauseUniverse, probs: tuple[float, ...]) -> np.ndarray:
     """Satisfaction probability of every universe clause under independent draws."""
+    import numpy as np
+
     p_true_var = np.asarray(probs, dtype=np.float64)[universe.var0]
     p_lit_true = np.where(universe.neg, 1.0 - p_true_var, p_true_var)
     p_lit_false = np.where(universe.valid, 1.0 - p_lit_true, 1.0)

@@ -23,13 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .cnf import ENUMERATION_CAP, _check_cap, is_zeta_satisfiable
 from .features import PolicyParams, check_theta, greedy_action, softmax_prob
 from .mdp import ACTIONS, MdpError, MdpInstance, State, stage, step
+
+if TYPE_CHECKING:  # each function that builds an array imports numpy itself
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,8 @@ def sample_trajectory(
 
     Reproducible: the same integer seed always yields the same trajectory.
     """
+    import numpy as np
+
     check_theta(instance, params)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     actions = []

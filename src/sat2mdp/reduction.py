@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .cnf import (
     BRUTE_FORCE_CAP,
@@ -32,6 +30,9 @@ from .cnf import (
 from .features import PolicyParams
 from .mdp import ZERO_REWARD, MdpInstance, State, build_mdp, generative_query, initial_state
 from .policies import state_value_softmax
+
+if TYPE_CHECKING:  # each function that builds an array imports numpy itself
+    import numpy as np
 
 # Sign patterns handed to softmax extraction are scaled this far out so the
 # per-stage action probabilities are saturated to ~1e-18 of 0 or 1.
@@ -117,6 +118,8 @@ def extract_assignment_softmax(
     if mode == "sample":
         if seed is None:
             raise ReductionError("sample mode needs an explicit seed")
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         return tuple(1 if rng.random() < p else 0 for p in params.softmax_probs)
     raise ReductionError(f"unknown extraction mode {mode!r}")
@@ -186,10 +189,12 @@ def _check_sizes(H: int, b: int, C: int) -> None:
 def mcdiarmid_tail(t: float, H: int, b: int, C: int) -> float:
     """Bounded-difference tail bound exp(-2 t^2 C^2 / (H b^2)) for the terminal reward.
 
-    ReductionError when H b^2 is too large for a float, although H and b fit.
+    ReductionError for a t that is not a number >= 0 (a NaN or a negative t),
+    and when H b^2 is too large for a float, although H and b fit.  An
+    infinite t gives 0.0.
     """
-    if not t >= 0:
-        raise ReductionError(f"t must be nonnegative, got {t}")
+    if not t >= 0:  # false for a NaN as well
+        raise ReductionError(f"t must be a number >= 0, got {t}")
     _check_sizes(H, b, C)
     try:
         return math.exp(-2.0 * t * t * C * C / (H * b * b))
@@ -379,6 +384,8 @@ def decide_max3sat(
 
 def _leaf_indices(leaves: np.ndarray) -> np.ndarray:
     """Each row's index in ``cnf.leaf_counts``: its 0/1 entries, x1 first, read in binary."""
+    import numpy as np
+
     return leaves @ (1 << np.arange(leaves.shape[1] - 1, -1, -1))
 
 
@@ -400,6 +407,8 @@ def empirical_mcdiarmid(
     formula's table of leaf counts, so CnfError above ``BRUTE_FORCE_CAP``
     variables, before any episode is drawn.
     """
+    import numpy as np
+
     if trials < 1:
         raise ReductionError(f"trials must be >= 1, got {trials}")
     formula = instance.formula
@@ -441,6 +450,8 @@ def planted_instance(
     set, no variable is used in more clauses than that; generation raises
     if the capacity cannot accommodate clause_count clauses.
     """
+    import numpy as np
+
     if n < 1:
         raise ReductionError(f"need n >= 1, got {n}")
     z = as_fraction(zeta)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sat2mdp import cli
+from sat2mdp import cli, verify
 from sat2mdp.cli import main, parse_state, parse_theta
 from sat2mdp.reduction import calibration_t
 
@@ -278,6 +278,17 @@ class TestBound:
                                     "--H", "4", "--b", "3", "--C", "10"])
         assert code == 0
         assert json.loads(out)["value"] == 1.0
+
+    @pytest.mark.parametrize("t", ["nan", "-0.5"])
+    def test_mcdiarmid_t_not_a_number_at_least_0(self, capsys, t):
+        code, out, err = run(capsys, ["bound", "--kind", "mcdiarmid", "--t", t])
+        assert code == 2 and out == ""
+        assert err == f"error: t must be a number >= 0, got {float(t)}\n"
+
+    def test_mcdiarmid_t_inf(self, capsys):
+        code, out, _ = run(capsys, ["bound", "--kind", "mcdiarmid", "--t", "inf"])
+        assert code == 0
+        assert json.loads(out)["value"] == 0.0
 
     def test_greedy_eps(self, capsys):
         code, out, _ = run(capsys, ["bound", "--kind", "greedy-eps", "--delta", "0.1"])
@@ -668,11 +679,17 @@ class TestVerifyCommand:
 
     def test_unknown_suite_runs_nothing(self, capsys, monkeypatch):
         calls = []
-        monkeypatch.setitem(cli.SUITES, "greedy", lambda **kwargs: calls.append(kwargs))
+        monkeypatch.setitem(verify.SUITES, "greedy", lambda **kwargs: calls.append(kwargs))
         code, out, err = run(capsys, ["verify", "--suites", "greedy,nope"])
         assert code == 2 and out == ""
         assert "unknown suite 'nope'" in err
         assert calls == []
+
+    def test_parser_suite_names_are_the_suites(self):
+        # the parser names the suites without importing verify; the names
+        # are verify's, in its order, so --suites' default and help match it
+        assert cli._SUITE_NAMES == tuple(verify.SUITES)
+        assert cli.build_parser().parse_args(["verify"]).suites == ",".join(verify.SUITES)
 
     def test_nan_tolerance_exit_2(self, capsys):
         code, out, err = run(
