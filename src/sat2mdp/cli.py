@@ -57,10 +57,12 @@ _SUITE_NAMES = ("greedy", "softmax", "scaling", "roundtrip")
 _EXACT_FLAGS = {"--delta": "delta", "--epsilon": "epsilon", "--p0": "p0", "--v-star": "v_star"}
 
 
-def _check_exact_flags(args: argparse.Namespace) -> None:
-    """Refuse an exact-number flag value that ``as_fraction`` cannot read,
-    such as nan or 1/0, with a ValueError that names the flag.  A valid value
-    stays text, so the library reads it as before."""
+def _check_flags(args: argparse.Namespace) -> None:
+    """Refuse a negative --seed, which numpy's generators cannot take, and an
+    exact-number value ``as_fraction`` cannot read, such as nan or 1/0, with a
+    ValueError that names the flag.  An exact value stays text."""
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     for flag, dest in _EXACT_FLAGS.items():
         value = getattr(args, dest, None)
         if value is None:
@@ -131,7 +133,10 @@ class _StoreValue(argparse.Action):
 
 def parse_state(text: str, n: int) -> tuple[int, ...]:
     """A comma-separated state of n entries, in prefix form."""
-    state = tuple(int(v) for v in text.split(","))
+    try:
+        state = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"--state must be comma-separated integers, got {text!r}") from None
     if len(state) != n:
         raise ValueError(f"state has {len(state)} entries, formula needs {n}")
     stage(state)
@@ -222,6 +227,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     params = parse_theta(args.theta, args.n)
     if args.policy_class == "greedy":
         assignment = extract_assignment_greedy(params, args.n)
@@ -403,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has printed its usage error or help
         return exc.code
     try:
-        _check_exact_flags(args)
+        _check_flags(args)
         return args.fn(args)
     except USER_ERRORS as exc:
         _say(f"error: {exc}")

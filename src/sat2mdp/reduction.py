@@ -219,13 +219,15 @@ def calibration_t(H: int, b: int, C: int, p0: float) -> float:
 
 def _checked_p0(p0: Fraction | float | str) -> float:
     """p0 read exactly and checked in (0, 1) before its float conversion;
-    ReductionError outside (0, 1), and for a p0 whose float is 0.0."""
+    ReductionError outside (0, 1), and for a p0 whose float is 0.0 or 1.0."""
     p = as_fraction(p0)
     if not 0 < p < 1:
         raise ReductionError(f"p0 must be in (0, 1), got {p0}")
     p_float = float(p)
     if p_float == 0.0:
         raise ReductionError(f"p0 is too small for a float: {p0}")
+    if p_float == 1.0:
+        raise ReductionError(f"p0 is too close to 1 for a float: {p0}")
     return p_float
 
 

@@ -31,6 +31,13 @@ drawn before its checks, and the enumeration-defined weight oracle
 the formula's draws: which clauses a continuation satisfies does not depend
 on theta', only its probability does.  The trajectory-enumeration oracle at
 the root still runs per draw.
+
+The roundtrip suite is a list of (check name, inputs) cases run through one
+table, ``_ROUNDTRIP_CHECKS``.  A check takes JSON keyword inputs and returns
+its failures, each a dict with a ``kind``; the suite counts one case per
+call and records each failure as ``{"check": name, **inputs, **found}``.
+So one rule replays any record: call ``_ROUNDTRIP_CHECKS[r["check"]]`` with
+the record's fields for that check's parameters.
 """
 
 from __future__ import annotations
@@ -504,15 +511,18 @@ def check_construction_scaling(
     n up to size_check_max.  Wall times for universe enumeration, a full
     stage sweep of features, and all-stage weight construction are fitted
     with a log-log slope over n_list; slopes above the caps fail.
-    ValueError unless both caps are finite and >= 0.
+    ValueError unless both caps are finite and >= 0, size_check_max is at
+    least 1 and n_list holds at least two distinct sizes, each at least 1.
     """
     _require_tolerance(greedy_slope_max=greedy_slope_max, softmax_slope_max=softmax_slope_max)
+    _require_positive(size_check_max=size_check_max)
+    if len(set(n_list)) < 2 or min(n_list) < 1:
+        raise ValueError("n_list must hold at least two distinct sizes, each at least 1, "
+                         f"got {list(n_list)}")
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures: list[dict] = []
-    cases = 0
     for n in range(1, size_check_max + 1):
-        cases += 1
         widths = (enumerate_universe(n).keys >= 0).sum(axis=1)
         by_len = np.bincount(widths, minlength=4)[1:].tolist()
         if tuple(by_len) != universe_block_sizes(n):
@@ -555,7 +565,6 @@ def check_construction_scaling(
     slopes: dict[str, float] = {}
     log_n = np.log(np.asarray(n_list, dtype=float))
     for name, times in timings.items():
-        cases += 1
         slope = float(np.polyfit(log_n, np.log(np.asarray(times)), 1)[0])
         slopes[name] = slope
         cap = softmax_slope_max if name == "softmax_weights" else greedy_slope_max
@@ -566,7 +575,7 @@ def check_construction_scaling(
             )
     return SuiteResult(
         suite="construction_scaling",
-        cases=cases,
+        cases=size_check_max + len(timings),
         failures=failures,
         seed=seed,
         params={
@@ -590,40 +599,110 @@ def _refuses(transform: Callable, *args) -> bool:
     return False
 
 
-def _gap_transform_failure(
-    formula: Formula, b: int, epsilon: Fraction, delta: Fraction
-) -> dict | None:
-    """The roundtrip's ``gap_transform_identity`` record, or None.
+def _planted_decision(formula: list, n: int, planted: list, i: int, delta: str,
+                      epsilon: str) -> list[dict]:
+    """A planted (1 - delta + 2 epsilon)-satisfiable instance decides Yes, with a
+    certificate an independent recount re-verifies; ``planted`` is recorded,
+    not read."""
+    cnf, d, eps = Formula.from_ints(n, formula), Fraction(delta), Fraction(epsilon)
+    report = decide_max3sat(cnf, d, exact_solver, "greedy", eps)
+    if not report.decision:
+        return [{"kind": "expected_yes", "achieved": frac_str(report.achieved_fraction)}]
+    hit = sum(any((lit > 0) == (report.extracted[abs(lit) - 1] == 1) for lit in clause)
+              for clause in formula)
+    failures = []
+    if Fraction(hit, len(formula)) != report.achieved_fraction:
+        failures.append({"kind": "certificate_recount"})
+    if Fraction(hit, len(formula)) < 1 - d:
+        failures.append({"kind": "certificate_below_threshold"})
+    if i < 10:
+        # the sweep's optimum, through best_greedy and directly, against the
+        # exact solver's, which is reached through generative queries alone
+        _, best_value = best_greedy(build_mdp(cnf))
+        ok, _, zmax = is_zeta_satisfiable(cnf, 1 - d + 2 * eps)
+        if best_value != zmax or zmax != report.achieved_fraction or not ok:
+            failures.append({"kind": "optimum_cross_check"})
+    return failures
 
-    The transform must copy the clauses verbatim at occurrence bound b, and
-    refuse both of its obligations broken: a bound one below the formula's,
-    and a delta equal to epsilon.  The record carries the inputs.
-    """
+
+def _contradiction(formula: list, n: int, delta: str, epsilon: str) -> list[dict]:
+    """x1 and not x1 achieve exactly 1/2, short of 1 - delta, so decide No."""
+    report = decide_max3sat(Formula.from_ints(n, formula), Fraction(delta), exact_solver,
+                            "greedy", Fraction(epsilon))
+    if report.decision or report.achieved_fraction != Fraction(1, 2):
+        return [{"kind": "expected_no", "achieved": frac_str(report.achieved_fraction)}]
+    return []
+
+
+def _greedy_bound(delta: str, expected: str) -> list[dict]:
+    """The greedy chain's epsilon bound at delta is ``expected``."""
+    failed = epsilon_bound_greedy(Fraction(delta)) != Fraction(expected)
+    return [{"kind": "greedy_bound"}] if failed else []
+
+
+def _tail_calibration(H: int, b: int, C: int, p0: float) -> list[dict]:
+    """The McDiarmid tail at the t calibrated for p0 is p0 again, within 1e-15."""
+    failed = abs(mcdiarmid_tail(calibration_t(H, b, C, p0), H, b, C) - p0) > 1e-15
+    return [{"kind": "tail_calibration"}] if failed else []
+
+
+def _gap_transform(formula: list, n: int, b: int, epsilon: str, delta: str) -> list[dict]:
+    """The gap transform copies the clauses at occurrence bound b, and refuses a
+    bound one below the formula's and a delta equal to epsilon."""
+    cnf, eps, d = Formula.from_ints(n, formula), Fraction(epsilon), Fraction(delta)
     checks = {
-        "copied": gap3sat_to_delta_b(formula, b, epsilon, delta).clauses == formula.clauses,
+        "copied": gap3sat_to_delta_b(cnf, b, eps, d).clauses == cnf.clauses,
         "refuses_b_below_bound": _refuses(
-            gap3sat_to_delta_b, formula, occurrence_bound(formula) - 1, epsilon, delta
+            gap3sat_to_delta_b, cnf, occurrence_bound(cnf) - 1, eps, d
         ),
-        "refuses_delta_equal_epsilon": _refuses(gap3sat_to_delta_b, formula, b, epsilon, epsilon),
+        "refuses_delta_equal_epsilon": _refuses(gap3sat_to_delta_b, cnf, b, eps, eps),
     }
-    if all(checks.values()):
-        return None
-    return {"kind": "gap_transform_identity", "formula": formula.to_json()["clauses"],
-            "n": formula.n, "b": b, "epsilon": frac_str(epsilon), "delta": frac_str(delta),
-            **checks}
+    return [] if all(checks.values()) else [{"kind": "gap_transform_identity", **checks}]
 
 
-def _softmax_budget_failure(
-    v_star: Fraction, H: int, b: int, C: int, delta: Fraction, p0: float
-) -> dict | None:
-    """The roundtrip's ``softmax_bound_positivity`` record, or None: the
-    softmax chain's epsilon budget must be positive.  The record carries
-    the inputs and the budget."""
-    budget = epsilon_bound_softmax(v_star, H, b, C, delta, p0)
-    if budget > 0:
-        return None
-    return {"kind": "softmax_bound_positivity", "v_star": frac_str(v_star), "H": H, "b": b,
-            "C": C, "delta": frac_str(delta), "p0": p0, "budget": budget}
+def _softmax_decide(formula: list, n: int, delta: str, epsilon: str, seed: int) -> list[dict]:
+    """Softmax decide with sampled extraction answers Yes, round mode reads theta'
+    as greedy extraction does, and the sample is the seed's softmax episode leaf."""
+    cnf, eps = Formula.from_ints(n, formula), Fraction(epsilon)
+    inst = build_mdp(cnf)
+    params = exact_solver(inst, partial(generative_query, inst), eps, "softmax")
+    soft = decide_max3sat(cnf, Fraction(delta), exact_solver, "softmax", eps, seed=seed,
+                          extraction_mode="sample")
+    rounded = extract_assignment_softmax(params, n, mode="round")
+    # sampled extraction draws as one softmax episode does, so it is that episode's leaf
+    if (not soft.decision or rounded != extract_assignment_greedy(params, n)
+            or soft.extracted != sample_trajectory(inst, params, seed).final):
+        return [{"kind": "softmax_decide", "achieved": frac_str(soft.achieved_fraction)}]
+    return []
+
+
+def _empirical_tail(formula: list, n: int, theta: list, t: float, trials: int,
+                    seed: int) -> list[dict]:
+    """The tail rate of ``trials`` softmax episodes at t is within the McDiarmid bound."""
+    inst = build_mdp(Formula.from_ints(n, formula))
+    emp, bound, ok = empirical_mcdiarmid(inst, PolicyParams(tuple(theta)), trials, t, seed)
+    return [] if ok else [{"kind": "empirical_tail", "empirical": emp, "bound": bound}]
+
+
+def _softmax_budget(v_star: str, H: int, b: int, C: int, delta: str, p0: float) -> list[dict]:
+    """The softmax chain's epsilon budget is positive."""
+    budget = epsilon_bound_softmax(Fraction(v_star), H, b, C, Fraction(delta), p0)
+    return [] if budget > 0 else [{"kind": "softmax_bound_positivity", "budget": budget}]
+
+
+# the roundtrip checks: JSON keyword inputs -> failures, each a dict with a
+# "kind" ([] on a pass); the suite records each as {"check": name, **inputs,
+# **found}, so the record alone replays it
+_ROUNDTRIP_CHECKS: dict[str, Callable[..., list[dict]]] = {
+    "planted_decision": _planted_decision,
+    "contradiction": _contradiction,
+    "greedy_bound": _greedy_bound,
+    "tail_calibration": _tail_calibration,
+    "gap_transform": _gap_transform,
+    "softmax_decide": _softmax_decide,
+    "empirical_tail": _empirical_tail,
+    "softmax_budget": _softmax_budget,
+}
 
 
 def check_reduction_roundtrip(
@@ -639,8 +718,9 @@ def check_reduction_roundtrip(
     the exact solver must answer Yes; each certificate is re-verified by an
     independent clause-by-clause recount.  A contradictory instance must
     answer No, and the bound helpers and both extraction modes are
-    exercised on the side.  ValueError when count is below 1, n exceeds
-    the brute-force cap, epsilon exceeds delta/2 or delta is not below 1/2.
+    exercised on the side; each case is one call of a ``_ROUNDTRIP_CHECKS``
+    entry.  ValueError when count is below 1, n exceeds the brute-force cap,
+    epsilon exceeds delta/2 or delta is not below 1/2.
     """
     _require_positive(count=count)
     # before planting: the exact solver would refuse the first instance
@@ -652,103 +732,48 @@ def check_reduction_roundtrip(
         # the contradiction check needs its 1/2 to fall short of 1 - delta
         raise ValueError(f"roundtrip premise needs delta < 1/2, got {d}")
     started = time.perf_counter()
-    failures: list[dict] = []
-    cases = 0
     zeta = 1 - d + 2 * eps
+    chain = {"delta": frac_str(d), "epsilon": frac_str(eps)}
+    cases = []
     for i in range(count):
-        cases += 1
         formula, planted = planted_instance(n, clause_count=3 * n, zeta=zeta, seed=seed + i)
-        report = decide_max3sat(formula, d, exact_solver, "greedy", eps)
-        repro = {"formula": formula.to_json()["clauses"], "planted": list(planted), "i": i,
-                 "delta": frac_str(d), "epsilon": frac_str(eps)}
-        if not report.decision:
-            failures.append({**repro, "kind": "expected_yes",
-                             "achieved": frac_str(report.achieved_fraction)})
-            continue
-        # independent recount of the certificate
-        hit = 0
-        for clause in formula.clauses:
-            for lit in clause.to_ints():
-                v = report.extracted[abs(lit) - 1]
-                if (lit > 0 and v == 1) or (lit < 0 and v == 0):
-                    hit += 1
-                    break
-        if Fraction(hit, formula.clause_count) != report.achieved_fraction:
-            failures.append({**repro, "kind": "certificate_recount"})
-        if Fraction(hit, formula.clause_count) < 1 - d:
-            failures.append({**repro, "kind": "certificate_below_threshold"})
-        if i < 10:
-            # the sweep's optimum, through best_greedy and directly, against the
-            # exact solver's, which is reached through generative queries alone
-            _, best_value = best_greedy(build_mdp(formula))
-            ok, _, zmax = is_zeta_satisfiable(formula, zeta)
-            if best_value != zmax or zmax != report.achieved_fraction or not ok:
-                failures.append({**repro, "kind": "optimum_cross_check"})
-
+        cases.append(("planted_decision", {"formula": formula.to_json()["clauses"], "n": n,
+                                           "planted": list(planted), "i": i, **chain}))
     # a contradictory pair can never reach 1 - delta
-    cases += 1
-    contradiction = Formula.from_ints(1, [[1], [-1]])
-    report = decide_max3sat(contradiction, d, exact_solver, "greedy", eps)
-    if report.decision or report.achieved_fraction != Fraction(1, 2):
-        failures.append({"kind": "expected_no", "formula": contradiction.to_json()["clauses"],
-                         "n": contradiction.n, "delta": frac_str(d), "epsilon": frac_str(eps),
-                         "achieved": frac_str(report.achieved_fraction)})
-
+    cases.append(("contradiction", {"formula": [[1], [-1]], "n": 1, **chain}))
     # side checks: bounds, transforms, extraction modes, concentration
-    cases += 1
-    if epsilon_bound_greedy(Fraction(1, 10)) != Fraction(1, 20):
-        failures.append({"kind": "greedy_bound"})
-    cases += 1
-    t8 = calibration_t(13, 3, 12, 0.125)
-    if abs(mcdiarmid_tail(t8, 13, 3, 12) - 0.125) > 1e-15:
-        failures.append({"kind": "tail_calibration"})
-    cases += 1
-    sample_formula, _ = planted_instance(
-        n, clause_count=n, zeta=zeta, seed=seed + count, max_occurrences=3
-    )
-    failure = _gap_transform_failure(sample_formula, 3, eps / 2, d)
-    if failure:
-        failures.append(failure)
-    cases += 1
-    inst = build_mdp(sample_formula)
-    soft_params = exact_solver(inst, partial(generative_query, inst), eps, "softmax")
-    soft = decide_max3sat(sample_formula, d, exact_solver, "softmax", eps, seed=seed,
-                          extraction_mode="sample")
-    rounded = extract_assignment_softmax(soft_params, n, mode="round")
-    # sampled extraction draws as one softmax episode does, so it is that episode's leaf
-    sampled_leaf = sample_trajectory(inst, soft_params, seed).final
-    if (not soft.decision or rounded != extract_assignment_greedy(soft_params, n)
-            or soft.extracted != sampled_leaf):
-        failures.append({"kind": "softmax_decide", "formula": sample_formula.to_json()["clauses"],
-                         "n": n, "delta": frac_str(d), "epsilon": frac_str(eps), "seed": seed,
-                         "achieved": frac_str(soft.achieved_fraction)})
-    cases += 1
-    params = PolicyParams(tuple(float(v) for v in np.random.default_rng(seed).uniform(-1, 1, size=n)))
-    t = calibration_t(inst.horizon, occurrence_bound(sample_formula),
+    sample_formula, _ = planted_instance(n, clause_count=n, zeta=zeta, seed=seed + count,
+                                         max_occurrences=3)
+    sample = {"formula": sample_formula.to_json()["clauses"], "n": n}
+    theta = [float(v) for v in np.random.default_rng(seed).uniform(-1, 1, size=n)]
+    t = calibration_t(build_mdp(sample_formula).horizon, occurrence_bound(sample_formula),
                       sample_formula.clause_count, 0.125)
-    emp, bound, ok = empirical_mcdiarmid(inst, params, trials=2000, t=t, seed=seed)
-    if not ok:
-        # the call's inputs, so the record replays it on its own
-        failures.append({"kind": "empirical_tail", "formula": sample_formula.to_json()["clauses"],
-                         "n": n, "theta": list(params.theta_prime), "t": t, "trials": 2000,
-                         "seed": seed, "empirical": emp, "bound": bound})
-    cases += 1
     # a formula whose budget is positive: satisfiable, so v* = 1, with
     # H = 65, b = 3 and C = 64, where delta = 9/20 leaves a budget of 0.065
     budget_formula, planted = planted_instance(64, 64, 1, seed=64, max_occurrences=3)
-    failure = _softmax_budget_failure(
-        satisfied_fraction(budget_formula, planted), build_mdp(budget_formula).horizon,
-        occurrence_bound(budget_formula), budget_formula.clause_count, Fraction(9, 20), 0.125,
-    )
-    if failure:
-        failures.append(failure)
-
+    cases += [
+        ("greedy_bound", {"delta": "1/10", "expected": "1/20"}),
+        ("tail_calibration", {"H": 13, "b": 3, "C": 12, "p0": 0.125}),
+        ("gap_transform", {**sample, "b": 3, "epsilon": frac_str(eps / 2), "delta": frac_str(d)}),
+        ("softmax_decide", {**sample, **chain, "seed": seed}),
+        ("empirical_tail", {**sample, "theta": theta, "t": t, "trials": 2000, "seed": seed}),
+        ("softmax_budget", {
+            "v_star": frac_str(satisfied_fraction(budget_formula, planted)),
+            "H": build_mdp(budget_formula).horizon, "b": occurrence_bound(budget_formula),
+            "C": budget_formula.clause_count, "delta": "9/20", "p0": 0.125,
+        }),
+    ]
+    failures = [
+        {"check": name, **inputs, **found}
+        for name, inputs in cases
+        for found in _ROUNDTRIP_CHECKS[name](**inputs)
+    ]
     return SuiteResult(
         suite="reduction_roundtrip",
-        cases=cases,
+        cases=len(cases),
         failures=failures,
         seed=seed,
-        params={"count": count, "n": n, "delta": frac_str(d), "epsilon": frac_str(eps)},
+        params={"count": count, "n": n, **chain},
         wall_time=time.perf_counter() - started,
     )
 

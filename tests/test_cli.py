@@ -437,6 +437,41 @@ def test_overflowing_p0_names_p0(capsys, cnf_path, argv):
     assert err == "error: p0 must be in (0, 1), got 1e400\n"
 
 
+@pytest.mark.parametrize("argv", P0_READERS)
+def test_p0_rounding_to_1_names_p0(capsys, cnf_path, argv):
+    # a p0 just below 1 is in (0, 1), though it rounds to the float 1.0: the
+    # message says that, not that p0 is outside (0, 1)
+    p0 = "0.99999999999999999999999"
+    code, out, err = run(capsys, [part.format(cnf=cnf_path) for part in argv] + ["--p0", p0])
+    assert code == 2 and out == ""
+    assert err == f"error: p0 is too close to 1 for a float: {p0}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decide", "{cnf}", "--delta", "1/10", "--class", "softmax", "--mode", "sample",
+          "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        # greedy decide reads no seed, but one supplied is checked all the same
+        (["decide", "{cnf}", "--delta", "1/10", "--seed", "-1"],
+         "--seed must be a non-negative integer, got -1"),
+        (["extract", "--theta=+", "--n", "1", "--class", "softmax", "--mode", "sample",
+          "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        (["verify", "--suites", "scaling", "--seed", "-1"],
+         "--seed must be a non-negative integer, got -1"),
+        (["eval", "{cnf}", "--theta=+++", "--state=0,x,-1", "--action", "0"],
+         "--state must be comma-separated integers, got '0,x,-1'"),
+        (["extract", "--theta=+", "--n", "0"], "--n must be at least 1, got 0"),
+    ],
+)
+def test_integer_flag_names_itself(capsys, cnf_path, argv, message):
+    # refused before any work, in one line that names the flag rather than
+    # numpy's or int()'s complaint
+    code, out, err = run(capsys, [part.format(cnf=cnf_path) for part in argv])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("flag", ["--H", "--b", "--C"])
 @pytest.mark.parametrize(
     "argv",

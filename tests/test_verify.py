@@ -21,7 +21,6 @@ from sat2mdp import (
     PolicyParams,
     build_mdp,
     decide_max3sat,
-    empirical_mcdiarmid,
     exact_solver,
     extract_assignment_greedy,
     extract_assignment_softmax,
@@ -48,7 +47,7 @@ from sat2mdp.verify import (
 )
 
 import reference
-from conftest import call_counts, formulas
+from conftest import call_counts, formulas, replay_roundtrip
 from golden.make_digests import DIGESTS, FAULTS, faulted_run, softmax_binds, suite_digest
 
 
@@ -212,12 +211,19 @@ class TestSoftmaxSuite:
         (check_realizability_softmax, {"thetas_per_formula": 0}),
         (check_reduction_roundtrip, {"count": 0}),
         (check_reduction_roundtrip, {"count": -1}),
+        (check_construction_scaling, {"size_check_max": 0}),
+        (check_construction_scaling, {"n_list": (5,)}),
+        (check_construction_scaling, {"n_list": ()}),
+        (check_construction_scaling, {"n_list": (5, 5)}),
+        (check_construction_scaling, {"n_list": (0, 5)}),
     ],
 )
 def test_empty_sweep_rejected(suite, kwargs):
-    # a suite that checks nothing must not report a pass
+    # a suite that checks nothing must not report a pass; nor may a slope
+    # fitted through fewer than two sizes
     (name,) = kwargs
-    with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+    rule = "must hold at least two distinct sizes" if name == "n_list" else "must be at least 1"
+    with pytest.raises(ValueError, match=f"{name} {rule}"):
         suite(**kwargs)
 
 
@@ -544,8 +550,8 @@ class TestRoundtripSuite:
     def test_empirical_tail_record_replays(self, monkeypatch):
         # E[R] raised by the calibrated t (1.35 here) puts the threshold at
         # about E[R] itself, so the tail check fails with a rate that depends
-        # on every input; the record alone rebuilds the call, which fails
-        # again with the recorded values
+        # on every input; the record alone replays the check through its
+        # table entry, which fails again with the recorded values
         original = sat2mdp.reduction.state_value_softmax
         monkeypatch.setattr(
             sat2mdp.reduction, "state_value_softmax", lambda *args: original(*args) + 1.35
@@ -553,13 +559,10 @@ class TestRoundtripSuite:
         result = check_reduction_roundtrip(count=1, n=6, seed=3)
         failures = json.loads(result.canonical_json())["failures"]
         [record] = [f for f in failures if f["kind"] == "empirical_tail"]
-        instance = build_mdp(Formula.from_ints(record["n"], record["formula"]))
-        replayed = empirical_mcdiarmid(
-            instance, PolicyParams(tuple(record["theta"])), record["trials"], record["t"],
-            record["seed"],
-        )
+        assert record["check"] == "empirical_tail"
         assert 0 < record["empirical"] < 1
-        assert replayed == (record["empirical"], record["bound"], False)
+        # the same empirical rate and bound, and the check failed again
+        assert replay_roundtrip(record) == [record]
 
     def test_softmax_decide_record_replays(self, monkeypatch):
         # decide's sampled extraction made to ignore the policy and draw each
@@ -567,7 +570,8 @@ class TestRoundtripSuite:
         # satisfies 5/6 of the formula, below 1 - delta but not below
         # 1 - 2 delta, so the achieved value and the failed comparisons depend
         # on the formula, the seed and delta; with the fault still in place
-        # the record alone rebuilds the comparisons, and the same ones fail
+        # the record alone replays the check through its table entry and
+        # rebuilds the comparisons, and the same ones fail
         original = sat2mdp.reduction.extract_assignment_softmax
 
         def uniform(params, n, mode="round", seed=None):
@@ -579,6 +583,7 @@ class TestRoundtripSuite:
         result = check_reduction_roundtrip(count=1, n=6, seed=1)
         failures = json.loads(result.canonical_json())["failures"]
         [record] = [f for f in failures if f["kind"] == "softmax_decide"]
+        assert record["check"] == "softmax_decide"
         n, seed = record["n"], record["seed"]
         formula = Formula.from_ints(n, record["formula"])
         delta, epsilon = Fraction(record["delta"]), Fraction(record["epsilon"])
@@ -596,12 +601,14 @@ class TestRoundtripSuite:
         assert record["achieved"] == "5/6"
         assert Fraction(record["achieved"]) == soft.achieved_fraction
         assert comparisons == (False, True, False)
+        assert replay_roundtrip(record) == [record]
 
     def test_expected_no_record_replays(self, monkeypatch):
         # decide's recount made 2/5 too high on one-variable formulas: the
         # contradiction then achieves 9/10, exactly 1 - delta at delta = 1/10,
         # so it decides Yes; with the fault still in place the record alone
-        # rebuilds the call, which decides Yes again at the recorded value
+        # replays the check through its table entry, which fails again at
+        # the recorded value
         original = sat2mdp.reduction.satisfied_fraction
 
         def raised(formula, assignment):
@@ -612,13 +619,12 @@ class TestRoundtripSuite:
         result = check_reduction_roundtrip(count=1, n=4, seed=0)
         failures = json.loads(result.canonical_json())["failures"]
         [record] = [f for f in failures if f["kind"] == "expected_no"]
-        report = decide_max3sat(
-            Formula.from_ints(record["n"], record["formula"]), Fraction(record["delta"]),
-            exact_solver, "greedy", Fraction(record["epsilon"]),
-        )
+        assert record["check"] == "contradiction"
         assert record["achieved"] == "9/10"
-        assert report.decision
-        assert report.achieved_fraction == Fraction(record["achieved"])
+        # the recorded value decides Yes: a report's decision is
+        # achieved >= 1 - delta, which ReductionReport enforces
+        assert Fraction(record["achieved"]) >= 1 - Fraction(record["delta"])
+        assert replay_roundtrip(record) == [record]
 
     @staticmethod
     def ignores_b(original):
@@ -639,7 +645,8 @@ class TestRoundtripSuite:
     )
     def test_gap_transform_record_replays(self, monkeypatch, fault, broken):
         # with one obligation of the transform left unchecked, the record
-        # names it, and the record's inputs alone fail the same way again
+        # names it, and the record's inputs alone, through the check's table
+        # entry, fail the same way again
         original = sat2mdp.verify.gap3sat_to_delta_b
         monkeypatch.setattr(sat2mdp.verify, "gap3sat_to_delta_b", getattr(self, fault)(original))
         result = check_reduction_roundtrip(count=1, n=4, seed=0)
@@ -647,16 +654,14 @@ class TestRoundtripSuite:
         [record] = [f for f in failures if f["kind"] == "gap_transform_identity"]
         checks = ("copied", "refuses_b_below_bound", "refuses_delta_equal_epsilon")
         assert {name: record[name] for name in checks} == {name: name != broken for name in checks}
-        replayed = sat2mdp.verify._gap_transform_failure(
-            Formula.from_ints(record["n"], record["formula"]), record["b"],
-            Fraction(record["epsilon"]), Fraction(record["delta"]),
-        )
-        assert replayed == record
+        assert record["check"] == "gap_transform"
+        assert replay_roundtrip(record) == [record]
 
     def test_softmax_budget_record_replays(self, monkeypatch):
         # a calibration point twice too large takes the planted n = 64
         # formula's budget from 0.065 to about -0.32; with the fault still in
-        # place the record's inputs alone give the same budget again
+        # place the record's inputs alone, through the check's table entry,
+        # give the same budget again
         original = sat2mdp.reduction.calibration_t
         monkeypatch.setattr(sat2mdp.reduction, "calibration_t", lambda *args: 2 * original(*args))
         result = check_reduction_roundtrip(count=1, n=4, seed=0)
@@ -665,11 +670,8 @@ class TestRoundtripSuite:
         assert (record["v_star"], record["H"], record["b"], record["C"]) == ("1/1", 65, 3, 64)
         assert (record["delta"], record["p0"]) == ("9/20", 0.125)
         assert -0.33 < record["budget"] < -0.31
-        replayed = sat2mdp.verify._softmax_budget_failure(
-            Fraction(record["v_star"]), record["H"], record["b"], record["C"],
-            Fraction(record["delta"]), record["p0"],
-        )
-        assert replayed == record
+        assert record["check"] == "softmax_budget"
+        assert replay_roundtrip(record) == [record]
         monkeypatch.undo()
         assert 0.064 < sat2mdp.epsilon_bound_softmax(
             1, 65, 3, 64, Fraction(9, 20), 0.125
