@@ -94,21 +94,38 @@ def _say(message: str) -> None:
 
 
 def parse_theta(text: str, n: int | None = None) -> PolicyParams:
-    """theta' from '+-+' sign shorthand, a comma list, or @file.json: {"theta_prime": [...]}."""
+    """theta' from '+-+' sign shorthand, a comma list, or @file.json: {"theta_prime": [...]}.
+
+    Every refusal is a ValueError that names --theta."""
     text = text.strip()
     if text.startswith("@"):
-        data = json.loads(Path(text[1:]).read_text())
+        try:
+            data = json.loads(Path(text[1:]).read_text())
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"--theta file {text[1:]} is not readable JSON: {exc}") from None
         values = data.get("theta_prime") if isinstance(data, dict) else None
-        if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
-            raise ValueError(f"{text[1:]}: expected an object with a theta_prime number list")
-        params = PolicyParams.from_values(values)
+        if not isinstance(values, list) or not values or any(
+            type(v) not in (int, float) for v in values
+        ):
+            raise ValueError(
+                f"--theta file {text[1:]}: expected an object with a non-empty theta_prime number list"
+            )
     elif text and set(text) <= set("+-"):
-        params = PolicyParams.from_signs(text)
+        values = PolicyParams.from_signs(text).theta_prime
     else:
-        params = PolicyParams.from_values(float(v) for v in text.split(","))
-    if n is not None and params.d_prime != n:
-        raise ValueError(f"theta' has {params.d_prime} entries, formula needs {n}")
-    return params
+        try:
+            values = [float(v) for v in text.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--theta must be a sign pattern such as +-+, comma-separated numbers "
+                f"or @file.json, got {text!r}"
+            ) from None
+    # false for nan, an infinity, and a JSON integer too large for a float
+    if not all(abs(v) <= sys.float_info.max for v in values):
+        raise ValueError(f"--theta entries must be finite floats, got {text!r}")
+    if n is not None and len(values) != n:
+        raise ValueError(f"--theta has {len(values)} entries, expected n={n}")
+    return PolicyParams.from_values(values)
 
 
 class _StoreValue(argparse.Action):

@@ -17,21 +17,23 @@ instances, a popcount over the OR of one clause bitset per variable
 (``Formula.value_bits``), looked up in the formula's table of satisfied
 fractions.  Each instance keeps the path its queries walk: one entry per
 stage h, holding a stage-h state, the OR of the bitsets of its assigned
-prefix, and the action and answer of the last query from it.  A query
-from an entry's state (by identity, not equality; the entry at the stage
-of the last returned state is looked at first, then stage 1, where a
-sweep restarts from its root) skips ``step`` and its four ``stage``
-scans.  The entry's last action returns the last answer as is; the other
-action builds the next state from the known prefix and the shared tail,
-ORs in one more bitset, and replaces the entry and its child's.  That is
-sound because every state on the path is a plain tuple of plain ints
-that ``step`` checked, in prefix form and of length n, or that the
-instance built from one; a tuple cannot change, and the entry holds a
-reference to it, so no other object can take its id.  Any other query, a
-list or an equal copy included, goes through ``step``, so every error
-keeps its type, message and order.  So the exact solver's sweep, n * 2^n
-queries from one root object, runs ``step`` once, builds each of the
-2^(n+1) - 2 non-root states once, and ORs one bitset per state built.
+prefix, and the action and answer of the last query from it.  One rule
+finds a query's entry: its state, by identity, not equality, at the
+cursor's entry, then at each stage from n down to 1.  A query from an
+entry's state skips ``step`` and its four ``stage`` scans.  The entry's
+last action returns the last answer as is; the other action builds the
+next state from the known prefix and the shared tail, ORs in one more
+bitset, and replaces the entry and its child's.  That is sound because
+every state on the path is a plain tuple of plain ints that ``step``
+checked, in prefix form and of length n, or that the instance built
+from one; a tuple cannot change, and the entry holds a reference to it,
+so no other object can take its id.  Every other query, a list or an
+equal copy included, goes through ``step`` once, so every error keeps
+its type, message and order, and then joins the path, as a plain int
+copy if it is not plain.  So the exact solver's sweep, n * 2^n queries
+from one root object, and a depth-first walk each run ``step`` once,
+build each of the 2^(n+1) - 2 non-root states once, and OR one bitset
+per state built.
 ``step`` is the package's one next-state rule; the tests keep an
 independent one, ``transition`` in ``tests/reference.py``, and hold
 ``generative_query`` to what that ``transition`` followed by ``reward``
@@ -123,21 +125,22 @@ class MdpInstance:
     @cached_property
     def _path(self) -> list:
         """[cursor stage, entry for stage 1, ..., entry for stage n, sentinel]:
-        the solver's current path, one entry per stage h.
+        one entry per stage h, on the path the instance's queries walk.
 
         Entry h is ``(state, acc, action, answer)``: a stage-h state that
         the instance built or checked, a plain tuple of plain ints; the OR
         of ``value_bits`` over its assigned prefix; the action of the last
-        query from it; and that query's ``(next state, reward)``.  Slot 0
-        holds the stage of the last returned state, where the next query
-        most likely starts; slot n + 1, the stage past a leaf, holds a
-        sentinel, so a query after a leaf is looked up at stage 1, where
-        a sweep restarts from its root.  Every entry starts as that
-        sentinel, a private object that no caller can pass, with an action
-        that no caller can pass either.  Each entry is a self-consistent
-        tuple swapped whole, so a reader never pairs one state with another
-        state's answer; callers that interleave queries on one instance,
-        threads included, only miss the fast path.
+        query from it; and that query's ``(next state, reward)``.  Slot 0,
+        the cursor, holds the stage of the last returned state, where the
+        next query most likely starts, or 1 after a leaf is built, where a
+        sweep restarts from its root; slot n + 1, the stage past a leaf
+        that a repeated leaf query sets, holds a sentinel.  Every entry
+        starts as that sentinel, a private object that no caller can pass,
+        with an action that no caller can pass either.  Each entry is a
+        self-consistent tuple swapped whole and read once per lookup, so a
+        reader never pairs one state with another state's answer; callers
+        that interleave queries on one instance, threads included, only
+        miss the fast path.
         """
         return [1] + [(object(), 0, _NO_ACTION, None)] * (self.n + 1)
 
@@ -230,23 +233,25 @@ def generative_query(
     """Simulator access: (next state, reward of the next state). Deterministic.
 
     Equal to ``(nxt, reward(instance, nxt))`` for the next state ``nxt``
-    of ``step``, raising the same errors in the same order.
-    A query from a state on the instance's path (by identity) skips
-    ``step``: the instance checked that state itself, and its entry knows
-    the stage and the prefix OR.  The entry's last action again returns
-    the entry's answer as is; the other action builds one next state and
-    ORs in one bitset, and a leaf's reward is that OR's popcount.  Any
-    other query goes through ``step``, then puts its state on the path
-    when state and action are plain (a plain tuple of plain ints, and a
-    plain int); a list, a bool or a numpy entry is answered through
-    ``Formula.split`` and left off the path.
+    of ``step``, raising the same errors in the same order.  One lookup
+    rule: the state is looked for on the instance's path by identity, at
+    the cursor's entry, then from stage n down to stage 1.  A query from
+    a state on the path skips ``step``: its entry knows the stage and the
+    prefix OR.  The entry's last action again returns the entry's answer
+    as is; the other action builds one next state and ORs in one bitset,
+    and a leaf's reward is that OR's popcount.  Any other query goes
+    through ``step`` once and then joins the path; a state that is not a
+    plain tuple of plain ints (a list, or a bool, numpy or float entry)
+    joins as its plain int copy, and an action as ``int(action)``.
     """
     path = instance._path
     h = path[0]
     entry = path[h]
     if entry[0] is not state:
-        h = 1
-        entry = path[1]
+        for h in range(instance.n, 0, -1):
+            entry = path[h]
+            if entry[0] is state:
+                break
     if entry[0] is state:
         if action is entry[2]:
             path[0] = h + 1
@@ -254,22 +259,20 @@ def generative_query(
         if type(action) is int and action in ACTIONS:
             return _extend(instance, path, h, state, entry[1], action)
     h, nxt = step(instance, state, action)
-    if type(state) is tuple and type(action) is int and all(type(v) is int for v in state):
-        acc = 0
-        for bits, v in zip(instance.formula.value_bits, state[: h - 1]):
-            acc |= bits[v]
-        return _extend(instance, path, h, state, acc, action)
-    if h < instance.n:
-        return nxt, ZERO_REWARD
-    formula = instance.formula
-    return nxt, formula.fraction_of[formula.split(nxt)[0]]
+    if type(state) is not tuple or not all(type(v) is int for v in state):
+        # rebuilt from what ``step`` read, so an iterator is read only once
+        state = tuple(map(int, nxt[: h - 1])) + (-1,) * (instance.n - h + 1)
+    acc = 0
+    for bits, v in zip(instance.formula.value_bits, state[: h - 1]):
+        acc |= bits[v]
+    return _extend(instance, path, h, state, acc, int(action))
 
 
 def _extend(
     instance: MdpInstance, path: list, h: int, state: State, acc: int, action: int
 ) -> tuple[State, Fraction]:
-    """Answer a checked query from stage-h ``state``, whose prefix OR is
-    ``acc``, and install the state's entry and its next state's."""
+    """The one code that builds an answer, to a checked query from stage-h
+    ``state`` with prefix OR ``acc``; it installs the entries and the cursor."""
     n = instance.n
     formula = instance.formula
     nxt = state[: h - 1] + instance._next_tails[action][n - h]
@@ -277,8 +280,9 @@ def _extend(
     if h < n:
         answer = nxt, ZERO_REWARD
         path[h + 1] = (nxt, held, _NO_ACTION, None)
+        path[0] = h + 1
     else:
         answer = nxt, formula.fraction_of[held.bit_count()]
+        path[0] = 1
     path[h] = (state, acc, action, answer)
-    path[0] = h + 1
     return answer

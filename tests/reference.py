@@ -1,4 +1,5 @@
-"""Reference versions of the MDP's next-state rule and the greedy roll-out.
+"""Reference versions of the MDP's next-state rule and the greedy roll-out,
+and a depth-first client of generative access.
 
 The package has one implementation of each: ``mdp.step`` is its next-state
 rule, and ``eval_q_greedy`` builds the greedy roll-out's leaf from the
@@ -11,15 +12,19 @@ the package's paths to them:
 * ``is_terminal`` reads a state's stage, for walks that stop at a leaf;
 * ``lookahead_state`` is the leaf of the greedy roll-out from a
   state-action pair, the leaf the greedy suite reads by index and
-  ``eval_q_greedy`` scores.
+  ``eval_q_greedy`` scores;
+* ``depth_first_solve`` is an exhaustive solver that, unlike the
+  package's sweep, backtracks: it queries each state's second action after
+  the whole subtree under its first, as a depth-first planner does.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from fractions import Fraction
+from typing import Callable, Sequence
 
 from sat2mdp.features import PolicyParams
-from sat2mdp.mdp import ACTIONS, MdpError, State, stage
+from sat2mdp.mdp import ACTIONS, MdpError, State, initial_state, stage
 
 
 def is_terminal(state: Sequence[int]) -> bool:
@@ -53,3 +58,29 @@ def lookahead_state(state: Sequence[int], action: int, params: PolicyParams) -> 
     if params.d_prime != len(values):
         raise ValueError(f"theta' has {params.d_prime} entries, state needs {len(values)}")
     return values[: h - 1] + (action,) + params.greedy_actions[h:]
+
+
+def depth_first_solve(
+    query: Callable[[State, int], tuple[State, Fraction]], n: int
+) -> tuple[Fraction, tuple[int, ...]]:
+    """(best value, first best assignment) over all 2^n leaves, by a
+    depth-first walk through generative access from a fresh root.
+
+    Plays action 0 before action 1 below every state, sums every nonzero
+    reward on the way down, and keeps the first maximizer by a strict
+    ``>``, so the assignment is the lexicographically first best one.  One
+    query per non-root state: 2^(n+1) - 2 in all.
+    """
+    best: list = [Fraction(-1), ()]
+
+    def visit(state: State, prefix: tuple[int, ...], total: Fraction) -> None:
+        for action in ACTIONS:
+            nxt, r = query(state, action)
+            value = total + r if r else total
+            if len(prefix) + 1 < n:
+                visit(nxt, prefix + (action,), value)
+            elif value > best[0]:
+                best[:] = value, prefix + (action,)
+
+    visit(initial_state(n), (), Fraction(0))
+    return best[0], best[1]

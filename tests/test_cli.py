@@ -472,6 +472,38 @@ def test_integer_flag_names_itself(capsys, cnf_path, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["extract", "--theta=", "--n", "2"], "--theta must be a sign pattern such as +-+, "
+         "comma-separated numbers or @file.json, got ''"),
+        (["eval", "{cnf}", "--theta=1,,2", "--state=-1,-1,-1", "--action", "0"],
+         "--theta must be a sign pattern such as +-+, comma-separated numbers or @file.json, "
+         "got '1,,2'"),
+        (["extract", "--theta=nan", "--n", "1"], "--theta entries must be finite floats, got 'nan'"),
+        (["extract", "--theta=1e999,1", "--n", "2"],
+         "--theta entries must be finite floats, got '1e999,1'"),
+        (["extract", "--theta=@{dir}/huge.json", "--n", "1"],
+         "--theta entries must be finite floats, got '@{dir}/huge.json'"),
+        (["extract", "--theta=@{dir}/bad.json", "--n", "2"], "--theta file {dir}/bad.json is not "
+         "readable JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (["extract", "--theta=@{dir}/empty.json", "--n", "2"], "--theta file {dir}/empty.json: "
+         "expected an object with a non-empty theta_prime number list"),
+        (["eval", "{cnf}", "--theta=+-", "--state=-1,-1,-1", "--action", "0"],
+         "--theta has 2 entries, expected n=3"),
+    ],
+)
+def test_theta_names_itself(capsys, cnf_path, tmp_path, argv, message):
+    # every refusal of --theta names the flag, never float()'s or json's
+    # complaint alone
+    (tmp_path / "bad.json").write_text("{bad")
+    (tmp_path / "empty.json").write_text('{"theta_prime": []}')
+    (tmp_path / "huge.json").write_text('{"theta_prime": [%d]}' % 10**400)
+    code, out, err = run(capsys, [part.format(cnf=cnf_path, dir=tmp_path) for part in argv])
+    assert code == 2 and out == ""
+    assert err == f"error: {message.format(dir=tmp_path)}\n"
+
+
 @pytest.mark.parametrize("flag", ["--H", "--b", "--C"])
 @pytest.mark.parametrize(
     "argv",

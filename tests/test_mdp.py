@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sat2mdp.mdp
 from sat2mdp import (
     ZERO_REWARD,
     Formula,
     MdpError,
     PolicyParams,
+    best_greedy,
     build_mdp,
     enumerate_trajectories,
     eval_q_greedy,
@@ -29,7 +31,7 @@ from sat2mdp.features import _greedy_continuation, greedy_weight
 from sat2mdp.verify import random_formula
 
 from conftest import formulas
-from reference import is_terminal, transition
+from reference import depth_first_solve, is_terminal, transition
 
 
 class TestBuild:
@@ -273,8 +275,8 @@ class TestChainedQueryOracle:
         chains, other_last, leaves, earlier = [root, root], initial_state(n + 1), [], []
         refilled = list(root)  # one list object, refilled in place before each use
         sources = (
-            "last", "last", "last", "root", "earlier", "coerced", "copy", "list",
-            "refilled", "refilled", "leaf", "arbitrary", "other",
+            "last", "last", "last", "root", "earlier", "backtrack", "backtrack", "coerced",
+            "copy", "list", "refilled", "refilled", "leaf", "arbitrary", "other",
         )
         for _ in range(data.draw(st.integers(1, 4 * n + 4))):
             chain = data.draw(st.integers(0, 1))
@@ -284,6 +286,13 @@ class TestChainedQueryOracle:
                 state = root
             elif source == "earlier" and earlier:
                 state = data.draw(st.sampled_from(earlier))
+            elif source == "backtrack" and stage(last) > 1:
+                # an ancestor of the chain's last state, as a depth-first
+                # client queries after the subtree under it
+                h = stage(last)
+                state = data.draw(st.sampled_from([root] + [
+                    s for s in earlier if stage(s) < h and s[: stage(s) - 1] == last[: stage(s) - 1]
+                ]))
             elif source == "coerced":
                 state = data.draw(_coerced(last))
             elif source == "copy":
@@ -300,7 +309,7 @@ class TestChainedQueryOracle:
             elif source == "other":
                 state, _ = generative_query(other, other_last, data.draw(st.sampled_from((0, 1))))
                 other_last = initial_state(n + 1) if is_terminal(state) else state
-            else:  # "last", or "earlier" or "leaf" before there is one
+            else:  # "last", or "earlier", "backtrack" or "leaf" before there is one
                 state = last
             got = _assert_query_matches_oracle(instance, state, data.draw(_HOSTILE_ACTIONS))
             if got is not None:
@@ -447,6 +456,26 @@ class TestPathStructure:
             assert steps == n and is_terminal(state)
             assert state == assignment
             assert total == satisfied_fraction(formula, assignment)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_depth_first_walk_steps_once_per_solve(self, n, monkeypatch):
+        # the walk comes back to each state on its path after the subtree
+        # under it; every such query finds the state on the query path
+        formula = random_formula(n, np.random.default_rng(n))
+        params, best = best_greedy(build_mdp(formula))
+        steps, queries = [], []
+        original = sat2mdp.mdp.step
+        monkeypatch.setattr(sat2mdp.mdp, "step", lambda *args: steps.append(args) or original(*args))
+        for solves in (1, 2):
+            instance = build_mdp(formula)
+
+            def query(state, action):
+                queries.append((state, action))
+                return generative_query(instance, state, action)
+
+            assert depth_first_solve(query, n) == (best, params.greedy_actions)
+            assert len(queries) == solves * (2 ** (n + 1) - 2)
+            assert len(steps) == solves
 
     def test_n10_exhaustive_path_sweep(self):
         rng = np.random.default_rng(99)

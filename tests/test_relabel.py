@@ -1,0 +1,111 @@
+"""Relabelling relations: the chain checked against renamed, re-signed and
+reordered copies of its own input.
+
+The satisfied count of an assignment does not change when the variables
+are renamed, a variable's polarity is flipped in every clause, or the
+clauses are reordered, provided the assignment is renamed and flipped with
+them.  So every quantity below maps across ``relabel`` exactly.  The other
+exact oracles recompute a quantity a second way on the same formula, so a
+fault that both ways share, such as how a literal maps to a stage or which
+half of the count table holds x1, passes them; it breaks these relations.
+"""
+
+import random
+from fractions import Fraction
+from functools import partial
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sat2mdp import (
+    Formula,
+    build_mdp,
+    decide_max3sat,
+    exact_solver,
+    generative_query,
+    initial_state,
+    is_zeta_satisfiable,
+)
+from sat2mdp.cnf import leaf_counts
+
+from conftest import formulas
+
+
+def relabel(formula, perm, flips, order):
+    """The formula whose clause i is the original's clause ``order[i]``,
+    with variable v renamed ``perm[v - 1] + 1`` and its literals negated
+    when ``flips[v - 1]``."""
+    return Formula.from_ints(formula.n, [
+        [(perm[abs(lit) - 1] + 1) * (-1 if (lit < 0) != flips[abs(lit) - 1] else 1)
+         for lit in formula.clauses[i].to_ints()]
+        for i in order
+    ])
+
+
+def relabel_index(i, n, perm, flips):
+    """The index in the relabelled copy (x1 the high bit) of the assignment
+    that satisfies the same clauses as the original's assignment i."""
+    j = 0
+    for v in range(n):
+        bit = ((i >> (n - 1 - v)) & 1) ^ flips[v]
+        j |= bit << (n - 1 - perm[v])
+    return j
+
+
+@st.composite
+def relabellings(draw):
+    """(formula, its relabelled copy, perm, flips) for a formula of n <= 8."""
+    formula = draw(formulas())
+    n = formula.n
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    perm = rng.sample(range(n), n)
+    flips = [rng.random() < 0.5 for _ in range(n)]
+    order = rng.sample(range(formula.clause_count), formula.clause_count)
+    return formula, relabel(formula, perm, flips, order), perm, flips
+
+
+def _solver_value(formula):
+    """The value of exact_solver's pattern, its rewards read through
+    generative access on the instance the solver swept."""
+    instance = build_mdp(formula)
+    query = partial(generative_query, instance)
+    state, total = initial_state(formula.n), Fraction(0)
+    for action in exact_solver(instance, query, Fraction(1, 10), "greedy").greedy_actions:
+        state, r = query(state, action)
+        total += r
+    return total
+
+
+class TestRelabelling:
+    @settings(max_examples=40, deadline=None)
+    @given(relabellings())
+    def test_leaf_counts_map_entry_for_entry(self, case):
+        formula, copy, perm, flips = case
+        counts, copy_counts = leaf_counts(formula), leaf_counts(copy)
+        for i in range(2**formula.n):
+            assert copy_counts[relabel_index(i, formula.n, perm, flips)] == counts[i]
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabellings(), st.fractions(0, 1))
+    def test_zeta_satisfiability_is_unchanged(self, case, zeta):
+        formula, copy, perm, flips = case
+        ok, argmax, value = is_zeta_satisfiable(formula, zeta)
+        assert is_zeta_satisfiable(copy, zeta)[::2] == (ok, value)
+        # tie rules differ, so the mapped argmax is a maximizer, not the argmax
+        index = int("".join(map(str, argmax)), 2)
+        assert leaf_counts(copy)[relabel_index(index, formula.n, perm, flips)] == max(
+            leaf_counts(formula))
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabellings())
+    def test_solver_value_is_unchanged(self, case):
+        formula, copy, _, _ = case
+        assert _solver_value(copy) == _solver_value(formula)
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabellings(), st.sampled_from((Fraction(1, 10), Fraction(1, 4), Fraction(1, 2))))
+    def test_greedy_decision_is_unchanged(self, case, delta):
+        formula, copy, _, _ = case
+        report, copy_report = decide_max3sat(formula, delta), decide_max3sat(copy, delta)
+        assert copy_report.decision == report.decision
+        assert copy_report.achieved_fraction == report.achieved_fraction

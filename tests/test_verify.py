@@ -324,11 +324,13 @@ class TestPolicyIndependentWorkOnce:
         monkeypatch.setattr(sat2mdp.verify, "reward", recording)
         result, counts = call_counts(
             lambda: check_realizability_greedy(n_max=6, formulas_per_n=1, seed=0),
-            lookahead_state=reference.lookahead_state,
+            step=sat2mdp.mdp.step,
             eval_q_greedy=sat2mdp.policies.eval_q_greedy,
         )
         assert result.passed
-        assert counts["lookahead_state"] == 0
+        # one checked step per feature cell, 2(2^n - 1) cells per formula,
+        # and none to walk a roll-out
+        assert counts["step"] == sum(2 * (2**n - 1) for n in range(1, 7)) == 240
         # nor is any cell rolled out through the package's greedy q
         assert counts["eval_q_greedy"] == 0
         # one table of 2^n leaf rewards per formula, one formula per n
