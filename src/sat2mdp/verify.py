@@ -32,12 +32,23 @@ the formula's draws: which clauses a continuation satisfies does not depend
 on theta', only its probability does.  The trajectory-enumeration oracle at
 the root still runs per draw.
 
-The roundtrip suite is a list of (check name, inputs) cases run through one
-table, ``_ROUNDTRIP_CHECKS``.  A check takes JSON keyword inputs and returns
-its failures, each a dict with a ``kind``; the suite counts one case per
-call and records each failure as ``{"check": name, **inputs, **found}``.
-So one rule replays any record: call ``_ROUNDTRIP_CHECKS[r["check"]]`` with
-the record's fields for that check's parameters.
+Every suite is a list of (check name, inputs) cases run through one table,
+``_CHECKS``.  A check takes JSON keyword inputs and returns (cases,
+failures), each failure a dict with a ``kind``; ``_run`` sums the cases and
+records each failure as ``{"check": name, **inputs, **found}``.  A softmax
+failure's ``thetas`` is its own ``theta`` alone, in place of the formula's
+batch.  One record of each suite, each under a deliberately wrong function::
+
+    {"check": "realizability_greedy", "formula": [[1, -2]], "n": 2,
+     "signs": [0, 0], "kind": "tie_rule_mismatch", "h": 1}
+    {"check": "realizability_softmax", "formula": [[-1]], "n": 1, "thetas": [[0.5]], "tol": 1e-09,
+     "weight_tol": 1e-12, "theta": [0.5], "h": 1, "kind": "head_sum", "head": 1.000000001}
+    {"check": "universe_size", "n": 1, "kind": "universe_size", "counted": [2, 0, 0],
+     "closed_form": [2, 0, 1]}
+    {"check": "greedy_bound", "delta": "1/10", "expected": "1/20", "kind": "greedy_bound"}
+
+So one rule replays any record: call ``_CHECKS[r["check"]]`` with the
+record's fields for that check's parameters.
 """
 
 from __future__ import annotations
@@ -49,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,6 +68,7 @@ from . import features as ft
 from .cnf import (
     BRUTE_FORCE_CAP,
     ENUMERATION_CAP,
+    Clause,
     Formula,
     _check_cap,
     enumerate_universe,
@@ -156,6 +168,12 @@ def random_formula(
     stops early if no variable has occurrences left, so the result may be
     shorter than requested (but never empty).
     """
+    return Formula.from_ints(n, _random_clauses(n, rng, max_occurrences, clause_count))
+
+
+def _random_clauses(n: int, rng: np.random.Generator, max_occurrences: int = 3,
+                    clause_count: int | None = None) -> list[list[int]]:
+    """``random_formula``'s clauses, as ``to_json`` writes them, without a ``Formula``."""
     target = clause_count if clause_count is not None else max(1, n)
     remaining = [max_occurrences] * (n + 1)
     clauses: list[list[int]] = []
@@ -171,7 +189,7 @@ def random_formula(
             remaining[v] -= 1
             lits.append(v if int(rng.integers(0, 2)) == 1 else -v)
         clauses.append(lits)
-    return Formula.from_ints(n, clauses)
+    return [Clause.from_ints(c).to_ints() for c in clauses]
 
 
 def _require_positive(**counts: int) -> None:
@@ -212,24 +230,37 @@ def _leaf_rewards(instance: MdpInstance) -> list[Fraction]:
     return [reward(instance, leaf) for leaf in product((0, 1), repeat=instance.n)]
 
 
+def _run(
+    suite: str, cases: Iterable[tuple[str, dict]], seed: int | None, params: dict, started: float,
+) -> SuiteResult:
+    """Each (check name, inputs) case is one call of ``_CHECKS[name]``; its
+    cases are summed and each failure is recorded as
+    ``{"check": name, **inputs, **found}``."""
+    count, failures = 0, []
+    for name, inputs in cases:
+        checked, found = _CHECKS[name](**inputs)
+        count += checked
+        failures += [{"check": name, **inputs, **f} for f in found]
+    return SuiteResult(suite, count, failures, seed, params, time.perf_counter() - started)
+
+
+def _formula_inputs(formula: Formula) -> dict:
+    return {"formula": formula.to_json()["clauses"], "n": formula.n}
+
+
 def _sweep(
     suite: str, n_max: int, formulas_per_n: int, seed: int,
-    check: Callable[[Formula, np.random.Generator], tuple[int, list[dict]]], **params,
+    inputs: Callable[[int, np.random.Generator], dict], **params,
 ) -> SuiteResult:
-    """``check(formula, rng) -> (cases, failures)`` summed over
-    ``formulas_per_n`` random formulas per n up to n_max, all drawn from one
-    generator that the check may draw from too; ``params`` are recorded
-    after n_max and formulas_per_n."""
+    """The check named ``suite`` on ``formulas_per_n`` random formulas per n
+    up to n_max, each with ``inputs(n, rng)`` drawn after it from the same
+    generator; ``params`` are recorded after n_max and formulas_per_n."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    cases, failures = 0, []
-    for n in range(1, n_max + 1):
-        for _ in range(formulas_per_n):
-            formula_cases, formula_failures = check(random_formula(n, rng, max_occurrences=3), rng)
-            cases += formula_cases
-            failures += formula_failures
+    cases = ((suite, {"formula": _random_clauses(n, rng), "n": n, **inputs(n, rng)})
+             for n in range(1, n_max + 1) for _ in range(formulas_per_n))
     params = {"n_max": n_max, "formulas_per_n": formulas_per_n, **params}
-    return SuiteResult(suite, cases, failures, seed, params, time.perf_counter() - started)
+    return _run(suite, cases, seed, params, started)
 
 
 def _q_numerators(formula: Formula) -> np.ndarray:
@@ -250,7 +281,7 @@ def _q_numerators(formula: Formula) -> np.ndarray:
     ])
 
 
-def _greedy_formula_failures(formula: Formula) -> tuple[int, list[dict]]:
+def _realizability_greedy(formula: list, n: int) -> tuple[int, list[dict]]:
     """(cases, failures) of the greedy checks on one formula, every sign pattern.
 
     Row p of each matrix below is the pattern whose bits spell p, x1
@@ -260,8 +291,9 @@ def _greedy_formula_failures(formula: Formula) -> tuple[int, list[dict]]:
     satisfied counts and undecided multiplicities and row p of M is
     pattern p's stage weight.
     """
-    n, C = formula.n, formula.clause_count
-    instance = build_mdp(formula)
+    cnf = Formula.from_ints(n, formula)
+    C = cnf.clause_count
+    instance = build_mdp(cnf)
     cells = _feature_cells(instance)
     b = np.array([phi.b for *_, phi in cells], dtype=np.int64)
     y = np.zeros((len(cells), instance.d - 1), dtype=np.int64)
@@ -270,43 +302,38 @@ def _greedy_formula_failures(formula: Formula) -> tuple[int, list[dict]]:
             y[c, idx] = mult
     patterns = list(product((0, 1), repeat=n))
     params_of = [PolicyParams.from_signs(bits) for bits in patterns]
-    q = _q_numerators(formula)
+    q = _q_numerators(cnf)
     dots = np.empty_like(q)
     for h in range(1, n + 1):
         cols = slice(2**h - 2, 2 ** (h + 1) - 2)
         m = np.stack([ft.greedy_weight(instance, params, h).m_dense() for params in params_of])
         dots[:, cols] = b[cols] + m @ y[cols].T
-    clauses = formula.to_json()["clauses"]
-    failures: list[dict] = []
-
-    def fail(p: int, kind: str, c: int | None = None, **extra) -> None:
-        record = {"formula": clauses, "n": n, "signs": list(patterns[p])}
-        if c is not None:
-            state, _, action, _ = cells[c]
-            record |= {"state": list(state), "action": action}
-        failures.append({**record, "kind": kind, **extra})
+    # each failure names its sign pattern, and its cell where it has one
+    def where(c: int) -> dict:
+        state, _, action, _ = cells[c]
+        return {"state": list(state), "action": action}
 
     passed = q == dots
-    for p, c in zip(*np.nonzero(~passed)):
-        fail(p, "dot_mismatch", c, q=frac_str(Fraction(int(q[p, c]), C)),
-             dot=frac_str(Fraction(int(dots[p, c]), C)))
-    # last decision stage: no undecided clause is left, so
-    # q = (b + <y, m>) / C reduces to b / C
+    found = [{"signs": list(patterns[p]), **where(c), "kind": "dot_mismatch",
+              "q": frac_str(Fraction(int(q[p, c]), C)),
+              "dot": frac_str(Fraction(int(dots[p, c]), C))}
+             for p, c in zip(*np.nonzero(~passed))]
+    # last decision stage: a full assignment leaves no undecided clause, so
+    # a cell that passes has an all-zero y row and q = b / C
     last = 2**n - 2
-    for p, c in zip(*np.nonzero(passed[:, last:] & (q[:, last:] != b[last:]))):
-        fail(p, "last_stage_form", last + c)
+    found += [{"signs": list(patterns[p]), **where(last + c), "kind": "last_stage_form"}
+              for p, c in zip(*np.nonzero(passed[:, last:] & y[last:].any(axis=1)))]
     # telescoping: consecutive cells of the greedy trajectory from the root
     # have the same inner product b + <y, m>; pattern p's stage-h cell has
     # prefix-and-action bits p >> (n - h)
     stages = np.arange(1, n + 1)
     rows = np.arange(len(patterns))[:, None]
     trace = dots[rows, 2**stages - 2 + (rows >> (n - stages))]
-    for p, i in zip(*np.nonzero(trace[:, :-1] != trace[:, 1:])):
-        fail(p, "telescoping", h=int(i) + 2)
-    for p, params in enumerate(params_of):
-        for h in range(1, n + 1):
-            if greedy_action(h, params) != f_threshold(params, h):
-                fail(p, "tie_rule_mismatch", h=h)
+    found += [{"signs": list(patterns[p]), "kind": "telescoping", "h": int(i) + 2}
+              for p, i in zip(*np.nonzero(trace[:, :-1] != trace[:, 1:]))]
+    found += [{"signs": list(patterns[p]), "kind": "tie_rule_mismatch", "h": h}
+              for p, params in enumerate(params_of) for h in range(1, n + 1)
+              if greedy_action(h, params) != f_threshold(params, h)]
     # one stage out, q must equal the reward of the greedy roll-out's leaf,
     # at the index ``_q_numerators`` reads at h = n - 1: the cell's bits P,
     # then the pattern's last bit (no cells when n = 1); q / C equals the
@@ -316,10 +343,10 @@ def _greedy_formula_failures(formula: Formula) -> tuple[int, list[dict]]:
     first = 2 ** (n - 1) - 2
     ahead = np.arange(max(0, first), last)
     leaves = ((ahead - first) << 1) | (rows & 1)
-    for p, i in zip(*np.nonzero(passed[:, ahead] & (q[:, ahead] * den[leaves] != num[leaves]))):
-        fail(p, "lookahead_form", ahead[i])
+    found += [{"signs": list(patterns[p]), **where(ahead[i]), "kind": "lookahead_form"} for p, i in
+              zip(*np.nonzero(passed[:, ahead] & (q[:, ahead] * den[leaves] != num[leaves])))]
     # per pattern: n tie-rule checks, one per cell, n - 1 telescoping steps
-    return len(patterns) * (2 * n - 1 + len(cells)), failures
+    return len(patterns) * (2 * n - 1 + len(cells)), found
 
 
 def check_realizability_greedy(
@@ -336,16 +363,16 @@ def check_realizability_greedy(
     numerators, Q = 1 b^T + M Y^T, checked as integer arrays: Q holds C
     times each q, read from the formula's 2^n leaf counts; b and Y are the
     cells' satisfied counts and undecided multiplicities, built once per
-    formula; row p of M is pattern p's stage weight.  The final two stages
-    are additionally checked against their closed forms, the telescoping
-    identity is checked along each greedy trajectory, and the two
-    tie-breaking rules are checked to agree.  ValueError when n_max or
-    formulas_per_n is below 1 or n_max is above the cap.
+    formula; row p of M is pattern p's stage weight.  A passing last-stage
+    cell must leave no undecided clause and one a stage earlier must equal
+    its roll-out leaf's reward; telescoping must hold along each greedy
+    trajectory and the two tie-breaking rules must agree.  ValueError when
+    n_max or formulas_per_n is below 1 or n_max is above the cap.
     """
     _require_positive(n_max=n_max, formulas_per_n=formulas_per_n)
     _check_cap("greedy suite", "n_max", n_max, GREEDY_SUITE_N_MAX, ValueError)
     return _sweep("realizability_greedy", n_max, formulas_per_n, seed,
-                  lambda formula, rng: _greedy_formula_failures(formula), tolerance=0)
+                  lambda n, rng: {}, tolerance=0)
 
 
 def softmax_weights_by_enumeration(
@@ -396,48 +423,40 @@ def softmax_weight_by_enumeration(
     return heads.item(0), m[0]
 
 
-def _softmax_formula_failures(
-    formula: Formula, rng: np.random.Generator, thetas_per_formula: int, tol: float,
-    weight_tol: float,
+def _realizability_softmax(
+    formula: list, n: int, thetas: list, tol: float, weight_tol: float,
 ) -> tuple[int, list[dict]]:
-    """(cases, failures) of the softmax checks on one formula, over
-    ``thetas_per_formula`` theta' draws from ``rng``."""
-    n = formula.n
-    instance = build_mdp(formula)
+    """(cases, failures) of the softmax checks on one formula, over its
+    theta' draws ``thetas``; a failure's ``thetas`` is its ``theta`` alone."""
+    cnf = Formula.from_ints(n, formula)
+    instance = build_mdp(cnf)
     cells = _feature_cells(instance)
     # the split of each cell's checked step prefix, as eval_q_softmax takes it
     splits = [
-        formula.split(step(instance, state, action)[1][:h])
+        cnf.split(step(instance, state, action)[1][:h])
         for state, h, action, _ in cells
     ]
     rewards = [float(r) for r in _leaf_rewards(instance)]
-    clauses = formula.to_json()["clauses"]
-    # every draw of the formula first: the suite draws nothing else
-    # inside a formula, so the generator's order is unchanged
-    thetas = [
-        tuple(float(v) for v in rng.uniform(-3.0, 3.0, size=n))
-        for _ in range(thetas_per_formula)
-    ]
-    batch = [PolicyParams(theta) for theta in thetas]
+    batch = [PolicyParams(tuple(theta)) for theta in thetas]
     weights = [
         {h: ft.softmax_weight(instance, params, h) for h in range(1, n + 1)}
         for params in batch
     ]
-    repros = [{"formula": clauses, "n": n, "theta": list(theta)} for theta in thetas]
-    cases, failures = 0, []
+    draws = [{"thetas": [theta], "theta": theta} for theta in thetas]
+    cases, found = 0, []
     # the weight-definition check, one oracle run per stage over every draw
     for h in range(1, n + 1):
         cases += len(batch)
         heads, m_oracle = softmax_weights_by_enumeration(instance, batch, h)
         closed = np.stack([w[h].m_dense() for w in weights])
         diffs = np.max(np.abs(closed - m_oracle), axis=1)
-        for repro, head, diff in zip(repros, heads.tolist(), diffs.tolist()):
+        for draw, head, diff in zip(draws, heads.tolist(), diffs.tolist()):
             if abs(head - 1.0) > weight_tol:
-                failures.append({**repro, "h": h, "kind": "head_sum", "head": head})
+                found.append({**draw, "h": h, "kind": "head_sum", "head": head})
             if diff > weight_tol:
-                failures.append({**repro, "h": h, "kind": "weight_oracle", "max_diff": diff})
+                found.append({**draw, "h": h, "kind": "weight_oracle", "max_diff": diff})
     root = (-1,) * n
-    for repro, params, w in zip(repros, batch, weights):
+    for draw, params, w in zip(draws, batch, weights):
         for action in ACTIONS:
             cases += 1
             dp = eval_q_softmax(instance, params, root, action)
@@ -446,18 +465,16 @@ def _softmax_formula_failures(
                 leaf = sum(bit << (n - 1 - j) for j, bit in enumerate(traj.final))
                 brute += traj.probability * rewards[leaf]
             if abs(dp - brute) > weight_tol:
-                failures.append(
-                    {**repro, "action": action, "kind": "dp_vs_enumeration",
-                     "dp": dp, "enumeration": brute}
-                )
+                found.append({**draw, "action": action, "kind": "dp_vs_enumeration",
+                              "dp": dp, "enumeration": brute})
         for (state, h, action, phi), split in zip(cells, splits):
             cases += 1
-            q = softmax_q_of_split(split, params.softmax_probs, formula.clause_count)
+            q = softmax_q_of_split(split, params.softmax_probs, cnf.clause_count)
             got = phi.dot(w[h])
             if abs(q - got) > tol:
-                failures.append({**repro, "state": list(state), "action": action,
-                                 "kind": "dot_mismatch", "q": q, "dot": got})
-    return cases, failures
+                found.append({**draw, "state": list(state), "action": action,
+                              "kind": "dot_mismatch", "q": q, "dot": got})
+    return cases, found
 
 
 def check_realizability_softmax(
@@ -484,9 +501,15 @@ def check_realizability_softmax(
     )
     _require_tolerance(tol=tol, weight_tol=weight_tol)
     _check_cap("softmax suite", "n_max", n_max, SOFTMAX_SUITE_N_MAX, ValueError)
+
+    def inputs(n: int, rng: np.random.Generator) -> dict:
+        # a formula's theta' draws come right after it, before the next formula
+        thetas = [[float(v) for v in rng.uniform(-3.0, 3.0, size=n)]
+                  for _ in range(thetas_per_formula)]
+        return {"thetas": thetas, "tol": tol, "weight_tol": weight_tol}
+
     settings = {"thetas_per_formula": thetas_per_formula, "tol": tol, "weight_tol": weight_tol}
-    return _sweep("realizability_softmax", n_max, formulas_per_n, seed,
-                  partial(_softmax_formula_failures, **settings), **settings)
+    return _sweep("realizability_softmax", n_max, formulas_per_n, seed, inputs, **settings)
 
 
 def _timed(fn, repeats: int = 3) -> float:
@@ -521,16 +544,6 @@ def check_construction_scaling(
                          f"got {list(n_list)}")
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    failures: list[dict] = []
-    for n in range(1, size_check_max + 1):
-        widths = (enumerate_universe(n).keys >= 0).sum(axis=1)
-        by_len = np.bincount(widths, minlength=4)[1:].tolist()
-        if tuple(by_len) != universe_block_sizes(n):
-            failures.append(
-                {"n": n, "kind": "universe_size", "counted": by_len,
-                 "closed_form": list(universe_block_sizes(n))}
-            )
-
     timings: dict[str, list[float]] = {"universe": [], "features": [], "greedy_weights": [], "softmax_weights": []}
     for n in n_list:
         formula = random_formula(n, rng, max_occurrences=3, clause_count=n)
@@ -562,32 +575,36 @@ def check_construction_scaling(
 
         timings["softmax_weights"].append(_timed(softmax_sweep))
 
-    slopes: dict[str, float] = {}
-    log_n = np.log(np.asarray(n_list, dtype=float))
-    for name, times in timings.items():
-        slope = float(np.polyfit(log_n, np.log(np.asarray(times)), 1)[0])
-        slopes[name] = slope
-        cap = softmax_slope_max if name == "softmax_weights" else greedy_slope_max
-        if slope > cap:
-            failures.append(
-                {"kind": "slope", "item": name, "slope": slope, "cap": cap,
-                 "times_s": times}
-            )
-    return SuiteResult(
-        suite="construction_scaling",
-        cases=size_check_max + len(timings),
-        failures=failures,
-        seed=seed,
-        params={
-            "n_list": list(n_list),
-            "greedy_slope_max": greedy_slope_max,
-            "softmax_slope_max": softmax_slope_max,
-            "size_check_max": size_check_max,
-            "slopes": slopes,
-            "timings_s": timings,
-        },
-        wall_time=time.perf_counter() - started,
-    )
+    cases = [("universe_size", {"n": n}) for n in range(1, size_check_max + 1)] + [
+        ("slope", {"item": name, "n_list": list(n_list), "times_s": times,
+                   "cap": softmax_slope_max if name == "softmax_weights" else greedy_slope_max})
+        for name, times in timings.items()
+    ]
+    params = {
+        "n_list": list(n_list),
+        "greedy_slope_max": greedy_slope_max,
+        "softmax_slope_max": softmax_slope_max,
+        "size_check_max": size_check_max,
+        "slopes": {name: float(np.polyfit(np.log(n_list), np.log(times), 1)[0])
+                   for name, times in timings.items()},
+        "timings_s": timings,
+    }
+    return _run("construction_scaling", cases, seed, params, started)
+
+
+def _universe_size(n: int) -> tuple[int, list[dict]]:
+    """The universe's clause count of each width is its closed form."""
+    widths = (enumerate_universe(n).keys >= 0).sum(axis=1)
+    counted = np.bincount(widths, minlength=4)[1:].tolist()
+    closed_form = list(universe_block_sizes(n))
+    return 1, [] if counted == closed_form else [
+        {"kind": "universe_size", "counted": counted, "closed_form": closed_form}]
+
+
+def _slope(item: str, n_list: list, times_s: list, cap: float) -> tuple[int, list[dict]]:
+    """The log-log slope of the times measured for ``item`` over n_list is at most cap."""
+    slope = float(np.polyfit(np.log(n_list), np.log(times_s), 1)[0])
+    return 1, [{"kind": "slope", "slope": slope}] if slope > cap else []
 
 
 def _refuses(transform: Callable, *args) -> bool:
@@ -600,14 +617,14 @@ def _refuses(transform: Callable, *args) -> bool:
 
 
 def _planted_decision(formula: list, n: int, planted: list, i: int, delta: str,
-                      epsilon: str) -> list[dict]:
+                      epsilon: str) -> tuple[int, list[dict]]:
     """A planted (1 - delta + 2 epsilon)-satisfiable instance decides Yes, with a
     certificate an independent recount re-verifies; ``planted`` is recorded,
     not read."""
     cnf, d, eps = Formula.from_ints(n, formula), Fraction(delta), Fraction(epsilon)
     report = decide_max3sat(cnf, d, exact_solver, "greedy", eps)
     if not report.decision:
-        return [{"kind": "expected_yes", "achieved": frac_str(report.achieved_fraction)}]
+        return 1, [{"kind": "expected_yes", "achieved": frac_str(report.achieved_fraction)}]
     hit = sum(any((lit > 0) == (report.extracted[abs(lit) - 1] == 1) for lit in clause)
               for clause in formula)
     failures = []
@@ -622,31 +639,32 @@ def _planted_decision(formula: list, n: int, planted: list, i: int, delta: str,
         ok, _, zmax = is_zeta_satisfiable(cnf, 1 - d + 2 * eps)
         if best_value != zmax or zmax != report.achieved_fraction or not ok:
             failures.append({"kind": "optimum_cross_check"})
-    return failures
+    return 1, failures
 
 
-def _contradiction(formula: list, n: int, delta: str, epsilon: str) -> list[dict]:
+def _contradiction(formula: list, n: int, delta: str, epsilon: str) -> tuple[int, list[dict]]:
     """x1 and not x1 achieve exactly 1/2, short of 1 - delta, so decide No."""
     report = decide_max3sat(Formula.from_ints(n, formula), Fraction(delta), exact_solver,
                             "greedy", Fraction(epsilon))
     if report.decision or report.achieved_fraction != Fraction(1, 2):
-        return [{"kind": "expected_no", "achieved": frac_str(report.achieved_fraction)}]
-    return []
+        return 1, [{"kind": "expected_no", "achieved": frac_str(report.achieved_fraction)}]
+    return 1, []
 
 
-def _greedy_bound(delta: str, expected: str) -> list[dict]:
+def _greedy_bound(delta: str, expected: str) -> tuple[int, list[dict]]:
     """The greedy chain's epsilon bound at delta is ``expected``."""
     failed = epsilon_bound_greedy(Fraction(delta)) != Fraction(expected)
-    return [{"kind": "greedy_bound"}] if failed else []
+    return 1, [{"kind": "greedy_bound"}] if failed else []
 
 
-def _tail_calibration(H: int, b: int, C: int, p0: float) -> list[dict]:
+def _tail_calibration(H: int, b: int, C: int, p0: float) -> tuple[int, list[dict]]:
     """The McDiarmid tail at the t calibrated for p0 is p0 again, within 1e-15."""
     failed = abs(mcdiarmid_tail(calibration_t(H, b, C, p0), H, b, C) - p0) > 1e-15
-    return [{"kind": "tail_calibration"}] if failed else []
+    return 1, [{"kind": "tail_calibration"}] if failed else []
 
 
-def _gap_transform(formula: list, n: int, b: int, epsilon: str, delta: str) -> list[dict]:
+def _gap_transform(formula: list, n: int, b: int, epsilon: str,
+                   delta: str) -> tuple[int, list[dict]]:
     """The gap transform copies the clauses at occurrence bound b, and refuses a
     bound one below the formula's and a delta equal to epsilon."""
     cnf, eps, d = Formula.from_ints(n, formula), Fraction(epsilon), Fraction(delta)
@@ -657,10 +675,11 @@ def _gap_transform(formula: list, n: int, b: int, epsilon: str, delta: str) -> l
         ),
         "refuses_delta_equal_epsilon": _refuses(gap3sat_to_delta_b, cnf, b, eps, eps),
     }
-    return [] if all(checks.values()) else [{"kind": "gap_transform_identity", **checks}]
+    return 1, [] if all(checks.values()) else [{"kind": "gap_transform_identity", **checks}]
 
 
-def _softmax_decide(formula: list, n: int, delta: str, epsilon: str, seed: int) -> list[dict]:
+def _softmax_decide(formula: list, n: int, delta: str, epsilon: str,
+                    seed: int) -> tuple[int, list[dict]]:
     """Softmax decide with sampled extraction answers Yes, round mode reads theta'
     as greedy extraction does, and the sample is the seed's softmax episode leaf."""
     cnf, eps = Formula.from_ints(n, formula), Fraction(epsilon)
@@ -672,28 +691,33 @@ def _softmax_decide(formula: list, n: int, delta: str, epsilon: str, seed: int) 
     # sampled extraction draws as one softmax episode does, so it is that episode's leaf
     if (not soft.decision or rounded != extract_assignment_greedy(params, n)
             or soft.extracted != sample_trajectory(inst, params, seed).final):
-        return [{"kind": "softmax_decide", "achieved": frac_str(soft.achieved_fraction)}]
-    return []
+        return 1, [{"kind": "softmax_decide", "achieved": frac_str(soft.achieved_fraction)}]
+    return 1, []
 
 
 def _empirical_tail(formula: list, n: int, theta: list, t: float, trials: int,
-                    seed: int) -> list[dict]:
+                    seed: int) -> tuple[int, list[dict]]:
     """The tail rate of ``trials`` softmax episodes at t is within the McDiarmid bound."""
     inst = build_mdp(Formula.from_ints(n, formula))
     emp, bound, ok = empirical_mcdiarmid(inst, PolicyParams(tuple(theta)), trials, t, seed)
-    return [] if ok else [{"kind": "empirical_tail", "empirical": emp, "bound": bound}]
+    return 1, [] if ok else [{"kind": "empirical_tail", "empirical": emp, "bound": bound}]
 
 
-def _softmax_budget(v_star: str, H: int, b: int, C: int, delta: str, p0: float) -> list[dict]:
+def _softmax_budget(v_star: str, H: int, b: int, C: int, delta: str,
+                    p0: float) -> tuple[int, list[dict]]:
     """The softmax chain's epsilon budget is positive."""
     budget = epsilon_bound_softmax(Fraction(v_star), H, b, C, Fraction(delta), p0)
-    return [] if budget > 0 else [{"kind": "softmax_bound_positivity", "budget": budget}]
+    return 1, [] if budget > 0 else [{"kind": "softmax_bound_positivity", "budget": budget}]
 
 
-# the roundtrip checks: JSON keyword inputs -> failures, each a dict with a
-# "kind" ([] on a pass); the suite records each as {"check": name, **inputs,
-# **found}, so the record alone replays it
-_ROUNDTRIP_CHECKS: dict[str, Callable[..., list[dict]]] = {
+# every suite's checks: JSON keyword inputs -> (cases, failures), each
+# failure a dict with a "kind"; ``_run`` records each as {"check": name,
+# **inputs, **found}, so the record alone replays it
+_CHECKS: dict[str, Callable[..., tuple[int, list[dict]]]] = {
+    "realizability_greedy": _realizability_greedy,
+    "realizability_softmax": _realizability_softmax,
+    "universe_size": _universe_size,
+    "slope": _slope,
     "planted_decision": _planted_decision,
     "contradiction": _contradiction,
     "greedy_bound": _greedy_bound,
@@ -718,8 +742,8 @@ def check_reduction_roundtrip(
     the exact solver must answer Yes; each certificate is re-verified by an
     independent clause-by-clause recount.  A contradictory instance must
     answer No, and the bound helpers and both extraction modes are
-    exercised on the side; each case is one call of a ``_ROUNDTRIP_CHECKS``
-    entry.  ValueError when count is below 1, n exceeds the brute-force cap,
+    exercised on the side; each case is one call of a ``_CHECKS`` entry.
+    ValueError when count is below 1, n exceeds the brute-force cap,
     epsilon exceeds delta/2 or delta is not below 1/2.
     """
     _require_positive(count=count)
@@ -737,14 +761,14 @@ def check_reduction_roundtrip(
     cases = []
     for i in range(count):
         formula, planted = planted_instance(n, clause_count=3 * n, zeta=zeta, seed=seed + i)
-        cases.append(("planted_decision", {"formula": formula.to_json()["clauses"], "n": n,
-                                           "planted": list(planted), "i": i, **chain}))
+        cases.append(("planted_decision", {**_formula_inputs(formula), "planted": list(planted),
+                                           "i": i, **chain}))
     # a contradictory pair can never reach 1 - delta
     cases.append(("contradiction", {"formula": [[1], [-1]], "n": 1, **chain}))
     # side checks: bounds, transforms, extraction modes, concentration
     sample_formula, _ = planted_instance(n, clause_count=n, zeta=zeta, seed=seed + count,
                                          max_occurrences=3)
-    sample = {"formula": sample_formula.to_json()["clauses"], "n": n}
+    sample = _formula_inputs(sample_formula)
     theta = [float(v) for v in np.random.default_rng(seed).uniform(-1, 1, size=n)]
     t = calibration_t(build_mdp(sample_formula).horizon, occurrence_bound(sample_formula),
                       sample_formula.clause_count, 0.125)
@@ -763,52 +787,8 @@ def check_reduction_roundtrip(
             "C": budget_formula.clause_count, "delta": "9/20", "p0": 0.125,
         }),
     ]
-    failures = [
-        {"check": name, **inputs, **found}
-        for name, inputs in cases
-        for found in _ROUNDTRIP_CHECKS[name](**inputs)
-    ]
-    return SuiteResult(
-        suite="reduction_roundtrip",
-        cases=len(cases),
-        failures=failures,
-        seed=seed,
-        params={"count": count, "n": n, **chain},
-        wall_time=time.perf_counter() - started,
-    )
+    return _run("reduction_roundtrip", cases, seed, {"count": count, "n": n, **chain}, started)
 
-
-# which suites reach which operations, [] for none; a test runs every suite
-# with a call counter on each op and asserts this map exactly
-SUITE_COVERAGE: dict[str, list[str]] = {
-    "features.psp_feature": [],
-    "features.greedy_action": [
-        "realizability_greedy", "construction_scaling", "reduction_roundtrip"
-    ],
-    "features.f_threshold": ["realizability_greedy"],
-    "features.softmax_prob": [
-        "realizability_softmax", "construction_scaling", "reduction_roundtrip"
-    ],
-    "features.realizability_feature": [
-        "realizability_greedy", "realizability_softmax", "construction_scaling"
-    ],
-    "features.greedy_weight": ["realizability_greedy", "construction_scaling"],
-    "features.softmax_weight": ["realizability_softmax", "construction_scaling"],
-    "policies.eval_q_greedy": [],
-    "policies.eval_q_softmax": ["realizability_softmax", "reduction_roundtrip"],
-    "policies.softmax_q_of_split": ["realizability_softmax", "reduction_roundtrip"],
-    "policies.enumerate_trajectories": ["realizability_softmax"],
-    "policies.best_greedy": ["reduction_roundtrip"],
-    "policies.sample_trajectory": ["reduction_roundtrip"],
-    "reduction.extract_assignment_greedy": ["reduction_roundtrip"],
-    "reduction.extract_assignment_softmax": ["reduction_roundtrip"],
-    "reduction.decide_max3sat": ["reduction_roundtrip"],
-    "reduction.epsilon_bound_greedy": ["reduction_roundtrip"],
-    "reduction.mcdiarmid_tail": ["reduction_roundtrip"],
-    "reduction.epsilon_bound_softmax": ["reduction_roundtrip"],
-    "reduction.gap3sat_to_delta_b": ["reduction_roundtrip"],
-    "reduction.empirical_mcdiarmid": ["reduction_roundtrip"],
-}
 
 SUITES = {
     "greedy": check_realizability_greedy,

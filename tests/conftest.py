@@ -61,16 +61,16 @@ def call_counts(run, **functions):
     return result, counts
 
 
-def replay_roundtrip(record):
-    """The roundtrip records that the check named by ``record["check"]``
-    returns when called with only the record's fields for its parameters,
-    each in the suite's record shape, read back from JSON as the suite's
+def replay(record):
+    """The records that the check named by ``record["check"]`` returns when
+    called with only the record's fields for its parameters, each in the
+    suites' record shape, read back from JSON as a suite's
     ``canonical_json`` writes it."""
-    from sat2mdp.verify import _ROUNDTRIP_CHECKS
+    from sat2mdp.verify import _CHECKS
 
-    check = _ROUNDTRIP_CHECKS[record["check"]]
+    check = _CHECKS[record["check"]]
     inputs = {name: record[name] for name in inspect.signature(check).parameters}
     return [
         json.loads(json.dumps({"check": record["check"], **inputs, **found}, default=str))
-        for found in check(**inputs)
+        for found in check(**inputs)[1]
     ]

@@ -8,6 +8,7 @@ them.  So every quantity below maps across ``relabel`` exactly.  The other
 exact oracles recompute a quantity a second way on the same formula, so a
 fault that both ways share, such as how a literal maps to a stage or which
 half of the count table holds x1, passes them; it breaks these relations.
+The relabelled copy also reads back from its own DIMACS text unchanged.
 """
 
 import random
@@ -25,6 +26,7 @@ from sat2mdp import (
     generative_query,
     initial_state,
     is_zeta_satisfiable,
+    parse_dimacs,
 )
 from sat2mdp.cnf import leaf_counts
 
@@ -77,6 +79,12 @@ def _solver_value(formula):
 
 
 class TestRelabelling:
+    @settings(max_examples=40, deadline=None)
+    @given(relabellings())
+    def test_dimacs_round_trip_gives_an_equal_formula(self, case):
+        _, copy, _, _ = case
+        assert parse_dimacs(copy.to_dimacs()) == copy
+
     @settings(max_examples=40, deadline=None)
     @given(relabellings())
     def test_leaf_counts_map_entry_for_entry(self, case):

@@ -33,7 +33,6 @@ from sat2mdp import (
 from sat2mdp.mdp import MdpError, initial_state, stage
 from sat2mdp.policies import iter_states
 from sat2mdp.verify import (
-    SUITE_COVERAGE,
     SUITES,
     SuiteResult,
     check_construction_scaling,
@@ -47,7 +46,7 @@ from sat2mdp.verify import (
 )
 
 import reference
-from conftest import call_counts, formulas, replay_roundtrip
+from conftest import call_counts, formulas, replay
 from golden.make_digests import DIGESTS, FAULTS, faulted_run, softmax_binds, suite_digest
 
 
@@ -564,7 +563,7 @@ class TestRoundtripSuite:
         assert record["check"] == "empirical_tail"
         assert 0 < record["empirical"] < 1
         # the same empirical rate and bound, and the check failed again
-        assert replay_roundtrip(record) == [record]
+        assert replay(record) == [record]
 
     def test_softmax_decide_record_replays(self, monkeypatch):
         # decide's sampled extraction made to ignore the policy and draw each
@@ -603,7 +602,7 @@ class TestRoundtripSuite:
         assert record["achieved"] == "5/6"
         assert Fraction(record["achieved"]) == soft.achieved_fraction
         assert comparisons == (False, True, False)
-        assert replay_roundtrip(record) == [record]
+        assert replay(record) == [record]
 
     def test_expected_no_record_replays(self, monkeypatch):
         # decide's recount made 2/5 too high on one-variable formulas: the
@@ -626,7 +625,7 @@ class TestRoundtripSuite:
         # the recorded value decides Yes: a report's decision is
         # achieved >= 1 - delta, which ReductionReport enforces
         assert Fraction(record["achieved"]) >= 1 - Fraction(record["delta"])
-        assert replay_roundtrip(record) == [record]
+        assert replay(record) == [record]
 
     @staticmethod
     def ignores_b(original):
@@ -657,7 +656,7 @@ class TestRoundtripSuite:
         checks = ("copied", "refuses_b_below_bound", "refuses_delta_equal_epsilon")
         assert {name: record[name] for name in checks} == {name: name != broken for name in checks}
         assert record["check"] == "gap_transform"
-        assert replay_roundtrip(record) == [record]
+        assert replay(record) == [record]
 
     def test_softmax_budget_record_replays(self, monkeypatch):
         # a calibration point twice too large takes the planted n = 64
@@ -673,7 +672,7 @@ class TestRoundtripSuite:
         assert (record["delta"], record["p0"]) == ("9/20", 0.125)
         assert -0.33 < record["budget"] < -0.31
         assert record["check"] == "softmax_budget"
-        assert replay_roundtrip(record) == [record]
+        assert replay(record) == [record]
         monkeypatch.undo()
         assert 0.064 < sat2mdp.epsilon_bound_softmax(
             1, 65, 3, 64, Fraction(9, 20), 0.125
@@ -726,6 +725,38 @@ def test_tolerance_must_be_finite_and_nonnegative(suite, name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
         suite(**{name: value})
 
+
+# which suites reach which operations, [] for none; TestCoverageManifest runs
+# every suite with a call counter on each op and asserts this map exactly
+SUITE_COVERAGE: dict[str, list[str]] = {
+    "features.psp_feature": [],
+    "features.greedy_action": [
+        "realizability_greedy", "construction_scaling", "reduction_roundtrip"
+    ],
+    "features.f_threshold": ["realizability_greedy"],
+    "features.softmax_prob": [
+        "realizability_softmax", "construction_scaling", "reduction_roundtrip"
+    ],
+    "features.realizability_feature": [
+        "realizability_greedy", "realizability_softmax", "construction_scaling"
+    ],
+    "features.greedy_weight": ["realizability_greedy", "construction_scaling"],
+    "features.softmax_weight": ["realizability_softmax", "construction_scaling"],
+    "policies.eval_q_greedy": [],
+    "policies.eval_q_softmax": ["realizability_softmax", "reduction_roundtrip"],
+    "policies.softmax_q_of_split": ["realizability_softmax", "reduction_roundtrip"],
+    "policies.enumerate_trajectories": ["realizability_softmax"],
+    "policies.best_greedy": ["reduction_roundtrip"],
+    "policies.sample_trajectory": ["reduction_roundtrip"],
+    "reduction.extract_assignment_greedy": ["reduction_roundtrip"],
+    "reduction.extract_assignment_softmax": ["reduction_roundtrip"],
+    "reduction.decide_max3sat": ["reduction_roundtrip"],
+    "reduction.epsilon_bound_greedy": ["reduction_roundtrip"],
+    "reduction.mcdiarmid_tail": ["reduction_roundtrip"],
+    "reduction.epsilon_bound_softmax": ["reduction_roundtrip"],
+    "reduction.gap3sat_to_delta_b": ["reduction_roundtrip"],
+    "reduction.empirical_mcdiarmid": ["reduction_roundtrip"],
+}
 
 # each suite at the smallest parameters that still reach its last two stages
 SMALLEST_SUITE_RUNS = {
