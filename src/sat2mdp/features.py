@@ -183,7 +183,7 @@ def realizability_feature(
     instance: MdpInstance, state: Sequence[int], action: int
 ) -> RealizabilityFeature:
     """Feature of (state, action): counts after extending the prefix by the action."""
-    # read first, so the universe cap refuses a large n before step's O(n^2) tails
+    # read first, so the universe cap refuses a large n before any per-state work
     universe = instance.universe
     h, nxt = step(instance, state, action)
     b, undecided = instance.formula.split(nxt[:h])

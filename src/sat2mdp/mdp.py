@@ -4,55 +4,67 @@ States are n-tuples over {-1, 0, 1} whose assigned entries form a prefix;
 stage h has h-1 assigned variables.  ``stage`` is the one state check:
 every function that takes a state gets h from it, reads the prefix as
 ``values[:h - 1]``, and treats h > n as terminal.  Taking action a at
-stage h writes a into the first unassigned slot.  Reward is 0 everywhere
-except terminal states, which pay the exact satisfied fraction of the
-formula; every reward before the leaf is one shared exact zero,
-``ZERO_REWARD``, so a client may test a reward by identity
-(``r is ZERO_REWARD``) before paying for ``Fraction.__bool__``.
+stage h writes a into the first unassigned slot: the next state is the
+prefix, then a, then the free tail, with a and every tail entry a plain
+int.  Reward is 0 everywhere except terminal states, which pay the exact
+satisfied fraction of the formula; every reward before the leaf is one
+shared exact zero, ``ZERO_REWARD``, so a client may test a reward by
+identity (``r is ZERO_REWARD``) before paying for ``Fraction.__bool__``.
 ``step`` is the one (state, action) check: every function that takes a
 state-action pair calls it for the stage and the next state, so all of
 them raise the same errors in the same order.  ``generative_query`` is
 ``step`` plus the leaf reward: the count of the leaf's satisfied clause
 instances, a popcount over the OR of one clause bitset per variable
 (``Formula.value_bits``), looked up in the formula's table of satisfied
-fractions.  Each instance keeps the path its queries walk: one entry per
-stage h, holding a stage-h state, the OR of the bitsets of its assigned
-prefix, and the action and answer of the last query from it.  One rule
-finds a query's entry: its state, by identity, not equality, at the
-cursor's entry, then at each stage from n down to 1.  A query from an
-entry's state skips ``step`` and its four ``stage`` scans.  The entry's
-last action returns the last answer as is; the other action builds the
-next state from the known prefix and the shared tail, ORs in one more
-bitset, and replaces the entry and its child's.  That is sound because
-every state on the path is a plain tuple of plain ints that ``step``
-checked, in prefix form and of length n, or that the instance built
-from one; a tuple cannot change, and the entry holds a reference to it,
-so no other object can take its id.  Every other query, a list or an
-equal copy included, goes through ``step`` once, so every error keeps
-its type, message and order, and then joins the path, as a plain int
-copy if it is not plain.  So the exact solver's sweep, n * 2^n queries
-from one root object, and a depth-first walk each run ``step`` once,
-build each of the 2^(n+1) - 2 non-root states once, and OR one bitset
-per state built.
+fractions.
+
+Each instance keeps the query path its queries walk, a list of n + 2
+slots.  Slot 0, the cursor, holds the stage of the last returned state,
+where the next query most likely starts, or 1 after a leaf is built,
+where a sweep restarts from its root.  Slot h, for h = 1..n, holds the
+entry ``(state, acc, action, answer)``: a stage-h state, the OR of
+``value_bits`` over its assigned prefix, and the action and ``(next
+state, reward)`` of the last query from it.  Slot n + 1, the stage past a
+leaf that a repeated leaf query sets, holds a sentinel, and every entry
+starts as it: a private state object with an action that no caller can
+pass.  One rule finds a query's entry: its state, by identity, not
+equality, at the cursor's entry, then at each stage from n down to 1.  A
+query from an entry's state skips ``step`` and its four ``stage`` scans.
+The entry's last action returns the last answer as is; the other action
+builds the next state from the state itself, ORs in one more bitset, and
+replaces the entry and its child's.  That is sound because every state on
+the path is a plain tuple of plain ints that ``step`` checked, in prefix
+form and of length n, or that the instance built from one; a tuple cannot
+change, and the entry holds a reference to it, so no other object can
+take its id.  Every other query, a list or an equal copy included, goes
+through ``step`` once, so every error keeps its type, message and order,
+and then joins the path, as a plain int copy if it is not plain.  Each
+entry is a self-consistent tuple swapped whole and read once per lookup,
+so a reader never pairs one state with another state's answer; callers
+that interleave queries on one instance, threads included, only miss the
+fast path.  So the exact solver's sweep, n * 2^n queries from one root
+object, and a depth-first walk each run ``step`` once, build each of the
+2^(n+1) - 2 non-root states once, and OR one bitset per state built.
+
 ``step`` is the package's one next-state rule; the tests keep an
 independent one, ``transition`` in ``tests/reference.py``, and hold
 ``generative_query`` to what that ``transition`` followed by ``reward``
 returns, with the same errors in the same order.  ``reward`` keeps every
 check: the policy evaluators build their leaves without it.  The
 2^(n+1) - 1 states are never materialized; everything is computed on
-demand from the formula.  An ``MdpInstance`` holds the formula and the
-query path, O(n) entries: its dimensions are closed forms.  The
-Theta(n^3) clause universe depends on n alone: every instance of one n
-reads one universe, enumerated on first use and kept for the process, so
-paths that never read it (the exhaustive solver, and its cap check)
-never pay for it.
+demand from the formula.  An ``MdpInstance`` is a frozen record of the
+formula, its dimensions (closed forms) and the query path, all set at
+construction in O(n).  The Theta(n^3) clause universe depends on n alone:
+every instance of one n reads one universe, enumerated on first use and
+kept for the process, so paths that never read it (the exhaustive solver,
+and its cap check) never pay for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from typing import Sequence
 
 from .cnf import (
@@ -88,65 +100,30 @@ def _universe(n: int) -> ClauseUniverse:
 
 @dataclass(frozen=True, eq=False)
 class MdpInstance:
-    """A formula and the dimensions of its MDP.
+    """A formula and the dimensions of its MDP, set once at construction.
 
     horizon H = n + 1, policy-parameter dimension d_prime = n, and
     realizability dimension d = 1 + |universe|, from the closed-form block
-    sizes; ``universe`` is shared by every instance of n.  The formula is
-    frozen, so every dimension is computed once and cached.
+    sizes; ``universe`` is shared by every instance of n.
     """
 
     formula: Formula
+    n: int = field(init=False, compare=False, repr=False)
+    horizon: int = field(init=False, compare=False, repr=False)
+    d_prime: int = field(init=False, compare=False, repr=False)
+    d: int = field(init=False, compare=False, repr=False)
+    # the query path: its slots and its one lookup rule are in the module docstring
+    _path: list = field(init=False, compare=False, repr=False)
 
     action_count = len(ACTIONS)
 
-    @cached_property
-    def n(self) -> int:
-        return self.formula.n
-
-    @cached_property
-    def horizon(self) -> int:
-        return self.n + 1
-
-    @cached_property
-    def d_prime(self) -> int:
-        return self.n
-
-    @cached_property
-    def _next_tails(self) -> dict[int, list[State]]:
-        """_next_tails[a][k]: (a,) then k entries -1, for k < n.
-
-        The part of a next state from the slot that action a writes on;
-        ``step``, and ``_extend`` on the query path, join it to the
-        state's assigned prefix.
-        """
-        return {a: [(a,) + (-1,) * k for k in range(self.n)] for a in ACTIONS}
-
-    @cached_property
-    def _path(self) -> list:
-        """[cursor stage, entry for stage 1, ..., entry for stage n, sentinel]:
-        one entry per stage h, on the path the instance's queries walk.
-
-        Entry h is ``(state, acc, action, answer)``: a stage-h state that
-        the instance built or checked, a plain tuple of plain ints; the OR
-        of ``value_bits`` over its assigned prefix; the action of the last
-        query from it; and that query's ``(next state, reward)``.  Slot 0,
-        the cursor, holds the stage of the last returned state, where the
-        next query most likely starts, or 1 after a leaf is built, where a
-        sweep restarts from its root; slot n + 1, the stage past a leaf
-        that a repeated leaf query sets, holds a sentinel.  Every entry
-        starts as that sentinel, a private object that no caller can pass,
-        with an action that no caller can pass either.  Each entry is a
-        self-consistent tuple swapped whole and read once per lookup, so a
-        reader never pairs one state with another state's answer; callers
-        that interleave queries on one instance, threads included, only
-        miss the fast path.
-        """
-        return [1] + [(object(), 0, _NO_ACTION, None)] * (self.n + 1)
-
-    @cached_property
-    def d(self) -> int:
-        return 1 + sum(universe_block_sizes(self.n))
+    def __post_init__(self) -> None:
+        n = self.formula.n
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "horizon", n + 1)
+        object.__setattr__(self, "d_prime", n)
+        object.__setattr__(self, "d", 1 + sum(universe_block_sizes(n)))
+        object.__setattr__(self, "_path", [1] + [(object(), 0, _NO_ACTION, None)] * (n + 1))
 
     @property
     def universe(self) -> ClauseUniverse:
@@ -222,9 +199,9 @@ def step(instance: MdpInstance, state: Sequence[int], action: int) -> tuple[int,
         raise MdpError(f"cannot transition from terminal state {values}")
     if size != instance.n:
         raise MdpError(f"state length {size} != n={instance.n}")
-    # ``stage`` has proved values[h - 1:] all -1, so the next state is the
-    # prefix plus a shared (action, -1, ..., -1) tail of the same length
-    return h, values[: h - 1] + instance._next_tails[action][size - h]
+    # ``stage`` has proved values[h - 1:] all -1; the action, equal to 0 or
+    # 1, and the free tail are written as plain ints, whatever their type
+    return h, values[: h - 1] + (1 if action == 1 else 0,) + (-1,) * (size - h)
 
 
 def generative_query(
@@ -233,16 +210,12 @@ def generative_query(
     """Simulator access: (next state, reward of the next state). Deterministic.
 
     Equal to ``(nxt, reward(instance, nxt))`` for the next state ``nxt``
-    of ``step``, raising the same errors in the same order.  One lookup
-    rule: the state is looked for on the instance's path by identity, at
-    the cursor's entry, then from stage n down to stage 1.  A query from
-    a state on the path skips ``step``: its entry knows the stage and the
-    prefix OR.  The entry's last action again returns the entry's answer
-    as is; the other action builds one next state and ORs in one bitset,
-    and a leaf's reward is that OR's popcount.  Any other query goes
-    through ``step`` once and then joins the path; a state that is not a
-    plain tuple of plain ints (a list, or a bool, numpy or float entry)
-    joins as its plain int copy, and an action as ``int(action)``.
+    of ``step``, raising the same errors in the same order.  The state is
+    looked up on the instance's query path by the one rule of the module
+    docstring.  A state not found there goes through ``step`` once and
+    joins the path; one that is not a plain tuple of plain ints (a list,
+    or a bool, numpy or float entry) joins as its plain int copy, and the
+    action as the plain int that ``step`` wrote.
     """
     path = instance._path
     h = path[0]
@@ -265,7 +238,7 @@ def generative_query(
     acc = 0
     for bits, v in zip(instance.formula.value_bits, state[: h - 1]):
         acc |= bits[v]
-    return _extend(instance, path, h, state, acc, int(action))
+    return _extend(instance, path, h, state, acc, nxt[h - 1])
 
 
 def _extend(
@@ -273,11 +246,10 @@ def _extend(
 ) -> tuple[State, Fraction]:
     """The one code that builds an answer, to a checked query from stage-h
     ``state`` with prefix OR ``acc``; it installs the entries and the cursor."""
-    n = instance.n
     formula = instance.formula
-    nxt = state[: h - 1] + instance._next_tails[action][n - h]
+    nxt = state[: h - 1] + (action,) + state[h:]
     held = acc | formula.value_bits[h - 1][action]
-    if h < n:
+    if h < instance.n:
         answer = nxt, ZERO_REWARD
         path[h + 1] = (nxt, held, _NO_ACTION, None)
         path[0] = h + 1

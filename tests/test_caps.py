@@ -20,7 +20,7 @@ from sat2mdp.cnf import (
     leaf_counts,
     universe_block_sizes,
 )
-from sat2mdp.mdp import MdpError, initial_state
+from sat2mdp.mdp import MdpError, initial_state, step
 from sat2mdp.policies import best_greedy, enumerate_trajectories
 from sat2mdp.reduction import ReductionError, exact_solver
 from sat2mdp.verify import (
@@ -31,6 +31,8 @@ from sat2mdp.verify import (
     check_reduction_roundtrip,
     softmax_weights_by_enumeration,
 )
+
+from conftest import call_counts
 
 CAP_MESSAGE = re.compile(r"[a-z -]+ cap exceeded: [a-z_-]+=\d+ > \d+")
 
@@ -115,12 +117,19 @@ def test_cap_plus_one_raises_the_one_message(combination_calls, name):
 
 
 def test_universe_cap_before_feature_step(combination_calls):
-    # the universe is read before step, so the O(n^2) table of state tails
-    # is never built for an n the universe cap refuses
-    instance = build_mdp(one_clause(HUGE_N))
-    with pytest.raises(CnfError, match="^universe cap exceeded: "):
-        realizability_feature(instance, initial_state(HUGE_N), 0)
-    assert "_next_tails" not in vars(instance)
+    # the universe is read before step, so the cap refuses an n before any
+    # per-state work; the same counter sees the one step of a call below it
+    def feature(n):
+        try:
+            realizability_feature(build_mdp(one_clause(n)), initial_state(n), 0)
+        except CnfError as exc:
+            return str(exc)
+
+    assert call_counts(lambda: feature(3), step=step) == (None, {"step": 1})
+    combination_calls.clear()  # whatever the n = 3 universe drew
+    message, counts = call_counts(lambda: feature(HUGE_N), step=step)
+    assert message == f"universe cap exceeded: rows={HUGE_ROWS} > {UNIVERSE_CAP}"
+    assert counts == {"step": 0}
     assert combination_calls == []
 
 

@@ -164,7 +164,8 @@ class TestGenerativeQuery:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
     def test_next_state_matches_transition(self, n):
-        # step joins the prefix to a shared tail; transition slices
+        # step builds the action and the free tail afresh; transition
+        # slices the tail from the state
         instance = build_mdp(Formula.from_ints(n, [[-n]]))
         for assigned in range(n):
             state = (1, 0) * (assigned // 2) + (1,) * (assigned % 2) + (-1,) * (n - assigned)
@@ -172,6 +173,26 @@ class TestGenerativeQuery:
                 assert step(instance, state, action) == (
                     assigned + 1, transition(state, action)
                 )
+
+    @pytest.mark.parametrize("action", [True, np.int64(1), 1.0, False, np.int64(0), 0.0])
+    @pytest.mark.parametrize("state", [
+        (np.int64(1), -1, -1, -1),
+        (True, np.bool_(False), -1, -1),
+        tuple(np.array([0, 1, 1, -1])),
+        np.array([1, 0, -1, -1]),
+        (1, -1.0, -1.0, -1.0),
+    ], ids=["numpy-prefix", "bool-prefix", "numpy-all", "ndarray", "float-tail"])
+    def test_next_state_entry_types(self, state, action):
+        # the action and every tail entry of a next state are plain ints,
+        # whatever the caller passed; prefix entries stay as step got them
+        instance = build_mdp(Formula.from_ints(4, [[1, -2, 4]]))
+        h, nxt = step(instance, state, action)
+        assert nxt == transition(state, action)
+        prefix = tuple(state)[: h - 1]
+        assert nxt[: h - 1] == prefix and list(map(type, nxt[: h - 1])) == list(map(type, prefix))
+        assert all(type(v) is int for v in nxt[h - 1:])
+        got, _ = generative_query(instance, state, action)
+        assert got == nxt and all(type(v) is int for v in got)
 
     def test_pure(self, example1_instance):
         first = generative_query(example1_instance, (-1, -1, -1), 1)
@@ -236,6 +257,7 @@ class TestFusedQueryOracle:
     @example((3, 0, (0, 1, -1), 0))  # valid, leaf reward
     @example((3, 0, (-1, 0, -1), 1))  # not in prefix form
     @example((3, 0, (0, -1, -1), 2))  # bad action
+    @example((3, 0, (0, -1, -1), 1 + 0j))  # an action equal to 1 that int() refuses
     @example((3, 0, (0, 1, 1), 0))  # terminal
     @example((3, 0, (0, 1), 2))  # bad action checked before length
     @example((3, 0, (0, 1), 1))  # terminal of the wrong length

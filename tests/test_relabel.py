@@ -9,6 +9,12 @@ exact oracles recompute a quantity a second way on the same formula, so a
 fault that both ways share, such as how a literal maps to a stage or which
 half of the count table holds x1, passes them; it breaks these relations.
 The relabelled copy also reads back from its own DIMACS text unchanged.
+Polarity flips alone keep the stage order, so under them the greedy q and
+the realizability dot product of a cell are unchanged too, with the
+state, action and sign pattern flipped at the flipped stages.  A fault
+that treats both polarities alike, such as reading every literal's sign
+bit inverted, commutes with the flips and passes these two; the
+realizability identity checks catch it.
 """
 
 import random
@@ -19,14 +25,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sat2mdp import (
+    ACTIONS,
     Formula,
+    PolicyParams,
     build_mdp,
     decide_max3sat,
+    eval_q_greedy,
     exact_solver,
     generative_query,
+    greedy_weight,
     initial_state,
     is_zeta_satisfiable,
     parse_dimacs,
+    realizability_feature,
+    stage,
 )
 from sat2mdp.cnf import leaf_counts
 
@@ -64,6 +76,39 @@ def relabellings(draw):
     flips = [rng.random() < 0.5 for _ in range(n)]
     order = rng.sample(range(formula.clause_count), formula.clause_count)
     return formula, relabel(formula, perm, flips, order), perm, flips
+
+
+@st.composite
+def flipped_cells(draw):
+    """Pairs of greedy cells (instance, params, state, action), one pair per
+    stage and action: a random cell of a formula of n <= 8, and the same
+    cell of its copy under polarity flips alone, its state, action and
+    sign pattern flipped at the flipped stages."""
+    formula = draw(formulas())
+    n = formula.n
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    flips = [rng.randrange(2) for _ in range(n)]
+    copy = relabel(formula, range(n), flips, range(formula.clause_count))
+    signs = [rng.randrange(2) for _ in range(n)]
+    instance, copy_instance = build_mdp(formula), build_mdp(copy)
+    params = PolicyParams.from_signs(signs)
+    copy_params = PolicyParams.from_signs([s ^ f for s, f in zip(signs, flips)])
+    cells = []
+    for h in range(1, n + 1):
+        prefix = [rng.randrange(2) for _ in range(h - 1)]
+        copy_prefix = [v ^ f for v, f in zip(prefix, flips)]
+        tail = (-1,) * (n - h + 1)
+        for action in ACTIONS:
+            cells.append((
+                (instance, params, tuple(prefix) + tail, action),
+                (copy_instance, copy_params, tuple(copy_prefix) + tail, action ^ flips[h - 1]),
+            ))
+    return cells
+
+
+def _greedy_dot(instance, params, state, action):
+    weight = greedy_weight(instance, params, stage(state))
+    return realizability_feature(instance, state, action).dot(weight)
 
 
 def _solver_value(formula):
@@ -117,3 +162,15 @@ class TestRelabelling:
         report, copy_report = decide_max3sat(formula, delta), decide_max3sat(copy, delta)
         assert copy_report.decision == report.decision
         assert copy_report.achieved_fraction == report.achieved_fraction
+
+    @settings(max_examples=40, deadline=None)
+    @given(flipped_cells())
+    def test_greedy_q_is_unchanged_under_polarity_flips(self, cells):
+        for cell, copy_cell in cells:
+            assert eval_q_greedy(*copy_cell) == eval_q_greedy(*cell)
+
+    @settings(max_examples=40, deadline=None)
+    @given(flipped_cells())
+    def test_realizability_dot_is_unchanged_under_polarity_flips(self, cells):
+        for cell, copy_cell in cells:
+            assert _greedy_dot(*copy_cell) == _greedy_dot(*cell)
