@@ -87,6 +87,10 @@ ZERO_REWARD = Fraction(0)
 # pass this object, so such an entry's answer is never read.
 _NO_ACTION = object()
 
+# What the lookup reads when a query's state is not on the path: its action
+# matches no caller's, so the query goes through ``step``.
+_MISS = (None, 0, _NO_ACTION, None)
+
 
 class MdpError(ValueError):
     """Invalid state, action, or query against the constructed MDP."""
@@ -215,7 +219,9 @@ def generative_query(
     docstring.  A state not found there goes through ``step`` once and
     joins the path; one that is not a plain tuple of plain ints (a list,
     or a bool, numpy or float entry) joins as its plain int copy, and the
-    action as the plain int that ``step`` wrote.
+    action as the plain int that ``step`` wrote.  Every answer not already
+    on the path is built by the same code below: the next state is a copy
+    of the state with the action stored in its first free slot.
     """
     path = instance._path
     h = path[0]
@@ -225,29 +231,26 @@ def generative_query(
             entry = path[h]
             if entry[0] is state:
                 break
-    if entry[0] is state:
-        if action is entry[2]:
-            path[0] = h + 1
-            return entry[3]
-        if type(action) is int and action in ACTIONS:
-            return _extend(instance, path, h, state, entry[1], action)
-    h, nxt = step(instance, state, action)
-    if type(state) is not tuple or not all(type(v) is int for v in state):
-        # rebuilt from what ``step`` read, so an iterator is read only once
-        state = tuple(map(int, nxt[: h - 1])) + (-1,) * (instance.n - h + 1)
-    acc = 0
-    for bits, v in zip(instance.formula.value_bits, state[: h - 1]):
-        acc |= bits[v]
-    return _extend(instance, path, h, state, acc, nxt[h - 1])
-
-
-def _extend(
-    instance: MdpInstance, path: list, h: int, state: State, acc: int, action: int
-) -> tuple[State, Fraction]:
-    """The one code that builds an answer, to a checked query from stage-h
-    ``state`` with prefix OR ``acc``; it installs the entries and the cursor."""
+        else:
+            entry = _MISS
+    if action is entry[2]:
+        path[0] = h + 1
+        return entry[3]
     formula = instance.formula
-    nxt = state[: h - 1] + (action,) + state[h:]
+    if entry is not _MISS and type(action) is int and action in ACTIONS:
+        acc = entry[1]
+    else:
+        h, nxt = step(instance, state, action)
+        if type(state) is not tuple or not all(type(v) is int for v in state):
+            # rebuilt from what ``step`` read, so an iterator is read only once
+            state = tuple(map(int, nxt[: h - 1])) + (-1,) * (instance.n - h + 1)
+        action = nxt[h - 1]
+        acc = 0
+        for bits, v in zip(formula.value_bits, state[: h - 1]):
+            acc |= bits[v]
+    nxt = list(state)
+    nxt[h - 1] = action
+    nxt = tuple(nxt)
     held = acc | formula.value_bits[h - 1][action]
     if h < instance.n:
         answer = nxt, ZERO_REWARD

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import product
+from types import MethodType
 from typing import TYPE_CHECKING, Callable
 
 from .cnf import (
@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # each function that builds an array imports numpy itself
 # per-stage action probabilities are saturated to ~1e-18 of 0 or 1.
 SOFTMAX_SATURATION = 20.0
 
-GenerativeAccess = Callable[[State, int], tuple[State, Fraction]]
+GenerativeAccess = Callable[[State, int], tuple[State, Fraction | int]]
 RlSolver = Callable[[MdpInstance, GenerativeAccess, Fraction, str], PolicyParams]
 
 
@@ -143,12 +143,18 @@ def exact_solver(
     sum is exact for every query.  Each total starts at that same zero and
     takes its first other reward as is, so a pattern whose only other
     reward is the leaf's costs no addition and no truth test at all.
-    For the softmax class the winning pattern is scaled to saturation so
-    extraction recovers the same assignment.
+    The rewards of a ``GenerativeAccess`` are Fractions or ints, so each
+    total is compared with the best one so far by integer
+    cross-multiplication of their ``numerator`` and ``denominator`` (both
+    denominators are positive), exactly as ``>`` would, without
+    ``Fraction.__gt__``'s type checks; the comparison is strict, so the
+    first best pattern in sweep order is returned.  For the softmax class
+    the winning pattern is scaled to saturation so extraction recovers the
+    same assignment.
     """
     _check_cap("brute-force", "n", instance.n, BRUTE_FORCE_CAP, ReductionError)
     best_bits: tuple[int, ...] | None = None
-    best_value = Fraction(-1)
+    best_num, best_den = -1, 1
     root = initial_state(instance.n)
     for bits in product((0, 1), repeat=instance.n):
         state = root
@@ -160,8 +166,8 @@ def exact_solver(
                     total = r
                 elif r:
                     total += r
-        if total > best_value:
-            best_bits, best_value = bits, total
+        if total.numerator * best_den > best_num * total.denominator:
+            best_bits, best_num, best_den = bits, total.numerator, total.denominator
     assert best_bits is not None
     magnitude = SOFTMAX_SATURATION if policy_class == "softmax" else 1.0
     return PolicyParams.from_signs(best_bits, magnitude=magnitude)
@@ -357,7 +363,7 @@ def decide_max3sat(
             details["budget_check"] = "skipped: v* not supplied"
 
     try:
-        params = solver(instance, partial(generative_query, instance), eps, policy_class)
+        params = solver(instance, MethodType(generative_query, instance), eps, policy_class)
     except ReductionError:
         raise
     except Exception as exc:  # solver is third-party code; keep the context

@@ -218,14 +218,17 @@ class TestDecide:
     def test_exact_solver_call_budget(self):
         # per-query overhead, counted rather than timed: one stage() per
         # solve (the first root query; the rest start from states on the
-        # instance's path), no Fraction.__bool__ at all, and n a plain
-        # instance attribute, with no descriptor on the class to run per query
+        # instance's path), no Fraction.__bool__ at all, no Fraction
+        # comparison (each pattern's total is compared in integers), and n a
+        # plain instance attribute, with no descriptor on the class to run
+        # per query
         n = 6
         instance = build_mdp(random_formula(n, np.random.default_rng(406)))
         assert vars(instance)["n"] == n
         assert all("n" not in vars(cls) for cls in MdpInstance.__mro__)
         watched = {
             Fraction.__bool__.__code__: "bool",
+            Fraction._richcmp.__code__: "richcmp",
             mdp.stage.__code__: "stage",
             generative_query.__code__: "query",
         }
@@ -244,6 +247,50 @@ class TestDecide:
         assert counts["query"] == n * 2**n, counts
         assert counts["stage"] == 1, counts
         assert counts["bool"] == 0, counts
+        assert counts["richcmp"] == 0, counts
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exact_solver_returns_the_first_maximizer_of_fresh_rewards(self, n):
+        # every leaf reward a fresh Fraction equal to the MDP's, every other
+        # one an int 0: equal totals are distinct objects, and the strict
+        # comparison still keeps the first best pattern in sweep order
+        instance = build_mdp(random_formula(n, np.random.default_rng(600 + n)))
+
+        def fresh_query(state, action):
+            nxt, r = generative_query(instance, state, action)
+            return nxt, (0 if r is ZERO_REWARD else Fraction(r.numerator, r.denominator))
+
+        params = exact_solver(instance, fresh_query, Fraction(1, 20), "greedy")
+        assert params == best_greedy(instance)[0]
+
+    def test_exact_solver_breaks_ties_by_sweep_order(self):
+        # seven of the eight patterns satisfy (x1 | x2 | x3); the first of
+        # them in sweep order, x = (0, 0, 1), is the one returned
+        instance = build_mdp(Formula.from_ints(3, [[1, 2, 3]]))
+        params = exact_solver(
+            instance, partial(generative_query, instance), Fraction(1, 20), "greedy"
+        )
+        assert extract_assignment_greedy(params, 3) == (0, 0, 1)
+
+    @pytest.mark.parametrize("policy_class", ["greedy", "softmax"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_decide_queries_through_the_module_name(self, n, policy_class, monkeypatch):
+        # the benchmark traces queries by replacing ``reduction.generative_query``
+        # with a wrapper; the access decide_max3sat hands the solver is bound
+        # at call time, so the wrapper sees every one of the n * 2^n queries
+        formula = random_formula(n, np.random.default_rng(700 + n))
+        plain = decide_max3sat(formula, "0.1", policy_class=policy_class)
+        calls = 0
+
+        def counting_query(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return generative_query(*args, **kwargs)
+
+        monkeypatch.setattr(reduction, "generative_query", counting_query)
+        traced = decide_max3sat(formula, "0.1", policy_class=policy_class)
+        assert calls == n * 2**n
+        assert traced == plain
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_exact_solver_builds_each_state_once(self, n):

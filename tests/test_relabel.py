@@ -9,12 +9,16 @@ exact oracles recompute a quantity a second way on the same formula, so a
 fault that both ways share, such as how a literal maps to a stage or which
 half of the count table holds x1, passes them; it breaks these relations.
 The relabelled copy also reads back from its own DIMACS text unchanged.
-Polarity flips alone keep the stage order, so under them the greedy q and
-the realizability dot product of a cell are unchanged too, with the
-state, action and sign pattern flipped at the flipped stages.  A fault
-that treats both polarities alike, such as reading every literal's sign
-bit inverted, commutes with the flips and passes these two; the
-realizability identity checks catch it.
+Polarity flips alone keep the stage order, so under them the q value and
+the realizability dot product of a cell are unchanged too, for either
+policy class, with the state and action flipped and theta' negated at the
+flipped stages: negating theta'_h swaps the greedy action and complements
+the softmax probability of stage h.  The greedy pairs are equal exactly,
+the softmax pairs within 1e-9.  A fault that treats both polarities
+alike, such as reading every literal's sign bit inverted, commutes with
+the flips and passes these pairs; the realizability identity catches it,
+as does the softmax relation's last check, the copy's dot product against
+the original's q.
 """
 
 import random
@@ -31,6 +35,7 @@ from sat2mdp import (
     build_mdp,
     decide_max3sat,
     eval_q_greedy,
+    eval_q_softmax,
     exact_solver,
     generative_query,
     greedy_weight,
@@ -38,6 +43,7 @@ from sat2mdp import (
     is_zeta_satisfiable,
     parse_dimacs,
     realizability_feature,
+    softmax_weight,
     stage,
 )
 from sat2mdp.cnf import leaf_counts
@@ -80,19 +86,20 @@ def relabellings(draw):
 
 @st.composite
 def flipped_cells(draw):
-    """Pairs of greedy cells (instance, params, state, action), one pair per
-    stage and action: a random cell of a formula of n <= 8, and the same
-    cell of its copy under polarity flips alone, its state, action and
-    sign pattern flipped at the flipped stages."""
+    """Pairs of cells (instance, params, state, action), one pair per stage
+    and action: a random cell of a formula of n <= 8, and the same cell of
+    its copy under polarity flips alone, its state and action flipped and
+    theta' negated at the flipped stages.  Every theta'_h is nonzero, so
+    its negation flips the greedy action."""
     formula = draw(formulas())
     n = formula.n
     rng = random.Random(draw(st.integers(0, 2**32)))
     flips = [rng.randrange(2) for _ in range(n)]
     copy = relabel(formula, range(n), flips, range(formula.clause_count))
-    signs = [rng.randrange(2) for _ in range(n)]
+    theta = [rng.choice((-1, 1)) * rng.uniform(0.25, 3.0) for _ in range(n)]
     instance, copy_instance = build_mdp(formula), build_mdp(copy)
-    params = PolicyParams.from_signs(signs)
-    copy_params = PolicyParams.from_signs([s ^ f for s, f in zip(signs, flips)])
+    params = PolicyParams(tuple(theta))
+    copy_params = PolicyParams(tuple(-t if f else t for t, f in zip(theta, flips)))
     cells = []
     for h in range(1, n + 1):
         prefix = [rng.randrange(2) for _ in range(h - 1)]
@@ -106,8 +113,8 @@ def flipped_cells(draw):
     return cells
 
 
-def _greedy_dot(instance, params, state, action):
-    weight = greedy_weight(instance, params, stage(state))
+def _dot(weight_of, instance, params, state, action):
+    weight = weight_of(instance, params, stage(state))
     return realizability_feature(instance, state, action).dot(weight)
 
 
@@ -173,4 +180,13 @@ class TestRelabelling:
     @given(flipped_cells())
     def test_realizability_dot_is_unchanged_under_polarity_flips(self, cells):
         for cell, copy_cell in cells:
-            assert _greedy_dot(*copy_cell) == _greedy_dot(*cell)
+            assert _dot(greedy_weight, *copy_cell) == _dot(greedy_weight, *cell)
+
+    @settings(max_examples=40, deadline=None)
+    @given(flipped_cells())
+    def test_softmax_q_and_dot_are_unchanged_under_polarity_flips(self, cells):
+        for cell, copy_cell in cells:
+            assert abs(eval_q_softmax(*copy_cell) - eval_q_softmax(*cell)) <= 1e-9
+            dot = _dot(softmax_weight, *copy_cell)
+            assert abs(dot - _dot(softmax_weight, *cell)) <= 1e-9
+            assert abs(dot - eval_q_softmax(*cell)) <= 1e-9
