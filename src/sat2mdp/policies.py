@@ -132,11 +132,25 @@ def enumerate_trajectories(
     prefix = nxt[:h]
     out: list[Trajectory] = []
     for suffix in product(ACTIONS, repeat=free):
-        probability = 1.0
-        for p, a in zip(p1, suffix):
-            probability *= p if a == 1 else 1.0 - p
-        out.append(Trajectory(final=prefix + suffix, probability=probability))
+        out.append(Trajectory(final=prefix + suffix, probability=_leaf_probability(p1, suffix)))
     return out
+
+
+def _leaf_probability(probs: Sequence[float], actions: Sequence[int]) -> float:
+    """A leaf's probability: its stages' factors multiplied in stage order, 1.0 for none."""
+    probability = 1.0
+    for p, a in zip(probs, actions):
+        probability *= p if a == 1 else 1.0 - p
+    return probability
+
+
+def _draw_leaves(probs: Sequence[float], rng: int | np.random.Generator, count: int) -> np.ndarray:
+    """``count`` softmax episodes' leaves as rows of 0/1 int64, from ``rng`` or ``default_rng``
+    of an int seed; every episode the package samples is drawn here.  Stage h plays 1 when its
+    double is below ``probs[h - 1]``; row i reads the i-th ``len(probs)`` doubles, stage 1 first."""
+    import numpy as np
+
+    return (np.random.default_rng(rng).random((count, len(probs))) < probs).astype(np.int64)
 
 
 def sample_trajectory(
@@ -146,19 +160,13 @@ def sample_trajectory(
 ) -> Trajectory:
     """One full episode from the initial state under the softmax policy.
 
-    Reproducible: the same integer seed always yields the same trajectory.
+    Its leaf is ``_draw_leaves``' batch of one from ``seed``, an int seed or a
+    generator whose next n doubles it reads, so the same integer seed always
+    yields the same trajectory; its probability is the leaf's stage-order product.
     """
-    import numpy as np
-
     check_theta(instance, params)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    actions = []
-    probability = 1.0
-    for p1 in params.softmax_probs:
-        action = 1 if rng.random() < p1 else 0
-        actions.append(action)
-        probability *= p1 if action == 1 else 1.0 - p1
-    return Trajectory(final=tuple(actions), probability=probability)
+    final = tuple(_draw_leaves(params.softmax_probs, seed, 1)[0].tolist())
+    return Trajectory(final=final, probability=_leaf_probability(params.softmax_probs, final))
 
 
 def best_greedy(instance: MdpInstance) -> tuple[PolicyParams, Fraction]:

@@ -29,7 +29,7 @@ from .cnf import (
 )
 from .features import PolicyParams
 from .mdp import ZERO_REWARD, MdpInstance, State, build_mdp, generative_query, initial_state
-from .policies import state_value_softmax
+from .policies import _draw_leaves, state_value_softmax
 
 if TYPE_CHECKING:  # each function that builds an array imports numpy itself
     import numpy as np
@@ -108,21 +108,23 @@ def extract_assignment_softmax(
 
     mode="round": x_h = 1 iff the stage-h probability of action 1 is above
     1/2, so a probability of exactly 1/2 gives 0, mirroring the greedy tie
-    rule.  mode="sample": draw each x_h independently, reproducibly from the
-    seed.
+    rule.  mode="sample": the leaf of ``sample_trajectory`` at ``seed``, one ``_draw_leaves``
+    episode.  ``_check_extraction`` refuses a bad mode or seed.
     """
     if params.d_prime != n:
         raise ReductionError(f"theta' has {params.d_prime} entries, expected n={n}")
+    _check_extraction(mode, seed)
     if mode == "round":
         return tuple(1 if p > 0.5 else 0 for p in params.softmax_probs)
-    if mode == "sample":
-        if seed is None:
-            raise ReductionError("sample mode needs an explicit seed")
-        import numpy as np
+    return tuple(_draw_leaves(params.softmax_probs, seed, 1)[0].tolist())
 
-        rng = np.random.default_rng(seed)
-        return tuple(1 if rng.random() < p else 0 for p in params.softmax_probs)
-    raise ReductionError(f"unknown extraction mode {mode!r}")
+
+def _check_extraction(mode: str, seed: int | None) -> None:
+    """ReductionError for an unknown mode, and in sample mode for a missing or negative seed."""
+    if mode not in ("round", "sample"):
+        raise ReductionError(f"unknown extraction mode {mode!r}")
+    if mode == "sample" and (seed is None or seed < 0):
+        raise ReductionError(f"sample mode needs a seed >= 0, got {seed}")
 
 
 def exact_solver(
@@ -312,6 +314,7 @@ def decide_max3sat(
     for softmax, epsilon must fit the concentration budget whenever v* is
     supplied (otherwise the check is recorded as skipped).  A supplied v*
     must lie in [0, 1] for either class, though only softmax reads it.
+    Softmax's extraction mode and seed are checked before the MDP is built.
     """
     d = as_fraction(delta)
     if not 0 < d < 1:
@@ -321,6 +324,8 @@ def decide_max3sat(
     eps = epsilon_bound_greedy(d) if epsilon is None else as_fraction(epsilon)
     if eps <= 0:
         raise ReductionError(f"epsilon must be positive, got {eps}")
+    if policy_class == "softmax":
+        _check_extraction(extraction_mode, seed)
 
     instance = build_mdp(formula)
     b = occurrence_bound(formula)
@@ -408,12 +413,12 @@ def empirical_mcdiarmid(
 
     Estimates Pr[R(leaf) <= E[R] - t] over independent softmax episodes and
     compares it against the analytic bound plus three standard errors of
-    sampling slack.  Returns (empirical tail, bound, passed).  The episodes
-    are those of one generator: leaf i is the ``final`` of the i-th of
-    ``trials`` successive ``sample_trajectory(instance, params, rng)`` calls
-    on ``rng = np.random.default_rng(seed)``.  Each leaf is scored from the
-    formula's table of leaf counts, so CnfError above ``BRUTE_FORCE_CAP``
-    variables, before any episode is drawn.
+    sampling slack.  Returns (empirical tail, bound, passed).  The leaves are
+    ``policies._draw_leaves``' batch of ``trials`` at ``seed``, those of as many
+    successive ``sample_trajectory`` calls on ``default_rng(seed)``.  Each is
+    scored from the formula's table of leaf counts, as the float that
+    ``float(satisfied_fraction(...))`` would give; so CnfError above
+    ``BRUTE_FORCE_CAP`` variables, before any episode is drawn.
     """
     import numpy as np
 
@@ -426,15 +431,7 @@ def empirical_mcdiarmid(
     b = occurrence_bound(formula)
     C = formula.clause_count
     bound = mcdiarmid_tail(t, instance.horizon, b, C)
-    # The episode's leaf is all the check reads.  ``sample_trajectory`` takes
-    # one ``rng.random()`` per stage, so successive episodes on one generator
-    # read its doubles n at a time, in order: row i of ``draws`` holds the
-    # draws of episode i, and leaf i is that episode's ``final`` without the
-    # episode around it.  Each leaf's satisfied count is read from the leaf
-    # table at the leaf's bit index, and its float from the formula's
-    # fractions, the value ``float(satisfied_fraction(...))`` would give.
-    draws = np.random.default_rng(seed).random((trials, instance.n))
-    counts = counts_of[_leaf_indices((draws < params.softmax_probs).astype(np.int64))]
+    counts = counts_of[_leaf_indices(_draw_leaves(params.softmax_probs, seed, trials))]
     as_float = np.array([float(f) for f in formula.fraction_of])
     hits = int(np.count_nonzero(as_float[counts] <= threshold))
     empirical = hits / trials

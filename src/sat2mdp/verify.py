@@ -688,7 +688,7 @@ def _softmax_decide(formula: list, n: int, delta: str, epsilon: str,
     soft = decide_max3sat(cnf, Fraction(delta), exact_solver, "softmax", eps, seed=seed,
                           extraction_mode="sample")
     rounded = extract_assignment_softmax(params, n, mode="round")
-    # sampled extraction draws as one softmax episode does, so it is that episode's leaf
+    # both take one _draw_leaves episode at the seed: decide must pass its seed and mode on
     if (not soft.decision or rounded != extract_assignment_greedy(params, n)
             or soft.extracted != sample_trajectory(inst, params, seed).final):
         return 1, [{"kind": "softmax_decide", "achieved": frac_str(soft.achieved_fraction)}]

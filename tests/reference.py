@@ -1,9 +1,10 @@
-"""Reference versions of the MDP's next-state rule and the greedy roll-out,
-and a depth-first client of generative access.
+"""Reference versions of the MDP's next-state rule, the greedy roll-out and
+the softmax episode's draw, and a depth-first client of generative access.
 
 The package has one implementation of each: ``mdp.step`` is its next-state
-rule, and ``eval_q_greedy`` builds the greedy roll-out's leaf from the
-slice ``greedy_actions[h:]``.  The functions here are second, independent
+rule, ``eval_q_greedy`` builds the greedy roll-out's leaf from the
+slice ``greedy_actions[h:]``, and ``policies._draw_leaves`` draws every
+softmax episode's leaf.  The functions here are second, independent
 copies, with their own checks, that no package code calls; the tests hold
 the package's paths to them:
 
@@ -13,6 +14,9 @@ the package's paths to them:
 * ``lookahead_state`` is the leaf of the greedy roll-out from a
   state-action pair, the leaf the greedy suite reads by index and
   ``eval_q_greedy`` scores;
+* ``sample_leaf`` is one softmax episode's leaf, drawn one double at a
+  time, stage 1 first: what ``sample_trajectory``, sampled extraction and
+  the Monte-Carlo tail must each draw from the same generator state;
 * ``depth_first_solve`` is an exhaustive solver that, unlike the
   package's sweep, backtracks: it queries each state's second action after
   the whole subtree under its first, as a depth-first planner does.
@@ -21,10 +25,13 @@ the package's paths to them:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from sat2mdp.features import PolicyParams
 from sat2mdp.mdp import ACTIONS, MdpError, State, initial_state, stage
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def is_terminal(state: Sequence[int]) -> bool:
@@ -58,6 +65,12 @@ def lookahead_state(state: Sequence[int], action: int, params: PolicyParams) -> 
     if params.d_prime != len(values):
         raise ValueError(f"theta' has {params.d_prime} entries, state needs {len(values)}")
     return values[: h - 1] + (action,) + params.greedy_actions[h:]
+
+
+def sample_leaf(probs: Sequence[float], rng: np.random.Generator) -> tuple[int, ...]:
+    """One episode's leaf: stage h plays 1 when the generator's next double is
+    below ``probs[h - 1]``, one ``rng.random()`` per stage in stage order."""
+    return tuple(1 if rng.random() < p else 0 for p in probs)
 
 
 def depth_first_solve(

@@ -1,7 +1,9 @@
+import ast
 import math
 import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from sat2mdp import (
 from sat2mdp.cnf import CnfError
 from sat2mdp.features import greedy_action, softmax_prob, softmax_weight
 from sat2mdp.mdp import MdpError, initial_state, stage, step
+from sat2mdp import policies
 from sat2mdp.policies import iter_states, softmax_q_of_split
 from sat2mdp.verify import random_formula
 
@@ -216,6 +219,27 @@ class TestSampleTrajectory:
         expected = state_value_softmax(instance, params, initial_state(6))
         sigma = math.sqrt(max(expected * (1 - expected), 1e-6) / trials)
         assert abs(mean - expected) < 3 * sigma + 1e-9
+
+    def test_one_function_draws_every_episode(self):
+        # the package's only call of an attribute named ``random`` is the one
+        # softmax draw, so no second sampler can read the generator its own way
+        def random_calls(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{scope}.{child.name}"
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                        and child.func.attr == "random"):
+                    yield inner
+                yield from random_calls(child, inner)
+
+        package = Path(policies.__file__).parent
+        sites = [
+            site
+            for path in sorted(package.glob("*.py"))
+            for site in random_calls(ast.parse(path.read_text()), path.stem)
+        ]
+        assert sites == ["policies._draw_leaves"]
 
 
 class TestBestGreedy:

@@ -38,6 +38,7 @@ from sat2mdp.policies import sample_trajectory, state_value_softmax
 from sat2mdp.verify import random_formula
 
 from conftest import call_counts
+from reference import sample_leaf
 
 
 class TestExtraction:
@@ -70,6 +71,11 @@ class TestExtraction:
     def test_softmax_sample_needs_seed(self):
         with pytest.raises(ReductionError):
             extract_assignment_softmax(PolicyParams((0.0,)), 1, mode="sample")
+        # a negative seed is refused by name, not by numpy's bare "expected
+        # non-negative integer"; round mode reads no seed
+        with pytest.raises(ReductionError, match="seed >= 0, got -1"):
+            extract_assignment_softmax(PolicyParams((0.0,)), 1, mode="sample", seed=-1)
+        assert extract_assignment_softmax(PolicyParams((1.0,)), 1, mode="round", seed=-1) == (1,)
 
     def test_softmax_sample_mean_tracks_probabilities(self):
         rng = np.random.default_rng(1)
@@ -129,6 +135,34 @@ class TestDecide:
     def test_softmax_budget_skip_recorded(self, example1):
         report = decide_max3sat(example1, "0.1", exact_solver, "softmax", "0.05")
         assert "skipped" in report.bound_details["budget_check"]
+
+    @pytest.mark.parametrize(
+        "mode, seed, message",
+        [("bogus", 0, "unknown extraction mode 'bogus'"),
+         ("sample", None, "seed >= 0, got None"),
+         ("sample", -1, "seed >= 0, got -1")],
+    )
+    def test_softmax_extraction_checked_before_the_solver(self, example1, mode, seed, message):
+        # a bad mode or seed is refused before the MDP is built, so before
+        # the solver's n 2^n queries; the greedy class reads neither
+        calls = []
+
+        def counting(instance, query, epsilon, policy_class):
+            calls.append(policy_class)
+            return exact_solver(instance, query, epsilon, policy_class)
+
+        def refuse(formula):
+            raise AssertionError("built the MDP before checking the extraction arguments")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reduction, "build_mdp", refuse)
+            with pytest.raises(ReductionError, match=message):
+                decide_max3sat(example1, "0.1", counting, "softmax", "0.05", seed=seed,
+                               extraction_mode=mode)
+        assert calls == []
+        report = decide_max3sat(example1, "0.1", counting, "greedy", "0.05", seed=seed,
+                                extraction_mode=mode)
+        assert report.decision and calls == ["greedy"]
 
     def test_solver_failure_wrapped(self, example1):
         def broken(instance, query, epsilon, policy_class):
@@ -432,6 +466,53 @@ class TestPlantedInstances:
         assert satisfied_fraction(formula, planted) < 1
 
 
+# theta' entries: the saturated values +-20, the tie value 0, and anything between
+THETAS = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.sampled_from((0.0, 20.0, -20.0)) | st.floats(-20.0, 20.0),
+                       min_size=n, max_size=n)
+)
+
+
+class TestSoftmaxDraw:
+    @settings(max_examples=60, deadline=None)
+    @given(THETAS, st.integers(1, 16), st.integers(0, 2**64 + 5))
+    def test_every_episode_is_the_scalar_draw(self, theta, trials, seed):
+        # successive sample_trajectory calls on one generator, sampled
+        # extraction at the seed and the Monte-Carlo tail's scored leaves each
+        # read the generator as tests/reference.py's one-double-per-stage loop
+        # does, and a trajectory's probability is its stage-order product
+        n = len(theta)
+        params = PolicyParams(tuple(theta))
+        probs = params.softmax_probs
+        instance = build_mdp(Formula.from_ints(n, [[v] for v in range(1, n + 1)]))
+        episodes, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(trials):
+            trajectory = sample_trajectory(instance, params, episodes)
+            leaf = sample_leaf(probs, reference)
+            probability = 1.0
+            for p, a in zip(probs, leaf):
+                probability *= p if a == 1 else 1.0 - p
+            assert trajectory.final == leaf
+            assert type(trajectory.probability) is float and trajectory.probability == probability
+
+        assert extract_assignment_softmax(params, n, mode="sample", seed=seed) == (
+            sample_leaf(probs, np.random.default_rng(seed))
+        )
+
+        scored = []
+        real = reduction._leaf_indices
+
+        def recording(leaves):
+            scored.extend(map(tuple, leaves.tolist()))
+            return real(leaves)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reduction, "_leaf_indices", recording)
+            empirical_mcdiarmid(instance, params, trials, 0.0, seed=seed)
+        reference = np.random.default_rng(seed)
+        assert scored == [sample_leaf(probs, reference) for _ in range(trials)]
+
+
 class TestEmpiricalMcdiarmid:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 64), st.integers(0, 2**64 + 5))
@@ -531,3 +612,88 @@ class TestEmpiricalMcdiarmid:
         empirical, bound, ok = empirical_mcdiarmid(instance, params, 5000, t, seed=6)
         assert ok
         assert empirical <= bound + 3 * math.sqrt(bound * (1 - bound) / 5000)
+
+
+class TestSoftmaxChain:
+    """The sampled softmax decision where the chain's premise holds: a budget
+    epsilon <= v* + delta - t - 1 that is positive, and a solver whose policy
+    is epsilon-optimal without being saturated.  The claim is a Yes with
+    probability >= 1 - p0, checked as a Yes count over fixed seeds."""
+
+    P0 = Fraction(1, 8)
+    SEEDS = range(200)
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        """The n = 64 planted formula, its budget, and the planted signs at the
+        smallest magnitude, by bisection on the closed-form root value, whose
+        value is within the budget of v* = 1: the weakest policy the premise
+        allows.  b = 3 and C = n, with v* = 1 and delta = 9/20: the smallest
+        planted size whose budget is positive by a margin (0.004 at n = 48)."""
+        formula, planted = planted_instance(64, 64, 1, seed=64, max_occurrences=3)
+        instance = build_mdp(formula)
+        budget = epsilon_bound_softmax(1, instance.horizon, occurrence_bound(formula),
+                                       formula.clause_count, Fraction(9, 20), float(self.P0))
+        root = initial_state(instance.n)
+        low, high = 0.0, reduction.SOFTMAX_SATURATION
+        for _ in range(40):
+            middle = (low + high) / 2
+            value = state_value_softmax(instance, PolicyParams.from_signs(planted, middle), root)
+            low, high = (low, middle) if 1 - value <= budget else (middle, high)
+        return formula, instance, PolicyParams.from_signs(planted, high), budget
+
+    def yes_count(self, formula, params, delta, epsilon):
+        def solver(instance, query, eps, policy_class):
+            return params
+
+        return sum(
+            decide_max3sat(formula, delta, solver, "softmax", epsilon, seed=seed,
+                           extraction_mode="sample", p0=self.P0, v_star=1).decision
+            for seed in self.SEEDS
+        )
+
+    def claim_floor(self):
+        k, p0 = len(self.SEEDS), float(self.P0)
+        return k * (1 - p0) - 3 * math.sqrt(k * p0 * (1 - p0))
+
+    def test_budget_is_positive_and_the_policy_unsaturated(self, chain):
+        formula, instance, params, budget = chain
+        assert occurrence_bound(formula) == 3 and round(budget, 3) == 0.065
+        value = state_value_softmax(instance, params, initial_state(instance.n))
+        assert 1 - budget <= value < 0.95
+        # each stage plays against its planted sign about one time in four
+        assert max(params.softmax_probs) < 0.8
+
+    def test_epsilon_within_budget_is_accepted_and_recorded(self, chain):
+        formula, _, params, budget = chain
+        report = decide_max3sat(formula, Fraction(9, 20), lambda *args: params, "softmax", budget,
+                                seed=0, p0=self.P0, v_star=1)
+        assert report.bound_details["epsilon_budget"] == budget
+        assert float(report.epsilon_used) == budget
+
+    def test_epsilon_above_budget_is_refused(self, chain):
+        formula, _, _, budget = chain
+
+        def never(*args):
+            raise AssertionError("solver called past the budget")
+
+        with pytest.raises(ReductionError, match="exceeds the softmax budget"):
+            decide_max3sat(formula, Fraction(9, 20), never, "softmax", math.nextafter(budget, 1),
+                           seed=0, p0=self.P0, v_star=1)
+
+    def test_yes_count_meets_the_claim(self, chain):
+        formula, _, params, budget = chain
+        assert self.yes_count(formula, params, Fraction(9, 20), budget) >= self.claim_floor()
+
+    def test_uniform_policy_fails_the_claim(self):
+        # negative control: below 1 - delta the count is far under the floor,
+        # so the claim's assertion can fail
+        formula, _ = planted_instance(1024, 1024, 1, seed=1024, max_occurrences=3)
+        instance = build_mdp(formula)
+        delta = Fraction(3, 25)
+        budget = epsilon_bound_softmax(1, instance.horizon, occurrence_bound(formula),
+                                       formula.clause_count, delta, float(self.P0))
+        uniform = PolicyParams((0.0,) * 1024)
+        assert state_value_softmax(instance, uniform, initial_state(1024)) == 0.875 < 1 - delta
+        assert 0 < budget
+        assert self.yes_count(formula, uniform, delta, budget) < self.claim_floor()
