@@ -55,7 +55,7 @@ _EXPORTS = {
             "ReductionError", "ReductionReport", "RlSolver", "calibration_t", "decide_max3sat",
             "empirical_mcdiarmid", "epsilon_bound_greedy", "epsilon_bound_softmax",
             "exact_solver", "extract_assignment_greedy", "extract_assignment_softmax",
-            "gap3sat_to_delta_b", "mcdiarmid_tail", "planted_instance",
+            "mcdiarmid_tail", "planted_instance",
         ),
         "reduction",
     ),

@@ -255,21 +255,26 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
+def _softmax_eps(args: argparse.Namespace) -> float:
+    if args.v_star is None:
+        raise ValueError("softmax-eps needs --v-star")
+    return epsilon_bound_softmax(
+        args.v_star, args.H, args.b, args.C, args.delta, _checked_p0(args.p0)
+    )
+
+
+# bound --kind -> its value from the parsed flags; the parser's --kind
+# choices are this table's keys, so an unknown kind never reaches cmd_bound
+_BOUNDS = {
+    "mcdiarmid": lambda args: mcdiarmid_tail(args.t, args.H, args.b, args.C),
+    "calibration-t": lambda args: calibration_t(args.H, args.b, args.C, _checked_p0(args.p0)),
+    "greedy-eps": lambda args: frac_str(epsilon_bound_greedy(args.delta)),
+    "softmax-eps": _softmax_eps,
+}
+
+
 def cmd_bound(args: argparse.Namespace) -> int:
-    if args.kind == "mcdiarmid":
-        value = mcdiarmid_tail(args.t, args.H, args.b, args.C)
-    elif args.kind == "calibration-t":
-        value = calibration_t(args.H, args.b, args.C, _checked_p0(args.p0))
-    elif args.kind == "greedy-eps":
-        value = frac_str(epsilon_bound_greedy(args.delta))
-    elif args.kind == "softmax-eps":
-        if args.v_star is None:
-            raise ValueError("softmax-eps needs --v-star")
-        value = epsilon_bound_softmax(
-            args.v_star, args.H, args.b, args.C, args.delta, _checked_p0(args.p0)
-        )
-    else:  # unreachable through argparse choices
-        raise ValueError(f"unknown bound kind {args.kind!r}")
+    value = _BOUNDS[args.kind](args)
     if isinstance(value, float) and not math.isfinite(value):
         # strict JSON has no NaN or Infinity
         raise ValueError(f"bound is not finite: {value}")
@@ -390,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_extract)
 
     p = command("bound", "concentration and tolerance bounds")
-    p.add_argument("--kind", choices=("mcdiarmid", "calibration-t", "greedy-eps", "softmax-eps"),
-                   required=True)
+    p.add_argument("--kind", choices=tuple(_BOUNDS), required=True)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--H", type=int, default=1)
     p.add_argument("--b", type=int, default=1)

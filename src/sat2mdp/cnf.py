@@ -127,9 +127,6 @@ class Clause:
     def __len__(self) -> int:
         return len(self.key)
 
-    def __str__(self) -> str:
-        return "(" + " | ".join(map(_name, self.key)) + ")"
-
 
 @dataclass(frozen=True)
 class Formula:
@@ -212,9 +209,6 @@ class Formula:
         lines = [f"p cnf {self.n} {self.clause_count}"]
         lines += [" ".join(map(str, c.to_ints())) + " 0" for c in self.clauses]
         return "\n".join(lines) + "\n"
-
-    def __str__(self) -> str:
-        return " & ".join(str(c) for c in self.clauses)
 
 
 # An assignment is a plain tuple of 0/1 values, one per variable.

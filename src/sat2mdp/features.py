@@ -89,9 +89,6 @@ class PolicyParams:
             bits = [1 if v > 0 else 0 for v in signs]
         return cls(tuple(magnitude if b else -magnitude for b in bits))
 
-    def to_json(self) -> dict:
-        return {"theta_prime": list(self.theta_prime)}
-
 
 def psp_feature(h: int, action: int, d_prime: int) -> tuple[int, ...]:
     """One-hot stage feature: +1 at coordinate h for action 1, -1 for action 0."""

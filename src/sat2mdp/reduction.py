@@ -5,8 +5,7 @@ generative access, read the returned policy parameters back as a variable
 assignment, and answer Yes when the assignment satisfies at least a
 1 - delta fraction of clause instances.  The concentration-bound helpers
 (tail bound, calibration point, softmax epsilon budget) and the
-instance-transform and planted-instance generators used by the
-verification suites live here too.
+planted-instance generator used by the verification suites live here too.
 """
 
 from __future__ import annotations
@@ -272,26 +271,6 @@ def epsilon_bound_softmax(
     except OverflowError:
         raise ReductionError(f"delta is too large for a float: {delta}") from None
     return float(v) + d_float - calibration_t(H, b, C, p0) - 1.0
-
-
-def gap3sat_to_delta_b(
-    formula: Formula,
-    b: int,
-    epsilon: Fraction | float | str,
-    delta: Fraction | float | str,
-) -> Formula:
-    """Recast a gap instance as a bounded-occurrence decision instance.
-
-    The clause list is copied verbatim; only the parameter obligations are
-    checked (occurrence bound respected, delta > epsilon).
-    """
-    eps, d = as_fraction(epsilon), as_fraction(delta)
-    if d <= eps:
-        raise ReductionError(f"need delta > epsilon, got delta={d}, epsilon={eps}")
-    actual = occurrence_bound(formula)
-    if actual > b:
-        raise ReductionError(f"occurrence bound violated: some variable is in {actual} > {b} clauses")
-    return Formula(formula.n, formula.clauses)
 
 
 def decide_max3sat(

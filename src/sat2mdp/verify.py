@@ -99,7 +99,6 @@ from .policies import (
     softmax_q_of_split,
 )
 from .reduction import (
-    ReductionError,
     as_fraction,
     calibration_t,
     decide_max3sat,
@@ -110,7 +109,6 @@ from .reduction import (
     extract_assignment_greedy,
     extract_assignment_softmax,
     frac_str,
-    gap3sat_to_delta_b,
     mcdiarmid_tail,
     planted_instance,
 )
@@ -607,15 +605,6 @@ def _slope(item: str, n_list: list, times_s: list, cap: float) -> tuple[int, lis
     return 1, [{"kind": "slope", "slope": slope}] if slope > cap else []
 
 
-def _refuses(transform: Callable, *args) -> bool:
-    """Whether ``transform(*args)`` raises ``ReductionError``."""
-    try:
-        transform(*args)
-    except ReductionError:
-        return True
-    return False
-
-
 def _planted_decision(formula: list, n: int, planted: list, i: int, delta: str,
                       epsilon: str) -> tuple[int, list[dict]]:
     """A planted (1 - delta + 2 epsilon)-satisfiable instance decides Yes, with a
@@ -663,21 +652,6 @@ def _tail_calibration(H: int, b: int, C: int, p0: float) -> tuple[int, list[dict
     return 1, [{"kind": "tail_calibration"}] if failed else []
 
 
-def _gap_transform(formula: list, n: int, b: int, epsilon: str,
-                   delta: str) -> tuple[int, list[dict]]:
-    """The gap transform copies the clauses at occurrence bound b, and refuses a
-    bound one below the formula's and a delta equal to epsilon."""
-    cnf, eps, d = Formula.from_ints(n, formula), Fraction(epsilon), Fraction(delta)
-    checks = {
-        "copied": gap3sat_to_delta_b(cnf, b, eps, d).clauses == cnf.clauses,
-        "refuses_b_below_bound": _refuses(
-            gap3sat_to_delta_b, cnf, occurrence_bound(cnf) - 1, eps, d
-        ),
-        "refuses_delta_equal_epsilon": _refuses(gap3sat_to_delta_b, cnf, b, eps, eps),
-    }
-    return 1, [] if all(checks.values()) else [{"kind": "gap_transform_identity", **checks}]
-
-
 def _softmax_decide(formula: list, n: int, delta: str, epsilon: str,
                     seed: int) -> tuple[int, list[dict]]:
     """Softmax decide with sampled extraction answers Yes, round mode reads theta'
@@ -722,7 +696,6 @@ _CHECKS: dict[str, Callable[..., tuple[int, list[dict]]]] = {
     "contradiction": _contradiction,
     "greedy_bound": _greedy_bound,
     "tail_calibration": _tail_calibration,
-    "gap_transform": _gap_transform,
     "softmax_decide": _softmax_decide,
     "empirical_tail": _empirical_tail,
     "softmax_budget": _softmax_budget,
@@ -765,7 +738,7 @@ def check_reduction_roundtrip(
                                            "i": i, **chain}))
     # a contradictory pair can never reach 1 - delta
     cases.append(("contradiction", {"formula": [[1], [-1]], "n": 1, **chain}))
-    # side checks: bounds, transforms, extraction modes, concentration
+    # side checks: bounds, extraction modes, concentration
     sample_formula, _ = planted_instance(n, clause_count=n, zeta=zeta, seed=seed + count,
                                          max_occurrences=3)
     sample = _formula_inputs(sample_formula)
@@ -778,7 +751,6 @@ def check_reduction_roundtrip(
     cases += [
         ("greedy_bound", {"delta": "1/10", "expected": "1/20"}),
         ("tail_calibration", {"H": 13, "b": 3, "C": 12, "p0": 0.125}),
-        ("gap_transform", {**sample, "b": 3, "epsilon": frac_str(eps / 2), "delta": frac_str(d)}),
         ("softmax_decide", {**sample, **chain, "seed": seed}),
         ("empirical_tail", {**sample, "theta": theta, "t": t, "trials": 2000, "seed": seed}),
         ("softmax_budget", {

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -110,6 +111,11 @@ class TestReduce:
         path.write_text("p cnf 2 0\n")
         code, _, err = run(capsys, ["reduce", str(path)])
         assert code == 2
+
+    def test_dash_reads_stdin(self, capsys, monkeypatch, cnf_path):
+        monkeypatch.setattr("sys.stdin", io.StringIO(EXAMPLE1))
+        code, out, err = run(capsys, ["reduce", "-"])
+        assert (code, out, err) == run(capsys, ["reduce", cnf_path]) and code == 0
 
     def test_out_file(self, capsys, cnf_path, tmp_path):
         out_path = tmp_path / "descriptor.json"
@@ -307,6 +313,23 @@ class TestBound:
         )
         assert code == 0
         assert json.loads(out)["value"] > 0
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_value_not_finite_exit_2(self, capsys, monkeypatch, value):
+        # no input makes a bound function return a non-finite float today;
+        # the guard keeps NaN and Infinity out of strict JSON should one do so
+        monkeypatch.setattr(cli, "mcdiarmid_tail", lambda t, H, b, C: value)
+        code, out, err = run(capsys, ["bound", "--kind", "mcdiarmid"])
+        assert (code, out, err) == (2, "", f"error: bound is not finite: {value}\n")
+
+    def test_unknown_kind_is_refused(self, capsys):
+        kinds = "'mcdiarmid', 'calibration-t', 'greedy-eps', 'softmax-eps'"
+        code, out, err = run(capsys, ["bound", "--kind", "nope"])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --kind: invalid choice: 'nope' (choose from {kinds})\n")
+        # a direct caller's unknown kind is an error too, never another kind's bound
+        with pytest.raises(KeyError, match="nope"):
+            cli.cmd_bound(argparse.Namespace(kind="nope"))
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sat2mdp.cnf
 from sat2mdp import (
     Clause,
     CnfError,
@@ -73,7 +74,7 @@ class TestLiteralAndClause:
 
     @pytest.mark.parametrize("key", [(True,), (0, True), (1.0,), (np.int64(2),)])
     def test_clause_rejects_a_key_that_is_not_an_int(self, key):
-        # True would print as ~x1, and a float key breaks str()
+        # True would read as ~x1
         with pytest.raises(CnfError, match="^literal keys must be ints, got"):
             Clause(key)
 
@@ -93,6 +94,11 @@ class TestLiteralAndClause:
     def test_clause_rejects_oversize(self):
         with pytest.raises(CnfError):
             Clause.from_ints([1, 2, 3, 4])
+
+    def test_clause_rejects_an_unsorted_key(self):
+        with pytest.raises(CnfError) as info:
+            Clause((2, 0))
+        assert str(info.value) == "clause literals must be sorted by canonical key"
 
 
 class TestParseDimacs:
@@ -136,6 +142,26 @@ class TestParseDimacs:
             parse_dimacs("p cnf 2 1\n1 2\n")
         with pytest.raises(CnfError):
             parse_dimacs("p cnf 2 1\n1 2 3 4 0\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf 1 1\nc\np cnf 1 1\n1 0\n", "line 3: duplicate problem line"),
+            ("p cnf 1\n", "line 1: bad problem line 'p cnf 1', expected 'p cnf <n> <m>'"),
+            ("c\np dnf 1 1\n", "line 2: bad problem line 'p dnf 1 1', expected 'p cnf <n> <m>'"),
+            ("p cnf one 1\n", "line 1: non-integer counts in problem line"),
+            ("p cnf 2 1\n1 two 0\n", "line 2: non-integer token in clause"),
+            ("p cnf 2 1\n1 0\n\n0\n", "line 4: empty clause"),
+            ("c only a comment\n", "missing 'p cnf' header"),
+            ("", "missing 'p cnf' header"),
+        ],
+        ids=["duplicate-header", "short-header", "not-cnf", "counts", "token", "empty-clause",
+             "no-header", "empty-text"],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(CnfError) as info:
+            parse_dimacs(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "declared", ["-3", "0", "99999999999999999999"], ids=["negative", "zero", "huge"]
@@ -249,6 +275,14 @@ class TestUniverse:
     def test_rejects_n0(self):
         with pytest.raises(CnfError):
             enumerate_universe(0)
+
+    def test_size_disagreeing_with_the_closed_form(self, monkeypatch):
+        # every build is checked against the closed form, not only the
+        # n <= 40 that the scaling suite compares; n = 2 has (4, 4, 0)
+        monkeypatch.setattr(sat2mdp.cnf, "universe_block_sizes", lambda n: (4, 4, 1))
+        with pytest.raises(CnfError) as info:
+            enumerate_universe(2)
+        assert str(info.value) == "universe size 8 disagrees with closed form 9"
 
 
 class TestEvalClause:

@@ -27,8 +27,8 @@ EXPORTS = {
     # reduction
     "ReductionError", "ReductionReport", "RlSolver", "calibration_t", "decide_max3sat",
     "empirical_mcdiarmid", "epsilon_bound_greedy", "epsilon_bound_softmax", "exact_solver",
-    "extract_assignment_greedy", "extract_assignment_softmax", "gap3sat_to_delta_b",
-    "mcdiarmid_tail", "planted_instance",
+    "extract_assignment_greedy", "extract_assignment_softmax", "mcdiarmid_tail",
+    "planted_instance",
     # verify
     "SuiteResult", "check_construction_scaling", "check_realizability_greedy",
     "check_realizability_softmax", "check_reduction_roundtrip", "random_formula",

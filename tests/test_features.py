@@ -13,6 +13,8 @@ from sat2mdp import (
     Clause,
     Formula,
     PolicyParams,
+    RealizabilityFeature,
+    best_greedy,
     build_mdp,
     eval_q_greedy,
     eval_q_softmax,
@@ -64,6 +66,11 @@ class TestPspFeature:
         with pytest.raises(ValueError):
             psp_feature(4, 1, 3)
 
+    def test_action_checked(self):
+        with pytest.raises(ValueError) as info:
+            psp_feature(1, 2, 3)
+        assert str(info.value) == "action must be 0 or 1, got 2"
+
 
 class TestGreedyAction:
     def test_all_positive_picks_true(self):
@@ -94,6 +101,17 @@ class TestGreedyAction:
             params = PolicyParams(signs)
             for h in (1, 2, 3):
                 assert greedy_action(h, params) == f_threshold(params, h)
+
+    @pytest.mark.parametrize("h", [0, 4])
+    @pytest.mark.parametrize(
+        "per_stage",
+        [greedy_action, lambda h, params: f_threshold(params, h), softmax_prob],
+        ids=["greedy_action", "f_threshold", "softmax_prob"],
+    )
+    def test_stage_range_checked(self, per_stage, h):
+        with pytest.raises(ValueError) as info:
+            per_stage(h, PolicyParams((1.0, -1.0, 1.0)))
+        assert str(info.value) == f"stage h={h} out of range [1, 3]"
 
 
 class TestSoftmaxProb:
@@ -175,6 +193,20 @@ class TestRealizabilityFeature:
             realizability_feature(example1_instance, (0, 0, 0, 0, -1), 1)
         with pytest.raises(MdpError, match="state length 2 != n=3"):
             realizability_feature(example1_instance, (-1, -1), 1)
+
+    def test_b_above_the_decided_count_rejected(self):
+        # three instances, one undecided: at most two can be satisfied
+        with pytest.raises(ValueError) as info:
+            RealizabilityFeature(b=3, y_counts={0: 1}, clause_count=3, dim=7)
+        assert str(info.value) == "b=3 exceeds decided count 2"
+
+    def test_dot_across_dimensions_rejected(self, example1_instance):
+        phi = realizability_feature(example1_instance, (1, -1, -1), 0)
+        other = build_mdp(Formula.from_ints(2, [[1, 2]]))
+        weight = greedy_weight(other, PolicyParams((1.0, 1.0)), 1)
+        with pytest.raises(ValueError) as info:
+            phi.dot(weight)
+        assert str(info.value) == "dimension mismatch: feature 27 vs weight 9"
 
     def test_json_export(self, example1_instance):
         phi = realizability_feature(example1_instance, (1, -1, -1), 0)
@@ -522,6 +554,76 @@ class TestRankWitness:
         assert any(greedy_unrealizable(formula) for formula in RANK_FAMILY.values())
 
 
+def leaf_values(instance):
+    """``reward`` of every leaf in product order: a prefix's completions are one slice."""
+    return [reward(instance, leaf) for leaf in product((0, 1), repeat=instance.n)]
+
+
+def best_completion(values, n, prefix):
+    """The largest leaf value over the completions of a 0/1 prefix."""
+    start = sum(bit << (n - 1 - i) for i, bit in enumerate(prefix))
+    return max(values[start:start + (1 << (n - len(prefix)))])
+
+
+def optimal_q(instance):
+    """q*: ``rollout_q`` of the policy that plays the first action whose best
+    completion is largest, scored by brute force over the leaves."""
+    values = leaf_values(instance)
+
+    def first_maximizer(state):
+        prefix = state[: stage(state) - 1]
+        best = [best_completion(values, instance.n, prefix + (a,)) for a in (0, 1)]
+        return best.index(max(best))
+
+    return lambda state, action: rollout_q(instance, first_maximizer, state, action)
+
+
+# (x1 | x3) & (x2 | ~x3): after x1 = x2 = 0 each clause alone can still be
+# satisfied, but x3 cannot satisfy both
+OPTIMAL_Q_WITNESS = Formula.from_ints(3, [[1, 3], [2, -3]])
+
+
+class TestOptimalQ:
+    """Partial q^pi-realizability sits between q*- and q^pi-realizability: on
+    this construction every pi in Pi is realizable, q* need not be, and the
+    optimum from the root is still attained inside Pi."""
+
+    def test_optimal_q_fails_at_stage_2(self):
+        instance = build_mdp(OPTIMAL_Q_WITNESS)
+        # the rate on random formulas, reported beside the result, not asserted
+        rng = np.random.default_rng(0)
+        drawn = [Formula.from_ints(n, c) for n, c in RANK_WITNESSES] + [
+            random_formula(n, rng, 3, 2 * n) for n in (3, 4, 5, 6) for _ in range(30)
+        ]
+        failing = sum(bool(unrealizable_stages(instance, optimal_q(instance)))
+                      for instance in map(build_mdp, drawn))
+        assert unrealizable_stages(instance, optimal_q(instance)) == [2], (
+            f"q* fails the rank test on {failing} of {len(drawn)} formulas "
+            f"(the rank witnesses, then n = 3..6 at seed 0)"
+        )
+
+    def test_every_greedy_pattern_passes_on_the_witness(self):
+        assert greedy_unrealizable(OPTIMAL_Q_WITNESS) == []
+
+    @pytest.mark.parametrize("name", RANK_FAMILY)
+    def test_optimum_from_the_root_is_attained_in_pi(self, name):
+        instance = build_mdp(RANK_FAMILY[name])
+        assert best_greedy(instance)[1] == max(leaf_values(instance))
+
+    def test_per_clause_maximum_is_realizable(self):
+        # negative control: each clause's best completion on its own, summed,
+        # is not q* but is linear in the features, so it passes where the
+        # joint maximum fails: the test measures the joint maximum
+        instance = build_mdp(OPTIMAL_Q_WITNESS)
+        per_clause = [build_mdp(Formula(3, (clause,))) for clause in OPTIMAL_Q_WITNESS.clauses]
+
+        def summed(state, action):
+            prefix = transition(state, action)[: stage(state)]
+            return sum(best_completion(leaf_values(one), 3, prefix) for one in per_clause) / 2
+
+        assert unrealizable_stages(instance, summed) == []
+
+
 class TestPolicyParams:
     def test_sign_parsing(self):
         assert PolicyParams.from_signs("+-+").theta_prime == (1.0, -1.0, 1.0)
@@ -534,3 +636,8 @@ class TestPolicyParams:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             PolicyParams(())
+
+    def test_sign_string_checked(self):
+        with pytest.raises(ValueError) as info:
+            PolicyParams.from_signs("+x-y")
+        assert str(info.value) == "sign string may only contain '+'/'-', got ['x', 'y']"

@@ -15,6 +15,7 @@ from sat2mdp import (
     MdpInstance,
     PolicyParams,
     ReductionError,
+    ReductionReport,
     best_greedy,
     build_mdp,
     calibration_t,
@@ -25,7 +26,6 @@ from sat2mdp import (
     exact_solver,
     extract_assignment_greedy,
     extract_assignment_softmax,
-    gap3sat_to_delta_b,
     is_zeta_satisfiable,
     mcdiarmid_tail,
     occurrence_bound,
@@ -33,6 +33,7 @@ from sat2mdp import (
     satisfied_fraction,
 )
 from sat2mdp import mdp, reduction
+from sat2mdp.cnf import leaf_counts
 from sat2mdp.mdp import generative_query, initial_state
 from sat2mdp.policies import sample_trajectory, state_value_softmax
 from sat2mdp.verify import random_formula
@@ -56,6 +57,12 @@ class TestExtraction:
         assert satisfied_fraction(example1_instance.formula, extracted) == (
             state_value_greedy(example1_instance, params, (-1, -1, -1))
         )
+
+    @pytest.mark.parametrize("extract", [extract_assignment_greedy, extract_assignment_softmax])
+    def test_theta_length_checked(self, extract):
+        with pytest.raises(ReductionError) as info:
+            extract(PolicyParams((1.0, -1.0)), 3)
+        assert str(info.value) == "theta' has 2 entries, expected n=3"
 
     def test_softmax_round_saturated(self):
         assert extract_assignment_softmax(PolicyParams((20.0, 20.0, 20.0)), 3) == (1, 1, 1)
@@ -111,6 +118,18 @@ class TestDecide:
     def test_delta_domain(self, example1):
         with pytest.raises(ReductionError):
             decide_max3sat(example1, "0")
+
+    def test_unknown_policy_class(self, example1):
+        with pytest.raises(ReductionError) as info:
+            decide_max3sat(example1, "0.1", exact_solver, "argmax", "0.05")
+        assert str(info.value) == "unknown policy class 'argmax'"
+
+    def test_report_decision_must_match_its_fraction(self, contradiction):
+        # 1/2 falls short of 1 - delta = 9/10, so the report cannot say Yes
+        with pytest.raises(ReductionError) as info:
+            ReductionReport(True, (1,), Fraction(1, 2), Fraction(1, 20), Fraction(1, 10),
+                            "greedy", contradiction)
+        assert str(info.value) == "report decision contradicts its achieved fraction"
 
     def test_planted_instances_always_yes(self):
         delta, eps = Fraction(1, 10), Fraction(1, 20)
@@ -423,21 +442,6 @@ class TestBounds:
             epsilon_bound_softmax(1.0, 11, 3, 5, 0.1, 0)
 
 
-class TestGapTransform:
-    def test_identity_copy(self, example1):
-        out = gap3sat_to_delta_b(example1, 3, "0.05", "0.1")
-        assert out.clauses == example1.clauses and out.n == example1.n
-
-    def test_occurrence_violation(self):
-        f = Formula.from_ints(2, [[1], [1], [1], [1, 2]])
-        with pytest.raises(ReductionError, match="occurrence"):
-            gap3sat_to_delta_b(f, 3, "0.05", "0.1")
-
-    def test_parameter_ordering(self, example1):
-        with pytest.raises(ReductionError, match="delta > epsilon"):
-            gap3sat_to_delta_b(example1, 3, "0.1", "0.05")
-
-
 class TestPlantedInstances:
     @pytest.mark.parametrize("seed", range(8))
     def test_guarantee_holds(self, seed):
@@ -459,6 +463,11 @@ class TestPlantedInstances:
     def test_no_variables_rejected(self, n):
         with pytest.raises(ReductionError, match=f"need n >= 1, got {n}"):
             planted_instance(n, 5, Fraction(1), seed=0)
+
+    def test_no_clauses_rejected(self):
+        with pytest.raises(ReductionError) as info:
+            planted_instance(3, 0, Fraction(1), seed=0)
+        assert str(info.value) == "need at least one clause"
 
     def test_unsatisfied_tail_present(self):
         # zeta < 1 leaves clauses the planted assignment falsifies
@@ -587,6 +596,12 @@ class TestEmpiricalMcdiarmid:
         with pytest.raises(CnfError, match="brute-force cap exceeded: n=25 > 24"):
             empirical_mcdiarmid(instance, PolicyParams((0.5,) * 25), 10, 0.0)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_checked(self, example1_instance, trials):
+        with pytest.raises(ReductionError) as info:
+            empirical_mcdiarmid(example1_instance, PolicyParams((0.2, -0.3, 0.4)), trials, 0.1)
+        assert str(info.value) == f"trials must be >= 1, got {trials}"
+
     def test_threshold_is_inclusive(self, example1_instance):
         # saturated theta' plays leaf (1, 0, 1) in every episode, so E[R] is
         # its reward, 1/2, exactly; at t = 0 that leaf sits on the threshold
@@ -697,3 +712,70 @@ class TestSoftmaxChain:
         assert state_value_softmax(instance, uniform, initial_state(1024)) == 0.875 < 1 - delta
         assert 0 < budget
         assert self.yes_count(formula, uniform, delta, budget) < self.claim_floor()
+
+
+def spending_adversary(overspend=Fraction(0)):
+    """A greedy solver that is epsilon-optimal and spends all of its slack: the
+    first sign pattern, in sweep order, of least value at or above the
+    optimum minus epsilon, read from the formula's leaf counts.  ``overspend``
+    widens its slack past epsilon."""
+
+    def solve(instance, query, epsilon, policy_class):
+        counts = leaf_counts(instance.formula).tolist()
+        C = instance.formula.clause_count
+        floor = Fraction(max(counts), C) - epsilon - overspend
+        index = counts.index(min(c for c in counts if Fraction(c, C) >= floor))
+        return PolicyParams.from_signs([(index >> s) & 1 for s in range(instance.n - 1, -1, -1)])
+
+    return solve
+
+
+def optimum_family(k, C):
+    """k contradictory unit pairs beside C - 2k unit clauses on three more
+    variables, one, two and the rest of them: all-ones satisfies every clause
+    but one of each pair, so opt = 1 - k/C, and leaves of each value from
+    opt down to opt - 3/C exist."""
+    pairs = [clause for v in range(1, k + 1) for clause in ([v], [-v])]
+    rest = [[k + 1]] + [[k + 2]] * 2 + [[k + 3]] * (C - 2 * k - 3)
+    return Formula.from_ints(k + 3, pairs + rest)
+
+
+class TestEpsilonOptimalAdversary:
+    """Any epsilon-optimal solver decides delta-Max-3SAT through the greedy
+    chain, with epsilon <= delta/2: Yes when opt >= 1 - delta + epsilon, No
+    when opt < 1 - delta; between the two either answer is allowed."""
+
+    DELTA, EPSILON, C = Fraction(1, 4), Fraction(1, 8), 16
+
+    # k -> where opt = 1 - k/16 sits against 1 - delta = 12/16 and 1 - delta + epsilon = 14/16
+    PLACEMENTS = {1: "above", 2: "at", 3: "inside", 4: "inside", 5: "below"}
+
+    def placement(self, opt):
+        high, low = 1 - self.DELTA + self.EPSILON, 1 - self.DELTA
+        if opt > high:
+            return "above"
+        if opt == high:
+            return "at"
+        return "inside" if opt >= low else "below"
+
+    @pytest.mark.parametrize("k", PLACEMENTS)
+    def test_the_chain_claims_hold(self, k):
+        formula = optimum_family(k, self.C)
+        opt = Fraction(int(leaf_counts(formula).max()), self.C)
+        assert opt == 1 - Fraction(k, self.C)
+        assert self.placement(opt) == self.PLACEMENTS[k]
+        report = decide_max3sat(formula, self.DELTA, spending_adversary(), "greedy", self.EPSILON)
+        # the whole slack is spent, yet the claims hold
+        assert report.achieved_fraction == opt - self.EPSILON
+        if self.placement(opt) in ("above", "at"):
+            assert report.decision
+        if self.placement(opt) == "below":
+            assert not report.decision
+
+    def test_overspending_by_one_clause_answers_wrongly(self):
+        # negative control: at opt = 1 - delta + epsilon the chain claims Yes
+        formula = optimum_family(2, self.C)
+        overspent = spending_adversary(Fraction(1, self.C))
+        report = decide_max3sat(formula, self.DELTA, overspent, "greedy", self.EPSILON)
+        assert report.achieved_fraction == 1 - self.DELTA - Fraction(1, self.C)
+        assert not report.decision

@@ -18,7 +18,10 @@ the softmax pairs within 1e-9.  A fault that treats both polarities
 alike, such as reading every literal's sign bit inverted, commutes with
 the flips and passes these pairs; the realizability identity catches it,
 as does the softmax relation's last check, the copy's dot product against
-the original's q.
+the original's q.  Under the full relabelling, with theta' negated at the
+flipped variables and moved with them, softmax ``decide`` in round mode
+reads the relabelled assignment, so its decision and achieved fraction
+are unchanged.
 """
 
 import random
@@ -46,6 +49,7 @@ from sat2mdp import (
     softmax_weight,
     stage,
 )
+from sat2mdp import reduction
 from sat2mdp.cnf import leaf_counts
 
 from conftest import formulas
@@ -113,6 +117,28 @@ def flipped_cells(draw):
     return cells
 
 
+@st.composite
+def relabelled_thetas(draw):
+    """(formula, its relabelled copy, theta', the copy's theta'): the copy's
+    entry for variable perm[v] + 1 is theta'_v, negated when v is flipped.
+    Every entry is nonzero, so its negation flips the rounded bit."""
+    formula, copy, perm, flips = draw(relabellings())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    theta = [rng.choice((-1, 1)) * rng.uniform(0.25, 3.0) for _ in range(formula.n)]
+    copy_theta = [0.0] * formula.n
+    for v, t in enumerate(theta):
+        copy_theta[perm[v]] = -t if flips[v] else t
+    return formula, copy, theta, copy_theta
+
+
+def _softmax_round_decide(formula, theta, delta):
+    """Softmax decide in round mode with a solver that returns theta'."""
+    params = PolicyParams(tuple(theta))
+    report = decide_max3sat(formula, delta, lambda *args: params, "softmax",
+                            extraction_mode="round")
+    return report.decision, report.achieved_fraction
+
+
 def _dot(weight_of, instance, params, state, action):
     weight = weight_of(instance, params, stage(state))
     return realizability_feature(instance, state, action).dot(weight)
@@ -169,6 +195,32 @@ class TestRelabelling:
         report, copy_report = decide_max3sat(formula, delta), decide_max3sat(copy, delta)
         assert copy_report.decision == report.decision
         assert copy_report.achieved_fraction == report.achieved_fraction
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabelled_thetas(), st.sampled_from((Fraction(1, 10), Fraction(1, 4), Fraction(1, 2))))
+    def test_softmax_round_decision_is_unchanged(self, case, delta):
+        formula, copy, theta, copy_theta = case
+        assert _softmax_round_decide(copy, copy_theta, delta) == _softmax_round_decide(
+            formula, theta, delta)
+
+    def test_softmax_round_relation_fails_under_a_polarity_fault(self, monkeypatch):
+        # rounding that reads 1 only above p = 0.9 treats theta'_h and
+        # -theta'_h unalike, so it does not commute with the flips: on (x1)
+        # at theta' = 0.5 it reads x1 = 0, and on the flipped copy (~x1) at
+        # theta' = -0.5 it reads x1 = 0 too, which satisfies the copy
+        original = reduction.extract_assignment_softmax
+
+        def high_threshold(params, n, mode="round", seed=None):
+            if mode != "round":
+                return original(params, n, mode, seed)
+            return tuple(1 if p > 0.9 else 0 for p in params.softmax_probs)
+
+        monkeypatch.setattr(reduction, "extract_assignment_softmax", high_threshold)
+        formula = Formula.from_ints(1, [[1]])
+        copy = relabel(formula, [0], [True], [0])
+        delta = Fraction(1, 10)
+        assert _softmax_round_decide(formula, [0.5], delta) == (False, 0)
+        assert _softmax_round_decide(copy, [-0.5], delta) == (True, 1)
 
     @settings(max_examples=40, deadline=None)
     @given(flipped_cells())

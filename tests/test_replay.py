@@ -95,13 +95,6 @@ def doubled_tail(monkeypatch):
          lambda original: lambda t, H, b, C: 2 * original(t, H, b, C))
 
 
-def transform_ignores_b(monkeypatch):
-    # the transform checks the formula's own bound, never one below it
-    swap(monkeypatch, sat2mdp.verify, "gap3sat_to_delta_b",
-         lambda original: lambda formula, b, epsilon, delta: original(
-             formula, max(b, sat2mdp.occurrence_bound(formula)), epsilon, delta))
-
-
 def uniform_sampled_extraction(monkeypatch):
     # sampled extraction ignores the policy and draws each bit uniformly
     def fault(original):
@@ -201,7 +194,6 @@ FAULTS = {
     "expected_no": ("contradiction", raised_on_one_variable, ROUNDTRIP),
     "greedy_bound": ("greedy_bound", halved_greedy_bound, ROUNDTRIP),
     "tail_calibration": ("tail_calibration", doubled_tail, ROUNDTRIP),
-    "gap_transform_identity": ("gap_transform", transform_ignores_b, ROUNDTRIP),
     "softmax_decide": ("softmax_decide", uniform_sampled_extraction,
                        partial(check_reduction_roundtrip, count=1, n=6, seed=1)),
     "empirical_tail": ("empirical_tail", raised_softmax_value,

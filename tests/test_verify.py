@@ -627,37 +627,6 @@ class TestRoundtripSuite:
         assert Fraction(record["achieved"]) >= 1 - Fraction(record["delta"])
         assert replay(record) == [record]
 
-    @staticmethod
-    def ignores_b(original):
-        return lambda formula, b, epsilon, delta: original(
-            formula, max(b, occurrence_bound(formula)), epsilon, delta
-        )
-
-    @staticmethod
-    def accepts_delta_equal_epsilon(original):
-        return lambda formula, b, epsilon, delta: original(
-            formula, b, epsilon - Fraction(1, 10**9), delta
-        )
-
-    @pytest.mark.parametrize(
-        "fault, broken",
-        [("ignores_b", "refuses_b_below_bound"),
-         ("accepts_delta_equal_epsilon", "refuses_delta_equal_epsilon")],
-    )
-    def test_gap_transform_record_replays(self, monkeypatch, fault, broken):
-        # with one obligation of the transform left unchecked, the record
-        # names it, and the record's inputs alone, through the check's table
-        # entry, fail the same way again
-        original = sat2mdp.verify.gap3sat_to_delta_b
-        monkeypatch.setattr(sat2mdp.verify, "gap3sat_to_delta_b", getattr(self, fault)(original))
-        result = check_reduction_roundtrip(count=1, n=4, seed=0)
-        failures = json.loads(result.canonical_json())["failures"]
-        [record] = [f for f in failures if f["kind"] == "gap_transform_identity"]
-        checks = ("copied", "refuses_b_below_bound", "refuses_delta_equal_epsilon")
-        assert {name: record[name] for name in checks} == {name: name != broken for name in checks}
-        assert record["check"] == "gap_transform"
-        assert replay(record) == [record]
-
     def test_softmax_budget_record_replays(self, monkeypatch):
         # a calibration point twice too large takes the planted n = 64
         # formula's budget from 0.065 to about -0.32; with the fault still in
@@ -754,7 +723,6 @@ SUITE_COVERAGE: dict[str, list[str]] = {
     "reduction.epsilon_bound_greedy": ["reduction_roundtrip"],
     "reduction.mcdiarmid_tail": ["reduction_roundtrip"],
     "reduction.epsilon_bound_softmax": ["reduction_roundtrip"],
-    "reduction.gap3sat_to_delta_b": ["reduction_roundtrip"],
     "reduction.empirical_mcdiarmid": ["reduction_roundtrip"],
 }
 
@@ -837,7 +805,6 @@ class TestCoverageManifest:
             "reduction.epsilon_bound_greedy",
             "reduction.mcdiarmid_tail",
             "reduction.epsilon_bound_softmax",
-            "reduction.gap3sat_to_delta_b",
             "reduction.empirical_mcdiarmid",
         }
         assert expected <= set(SUITE_COVERAGE)
