@@ -263,18 +263,29 @@ def _softmax_eps(args: argparse.Namespace) -> float:
     )
 
 
-# bound --kind -> its value from the parsed flags; the parser's --kind
-# choices are this table's keys, so an unknown kind never reaches cmd_bound
+# bound --kind -> (the flags it reads, its value from the parsed flags); the
+# parser's --kind choices are this table's keys, so an unknown kind never
+# reaches cmd_bound
 _BOUNDS = {
-    "mcdiarmid": lambda args: mcdiarmid_tail(args.t, args.H, args.b, args.C),
-    "calibration-t": lambda args: calibration_t(args.H, args.b, args.C, _checked_p0(args.p0)),
-    "greedy-eps": lambda args: frac_str(epsilon_bound_greedy(args.delta)),
-    "softmax-eps": _softmax_eps,
+    "mcdiarmid": (("--t", "--H", "--b", "--C"),
+                  lambda args: mcdiarmid_tail(args.t, args.H, args.b, args.C)),
+    "calibration-t": (("--H", "--b", "--C", "--p0"),
+                      lambda args: calibration_t(args.H, args.b, args.C, _checked_p0(args.p0))),
+    "greedy-eps": (("--delta",), lambda args: frac_str(epsilon_bound_greedy(args.delta))),
+    "softmax-eps": (("--v-star", "--H", "--b", "--C", "--delta", "--p0"), _softmax_eps),
 }
+# bound's value flags -> (argparse type, default), in the parser's order;
+# cmd_bound notes each one set off its default that the kind does not read
+_BOUND_FLAGS = {"--t": (float, 0.0), "--H": (int, 1), "--b": (int, 1), "--C": (int, 1),
+                "--p0": (str, "1/8"), "--delta": (str, "1/10"), "--v-star": (str, None)}
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    value = _BOUNDS[args.kind](args)
+    reads, value_of = _BOUNDS[args.kind]
+    for flag, (_, default) in _BOUND_FLAGS.items():
+        if flag not in reads and getattr(args, flag[2:].replace("-", "_")) != default:
+            _say(f"note: bound --kind {args.kind} does not read {flag}; it is ignored")
+    value = value_of(args)
     if isinstance(value, float) and not math.isfinite(value):
         # strict JSON has no NaN or Infinity
         raise ValueError(f"bound is not finite: {value}")
@@ -396,13 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bound", "concentration and tolerance bounds")
     p.add_argument("--kind", choices=tuple(_BOUNDS), required=True)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--H", type=int, default=1)
-    p.add_argument("--b", type=int, default=1)
-    p.add_argument("--C", type=int, default=1)
-    p.add_argument("--p0", default="1/8")
-    p.add_argument("--delta", default="1/10")
-    p.add_argument("--v-star", default=None)
+    for flag, (convert, default) in _BOUND_FLAGS.items():
+        p.add_argument(flag, type=convert, default=default)
     add_common(p)
     p.set_defaults(fn=cmd_bound)
 

@@ -92,8 +92,7 @@ class PolicyParams:
 
 def psp_feature(h: int, action: int, d_prime: int) -> tuple[int, ...]:
     """One-hot stage feature: +1 at coordinate h for action 1, -1 for action 0."""
-    if not 1 <= h <= d_prime:
-        raise ValueError(f"stage h={h} out of range [1, {d_prime}]")
+    _check_stage(h, d_prime)
     if action not in (0, 1):
         raise ValueError(f"action must be 0 or 1, got {action!r}")
     vec = [0] * d_prime
@@ -103,19 +102,19 @@ def psp_feature(h: int, action: int, d_prime: int) -> tuple[int, ...]:
 
 def greedy_action(h: int, params: PolicyParams) -> int:
     """argmax over actions of <one-hot feature, theta'>; ties go to action 0."""
-    _check_stage(h, params)
+    _check_stage(h, params.d_prime)
     return 1 if params.theta_prime[h - 1] > 0 else 0
 
 
 def f_threshold(params: PolicyParams, h: int) -> int:
     """0 if theta'_h <= 0 else 1. Coincides with greedy_action by construction."""
-    _check_stage(h, params)
+    _check_stage(h, params.d_prime)
     return 0 if params.theta_prime[h - 1] <= 0 else 1
 
 
 def softmax_prob(h: int, params: PolicyParams) -> float:
     """Probability of action 1 at stage h: e^t / (e^t + e^-t) for t = theta'_h."""
-    _check_stage(h, params)
+    _check_stage(h, params.d_prime)
     t = params.theta_prime[h - 1]
     # logistic(2t), evaluated on the stable side
     if t >= 0:
@@ -124,9 +123,9 @@ def softmax_prob(h: int, params: PolicyParams) -> float:
     return e / (1.0 + e)
 
 
-def _check_stage(h: int, params: PolicyParams) -> None:
-    if not 1 <= h <= params.d_prime:
-        raise ValueError(f"stage h={h} out of range [1, {params.d_prime}]")
+def _check_stage(h: int, stages: int) -> None:
+    if not 1 <= h <= stages:
+        raise ValueError(f"stage h={h} out of range [1, {stages}]")
 
 
 @dataclass(frozen=True)
@@ -272,8 +271,7 @@ def check_theta(instance: MdpInstance, params: PolicyParams) -> None:
 
 def _check_weight_stage(instance: MdpInstance, params: PolicyParams, h: int) -> None:
     check_theta(instance, params)
-    if not 1 <= h <= instance.horizon - 1:
-        raise ValueError(f"stage h={h} out of range [1, {instance.horizon - 1}]")
+    _check_stage(h, instance.horizon - 1)
 
 
 def greedy_weight(instance: MdpInstance, params: PolicyParams, h: int) -> RealizabilityWeight:

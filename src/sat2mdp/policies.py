@@ -6,8 +6,8 @@ params' ``greedy_actions`` (or ``softmax_probs``).  Each entry point takes
 one checked ``mdp.step`` and builds the leaf directly; the tests hold that
 leaf to the reference roll-out ``lookahead_state`` in ``tests/reference.py``,
 and its value to ``mdp.reward`` of that leaf.  A greedy q is one checked
-step plus the leaf its sign pattern names, returned as an exact Fraction
-from the formula's table of satisfied fractions.  Softmax values sum
+step plus the leaf its sign pattern names, valued by the leaf's exact
+``cnf.satisfied_fraction``.  Softmax values sum
 per-clause satisfaction probabilities (polynomial, over ``Formula.split``
 of the prefix) in one evaluator, ``softmax_q_of_split``, which the softmax
 suite also calls on splits it keeps across policies;
@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .cnf import ENUMERATION_CAP, _check_cap, is_zeta_satisfiable
+from .cnf import ENUMERATION_CAP, _check_cap, is_zeta_satisfiable, satisfied_fraction
 from .features import PolicyParams, check_theta, greedy_action, softmax_prob
 from .mdp import ACTIONS, MdpError, MdpInstance, State, stage, step
 
@@ -47,14 +47,12 @@ def eval_q_greedy(
     """q(state, action) under the greedy policy: apply the action, then roll out.
 
     The roll-out's leaf is the checked step's prefix followed by the
-    pattern's actions for the later stages; its value is read from the
-    formula's fraction table, as ``generative_query`` reads it.
+    pattern's actions for the later stages; its value is the leaf's
+    ``satisfied_fraction``.
     """
     h, nxt = step(instance, state, action)
     check_theta(instance, params)
-    leaf = nxt[:h] + params.greedy_actions[h:]
-    formula = instance.formula
-    return formula.fraction_of[formula.split(leaf)[0]]
+    return satisfied_fraction(instance.formula, nxt[:h] + params.greedy_actions[h:])
 
 
 def state_value_greedy(

@@ -296,11 +296,10 @@ def decide_max3sat(
     Softmax's extraction mode and seed are checked before the MDP is built.
     """
     d = as_fraction(delta)
-    if not 0 < d < 1:
-        raise ReductionError(f"delta must be in (0, 1), got {d}")
+    cap = epsilon_bound_greedy(d)
     if policy_class not in ("greedy", "softmax"):
         raise ReductionError(f"unknown policy class {policy_class!r}")
-    eps = epsilon_bound_greedy(d) if epsilon is None else as_fraction(epsilon)
+    eps = cap if epsilon is None else as_fraction(epsilon)
     if eps <= 0:
         raise ReductionError(f"epsilon must be positive, got {eps}")
     if policy_class == "softmax":
@@ -324,9 +323,9 @@ def decide_max3sat(
     if policy_class == "greedy":
         if v_star is not None:
             _checked_v_star(v_star)
-        if eps > d / 2:
-            raise ReductionError(f"greedy chain needs epsilon <= delta/2, got {eps} > {d / 2}")
-        details["epsilon_cap"] = frac_str(d / 2)
+        if eps > cap:
+            raise ReductionError(f"greedy chain needs epsilon <= delta/2, got {eps} > {cap}")
+        details["epsilon_cap"] = frac_str(cap)
     else:
         if v_star is not None:
             budget = epsilon_bound_softmax(v_star, H, b, C, d, p0_f)

@@ -27,7 +27,7 @@ prefix is split once per formula, the probability vector is built once per
 theta' draw, and each cell's q is ``policies.softmax_q_of_split`` of the
 two, the evaluator ``eval_q_softmax`` runs.  Every theta' of a formula is
 drawn before its checks, and the enumeration-defined weight oracle
-(``softmax_weights_by_enumeration``) runs once per (formula, h) over all of
+(``softmax_weight_by_enumeration``) runs once per (formula, h) over all of
 the formula's draws: which clauses a continuation satisfies does not depend
 on theta', only its probability does.  The trajectory-enumeration oracle at
 the root still runs per draw.
@@ -373,7 +373,7 @@ def check_realizability_greedy(
                   lambda n, rng: {}, tolerance=0)
 
 
-def softmax_weights_by_enumeration(
+def softmax_weight_by_enumeration(
     instance: MdpInstance, batch: Sequence[PolicyParams], h: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stage-h weights of every policy in ``batch`` from the definition:
@@ -411,16 +411,6 @@ def softmax_weights_by_enumeration(
     return head, m
 
 
-def softmax_weight_by_enumeration(
-    instance: MdpInstance, params: PolicyParams, h: int
-) -> tuple[float, np.ndarray]:
-    """(head, m) of one policy's stage-h weight from the definition: the
-    batch of one of ``softmax_weights_by_enumeration``.  MdpError above
-    ``ENUMERATION_CAP`` free stages."""
-    heads, m = softmax_weights_by_enumeration(instance, [params], h)
-    return heads.item(0), m[0]
-
-
 def _realizability_softmax(
     formula: list, n: int, thetas: list, tol: float, weight_tol: float,
 ) -> tuple[int, list[dict]]:
@@ -445,7 +435,7 @@ def _realizability_softmax(
     # the weight-definition check, one oracle run per stage over every draw
     for h in range(1, n + 1):
         cases += len(batch)
-        heads, m_oracle = softmax_weights_by_enumeration(instance, batch, h)
+        heads, m_oracle = softmax_weight_by_enumeration(instance, batch, h)
         closed = np.stack([w[h].m_dense() for w in weights])
         diffs = np.max(np.abs(closed - m_oracle), axis=1)
         for draw, head, diff in zip(draws, heads.tolist(), diffs.tolist()):

@@ -78,3 +78,14 @@ def test_traced_decide_round_makes_n_2n_queries(monkeypatch, tmp_path):
     measured = RUN.measure_traced(run, 1, time.perf_counter() + 600)
     assert run.failed == 0, run.errors
     assert measured["metrics"]["reduction.queries_per_decision"][0] == 12 * 2**12
+
+
+def test_traced_verify_round_times_the_weight_oracle(monkeypatch, tmp_path):
+    # the softmax suite calls the oracle by the name the traced run wraps
+    monkeypatch.syspath_prepend(str(BENCH))
+    workload = WORKLOADS["verify-sweep"]()
+    workload.setup(0, tmp_path)
+    run = RUN.Run(workload)
+    measured = RUN.measure_traced(run, 1, time.perf_counter() + 600)
+    assert run.failed == 0, run.errors
+    assert measured["metrics"]["verify.softmax_weight_by_enumeration.self_s"][0] > 0

@@ -29,7 +29,7 @@ from sat2mdp.verify import (
     check_realizability_greedy,
     check_realizability_softmax,
     check_reduction_roundtrip,
-    softmax_weights_by_enumeration,
+    softmax_weight_by_enumeration,
 )
 
 from conftest import call_counts
@@ -70,8 +70,8 @@ CASES = {
             build_mdp(one_clause(DEEP_N)), PolicyParams((1.0,) * DEEP_N), initial_state(DEEP_N), 1
         ),
         MdpError, f"enumeration cap exceeded: n-h={DEEP_N - 1} > {ENUMERATION_CAP}"),
-    "softmax_weights_by_enumeration": (
-        lambda: softmax_weights_by_enumeration(
+    "softmax_weight_by_enumeration": (
+        lambda: softmax_weight_by_enumeration(
             build_mdp(one_clause(DEEP_N)), [PolicyParams((0.5,) * DEEP_N)], 1
         ),
         MdpError, f"enumeration cap exceeded: n-h={DEEP_N - 1} > {ENUMERATION_CAP}"),

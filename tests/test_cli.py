@@ -301,6 +301,27 @@ class TestBound:
         assert code == 0
         assert json.loads(out)["value"] == "1/20"
 
+    def test_unread_flags_get_a_note_each(self, capsys):
+        # --b is not read either, but at its default it draws no note
+        code, out, err = run(capsys, ["bound", "--kind", "greedy-eps", "--t", "5", "--H", "9",
+                                      "--v-star", "2", "--b", "1"])
+        assert (code, out) == run(capsys, ["bound", "--kind", "greedy-eps"])[:2] and code == 0
+        assert err == "".join(
+            f"note: bound --kind greedy-eps does not read {flag}; it is ignored\n"
+            for flag in ("--t", "--H", "--v-star")
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["mcdiarmid", "--t", "0.5", "--H", "4", "--b", "3", "--C", "10"],
+        ["calibration-t", "--H", "4", "--b", "3", "--C", "10", "--p0", "0.25"],
+        ["greedy-eps", "--delta", "0.2"],
+        ["softmax-eps", "--v-star", "1", "--H", "11", "--b", "3", "--C", "1000",
+         "--delta", "0.1", "--p0", "0.25"],
+    ])
+    def test_own_flags_get_no_note(self, capsys, argv):
+        code, _, err = run(capsys, ["bound", "--kind"] + argv)
+        assert (code, err) == (0, "")
+
     def test_softmax_eps_requires_v_star(self, capsys):
         code, _, err = run(capsys, ["bound", "--kind", "softmax-eps"])
         assert code == 2 and "v-star" in err

@@ -168,7 +168,7 @@ def oracle_heads_high(monkeypatch):
 
         return oracle
 
-    swap(monkeypatch, sat2mdp.verify, "softmax_weights_by_enumeration", fault)
+    swap(monkeypatch, sat2mdp.verify, "softmax_weight_by_enumeration", fault)
 
 
 def widest_block_one_high(monkeypatch):

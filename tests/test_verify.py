@@ -42,7 +42,6 @@ from sat2mdp.verify import (
     random_formula,
     run_suites,
     softmax_weight_by_enumeration,
-    softmax_weights_by_enumeration,
 )
 
 import reference
@@ -74,10 +73,10 @@ class TestWeightEnumerationOracle:
             instance = build_mdp(formula)
             params = PolicyParams(tuple(float(v) for v in rng.uniform(-2, 2, size=n)))
             for h in range(1, n + 1):
-                head, m = softmax_weight_by_enumeration(instance, params, h)
-                assert abs(head - 1.0) <= 1e-12
+                heads, m = softmax_weight_by_enumeration(instance, [params], h)
+                assert abs(heads[0] - 1.0) <= 1e-12
                 closed = softmax_weight(instance, params, h).m_dense()
-                assert float(np.max(np.abs(closed - m))) <= 1e-12
+                assert float(np.max(np.abs(closed - m[0]))) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(formulas(max_n=4), st.data())
@@ -95,7 +94,7 @@ class TestWeightEnumerationOracle:
         var0 = np.where(valid, keys >> 1, 0)
         neg = np.where(valid, keys & 1, 0)
         for h in range(1, n + 1):
-            heads, m = softmax_weights_by_enumeration(instance, batch, h)
+            heads, m = softmax_weight_by_enumeration(instance, batch, h)
             assert heads.shape == (len(batch),) and m.shape == (len(batch), instance.d - 1)
             for i, params in enumerate(batch):
                 # one draw's sum over continuations, with Python-float weights
@@ -111,8 +110,8 @@ class TestWeightEnumerationOracle:
                     head += p
                     row += p * sat
                 assert heads[i] == head and np.array_equal(m[i], row)
-            single = softmax_weight_by_enumeration(instance, batch[0], h)
-            assert single[0] == heads[0] and np.array_equal(single[1], m[0])
+            single_heads, single_m = softmax_weight_by_enumeration(instance, batch[:1], h)
+            assert single_heads[0] == heads[0] and np.array_equal(single_m[0], m[0])
 
     def test_cap_before_universe(self, monkeypatch):
         def refuse(n):
@@ -121,7 +120,7 @@ class TestWeightEnumerationOracle:
         monkeypatch.setattr("sat2mdp.mdp.enumerate_universe", refuse)
         instance = build_mdp(Formula.from_ints(22, [[22]]))
         with pytest.raises(MdpError, match="cap"):
-            softmax_weight_by_enumeration(instance, PolicyParams((0.5,) * 22), 1)
+            softmax_weight_by_enumeration(instance, [PolicyParams((0.5,) * 22)], 1)
 
     @pytest.mark.parametrize("theta, h", [
         ((0.3, -0.2, 0.5, 9.0), 1),
@@ -134,11 +133,11 @@ class TestWeightEnumerationOracle:
         with pytest.raises(ValueError) as closed:
             softmax_weight(example1_instance, params, h)
         with pytest.raises(ValueError) as single:
-            softmax_weight_by_enumeration(example1_instance, params, h)
+            softmax_weight_by_enumeration(example1_instance, [params], h)
         # one bad draw refuses the whole batch, wherever it sits
         valid = PolicyParams((0.1, 0.2, 0.3))
         with pytest.raises(ValueError) as batched:
-            softmax_weights_by_enumeration(example1_instance, [valid, params], h)
+            softmax_weight_by_enumeration(example1_instance, [valid, params], h)
         assert str(single.value) == str(batched.value) == str(closed.value)
 
 
@@ -288,12 +287,11 @@ class TestPolicyIndependentWorkOnce:
             lambda: check_realizability_softmax(
                 n_max=n_max, formulas_per_n=formulas_per_n, thetas_per_formula=thetas, seed=3
             ),
-            batched=softmax_weights_by_enumeration,
-            per_draw=softmax_weight_by_enumeration,
+            batched=softmax_weight_by_enumeration,
         )
         assert result.passed
         stages = formulas_per_n * sum(range(1, n_max + 1))
-        assert counts == {"batched": stages, "per_draw": 0}
+        assert counts == {"batched": stages}
 
     def test_softmax_rewards_independent_of_thetas(self):
         # each of a formula's 2^n root leaves is read once, whatever the draws
@@ -382,7 +380,7 @@ class TestOneDerivationPerPolicy:
         def read_all():
             for h in range(1, self.N + 1):
                 softmax_weight(instance, params, h)
-                softmax_weight_by_enumeration(instance, params, h)
+                softmax_weight_by_enumeration(instance, [params], h)
             for state, action in self.cells():
                 sat2mdp.policies.eval_q_softmax(instance, params, state, action)
             for action in (0, 1):
