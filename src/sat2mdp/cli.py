@@ -293,6 +293,22 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+# verify's flags -> (suite keyword, argparse type, help), in the parser's
+# order; each suite reads the flags whose keyword its signature names, and
+# cmd_verify notes each one set that no named suite reads
+_VERIFY_FLAGS = {
+    "--n-max": ("n_max", int, None),
+    "--formulas": ("formulas_per_n", int, "formulas per n"),
+    "--thetas": ("thetas_per_formula", int, "theta draws per formula"),
+    "--tol": ("tol", float, None),
+    "--count": ("count", int, "roundtrip instance count"),
+    "--n": ("n", int, "roundtrip variable count"),
+    "--delta": ("delta", None, None),
+    "--epsilon": ("epsilon", None, None),
+    "--seed": ("seed", int, None),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     import inspect
 
@@ -303,34 +319,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"no suites named; available: {','.join(SUITES)}")
     if "softmax" in names and args.n_max is not None and args.n_max > SOFTMAX_SUITE_N_MAX:
         _say(f"note: the softmax suite runs at --n-max {SOFTMAX_SUITE_N_MAX}, not {args.n_max}")
-    # verify flag -> (suite keyword, value); each suite reads the flags whose
-    # keyword its signature names
-    flags = {
-        "--n-max": ("n_max", args.n_max),
-        "--formulas": ("formulas_per_n", args.formulas),
-        "--thetas": ("thetas_per_formula", args.thetas),
-        "--tol": ("tol", args.tol),
-        "--count": ("count", args.count),
-        "--n": ("n", args.n),
-        "--delta": ("delta", args.delta),
-        "--epsilon": ("epsilon", args.epsilon),
-        "--seed": ("seed", args.seed),
-    }
+    values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in _VERIFY_FLAGS}
     overrides: dict[str, dict] = {name: {} for name in names}
     read = set()
     for name in names:
         if name not in SUITES:
             continue  # run_suites names it
         keywords = inspect.signature(SUITES[name]).parameters
-        for flag, (key, value) in flags.items():
+        for flag, (key, _, _) in _VERIFY_FLAGS.items():
             if key not in keywords:
                 continue
             read.add(flag)
+            value = values[flag]
             if value is not None:
                 if name == "softmax" and key == "n_max":
                     value = min(value, SOFTMAX_SUITE_N_MAX)
                 overrides[name][key] = value
-    for flag, (_, value) in flags.items():
+    for flag, value in values.items():
         if value is not None and flag not in read:
             _say(f"note: none of the named suites reads {flag}; it is ignored")
     results = run_suites(names, overrides)
@@ -415,15 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", "run the named verification suites")
     p.add_argument("--suites", default=",".join(_SUITE_NAMES),
                    help="comma list: " + ",".join(_SUITE_NAMES))
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--formulas", type=int, default=None, help="formulas per n")
-    p.add_argument("--thetas", type=int, default=None, help="theta draws per formula")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--count", type=int, default=None, help="roundtrip instance count")
-    p.add_argument("--n", type=int, default=None, help="roundtrip variable count")
-    p.add_argument("--delta", default=None)
-    p.add_argument("--epsilon", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for flag, (_, convert, help) in _VERIFY_FLAGS.items():
+        p.add_argument(flag, type=convert, help=help)
     add_common(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -5,8 +5,8 @@ Two vector families live here:
 * policy-parameterization vectors: the one-hot stage feature (+-1 at
   coordinate h) and the weight theta' that induces a greedy policy (sign
   of theta'_h picks the action) or a softmax policy (logistic in theta'_h).
-  ``PolicyParams`` owns both per-stage vectors (``greedy_actions``,
-  ``softmax_probs``); a roll-out's tail past stage h is their slice [h:].
+  ``PolicyParams`` sets both per-stage vectors (``greedy_actions``,
+  ``softmax_probs``) when it is built; a roll-out's tail past h is [h:].
 
 * realizability vectors: for a state-action pair, the feature packs
   [satisfied-count, undecided-clause multiplicities] / |C| over the clause
@@ -31,7 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .cnf import ClauseUniverse
@@ -49,26 +49,22 @@ class PolicyParams:
     """The weight vector theta' shared by both policy classes."""
 
     theta_prime: tuple[float, ...]
+    # the greedy action and the softmax probability of action 1 at every stage 1..d'
+    greedy_actions: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    softmax_probs: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.theta_prime:
             raise ValueError("theta_prime must be non-empty")
         if any(not math.isfinite(v) for v in self.theta_prime):
             raise ValueError("theta_prime entries must be finite")
+        stages = range(1, self.d_prime + 1)
+        object.__setattr__(self, "greedy_actions", tuple(greedy_action(h, self) for h in stages))
+        object.__setattr__(self, "softmax_probs", tuple(softmax_prob(h, self) for h in stages))
 
     @property
     def d_prime(self) -> int:
         return len(self.theta_prime)
-
-    @cached_property
-    def greedy_actions(self) -> tuple[int, ...]:
-        """The greedy policy's action at every stage 1..d'."""
-        return tuple(greedy_action(h, self) for h in range(1, self.d_prime + 1))
-
-    @cached_property
-    def softmax_probs(self) -> tuple[float, ...]:
-        """The softmax policy's probability of action 1 at every stage 1..d'."""
-        return tuple(softmax_prob(h, self) for h in range(1, self.d_prime + 1))
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "PolicyParams":

@@ -320,22 +320,20 @@ def decide_max3sat(
         "tail_bound_at_t": mcdiarmid_tail(t_cal, H, b, C),
     }
 
+    v = None if v_star is None else _checked_v_star(v_star)
     if policy_class == "greedy":
-        if v_star is not None:
-            _checked_v_star(v_star)
         if eps > cap:
             raise ReductionError(f"greedy chain needs epsilon <= delta/2, got {eps} > {cap}")
         details["epsilon_cap"] = frac_str(cap)
     else:
-        if v_star is not None:
-            budget = epsilon_bound_softmax(v_star, H, b, C, d, p0_f)
-            v = float(as_fraction(v_star))
+        if v is not None:
+            budget = epsilon_bound_softmax(v, H, b, C, d, p0_f)
             details["epsilon_budget"] = budget
-            details["v_star"] = v
+            details["v_star"] = float(v)
             if budget <= 0:
                 raise ReductionError(
                     f"softmax chain infeasible: epsilon budget {budget:.6g} <= 0 "
-                    f"(horizon too short for v*={v})"
+                    f"(horizon too short for v*={float(v)})"
                 )
             if float(eps) > budget:
                 raise ReductionError(
@@ -445,23 +443,19 @@ def planted_instance(
     rng = np.random.default_rng(seed)
     planted: Assignment = tuple(int(v) for v in rng.integers(0, 2, size=n))
     k_good = math.ceil(z * clause_count)
-    remaining = [max_occurrences] * (n + 1) if max_occurrences is not None else None
+    # no clause holds a variable twice, so a capacity of clause_count never binds
+    remaining = [clause_count if max_occurrences is None else max_occurrences] * (n + 1)
 
     def draw_vars(k: int) -> list[int]:
-        pool = (
-            [v for v in range(1, n + 1) if remaining[v] > 0]
-            if remaining is not None
-            else list(range(1, n + 1))
-        )
+        pool = [v for v in range(1, n + 1) if remaining[v] > 0]
         if not pool:
             raise ReductionError(
                 f"occurrence capacity exhausted after {len(clauses)} clauses"
             )
         chosen = rng.choice(pool, size=min(k, len(pool)), replace=False)
         out = [int(v) for v in chosen]
-        if remaining is not None:
-            for v in out:
-                remaining[v] -= 1
+        for v in out:
+            remaining[v] -= 1
         return out
 
     clauses: list[list[int]] = []

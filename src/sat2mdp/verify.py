@@ -78,7 +78,7 @@ from .cnf import (
     satisfied_fraction,
     universe_block_sizes,
 )
-from .features import PolicyParams, f_threshold, greedy_action
+from .features import PolicyParams, f_threshold
 from .mdp import (
     ACTIONS,
     MdpError,
@@ -99,6 +99,7 @@ from .policies import (
     softmax_q_of_split,
 )
 from .reduction import (
+    _leaf_indices,
     as_fraction,
     calibration_t,
     decide_max3sat,
@@ -331,7 +332,7 @@ def _realizability_greedy(formula: list, n: int) -> tuple[int, list[dict]]:
               for p, i in zip(*np.nonzero(trace[:, :-1] != trace[:, 1:]))]
     found += [{"signs": list(patterns[p]), "kind": "tie_rule_mismatch", "h": h}
               for p, params in enumerate(params_of) for h in range(1, n + 1)
-              if greedy_action(h, params) != f_threshold(params, h)]
+              if params.greedy_actions[h - 1] != f_threshold(params, h)]
     # one stage out, q must equal the reward of the greedy roll-out's leaf,
     # at the index ``_q_numerators`` reads at h = n - 1: the cell's bits P,
     # then the pattern's last bit (no cells when n = 1); q / C equals the
@@ -364,8 +365,10 @@ def check_realizability_greedy(
     formula; row p of M is pattern p's stage weight.  A passing last-stage
     cell must leave no undecided clause and one a stage earlier must equal
     its roll-out leaf's reward; telescoping must hold along each greedy
-    trajectory and the two tie-breaking rules must agree.  ValueError when
-    n_max or formulas_per_n is below 1 or n_max is above the cap.
+    trajectory, and the played actions, ``greedy_actions``, which weights,
+    roll-outs and extraction read, must agree with ``f_threshold``.
+    ValueError when n_max or formulas_per_n is below 1 or n_max is above
+    the cap.
     """
     _require_positive(n_max=n_max, formulas_per_n=formulas_per_n)
     _check_cap("greedy suite", "n_max", n_max, GREEDY_SUITE_N_MAX, ValueError)
@@ -448,9 +451,10 @@ def _realizability_softmax(
         for action in ACTIONS:
             cases += 1
             dp = eval_q_softmax(instance, params, root, action)
+            trajs = enumerate_trajectories(instance, params, root, action)
+            leaves = _leaf_indices(np.array([traj.final for traj in trajs]))
             brute = 0.0
-            for traj in enumerate_trajectories(instance, params, root, action):
-                leaf = sum(bit << (n - 1 - j) for j, bit in enumerate(traj.final))
+            for traj, leaf in zip(trajs, leaves.tolist()):
                 brute += traj.probability * rewards[leaf]
             if abs(dp - brute) > weight_tol:
                 found.append({**draw, "action": action, "kind": "dp_vs_enumeration",
@@ -573,8 +577,7 @@ def check_construction_scaling(
         "greedy_slope_max": greedy_slope_max,
         "softmax_slope_max": softmax_slope_max,
         "size_check_max": size_check_max,
-        "slopes": {name: float(np.polyfit(np.log(n_list), np.log(times), 1)[0])
-                   for name, times in timings.items()},
+        "slopes": {name: _fit_slope(n_list, times) for name, times in timings.items()},
         "timings_s": timings,
     }
     return _run("construction_scaling", cases, seed, params, started)
@@ -589,9 +592,14 @@ def _universe_size(n: int) -> tuple[int, list[dict]]:
         {"kind": "universe_size", "counted": counted, "closed_form": closed_form}]
 
 
+def _fit_slope(n_list: Sequence[int], times_s: Sequence[float]) -> float:
+    """The least-squares slope of log(times_s) against log(n_list)."""
+    return float(np.polyfit(np.log(n_list), np.log(times_s), 1)[0])
+
+
 def _slope(item: str, n_list: list, times_s: list, cap: float) -> tuple[int, list[dict]]:
     """The log-log slope of the times measured for ``item`` over n_list is at most cap."""
-    slope = float(np.polyfit(np.log(n_list), np.log(times_s), 1)[0])
+    slope = _fit_slope(n_list, times_s)
     return 1, [{"kind": "slope", "slope": slope}] if slope > cap else []
 
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import time
@@ -801,6 +802,21 @@ class TestVerifyCommand:
         # are verify's, in its order, so --suites' default and help match it
         assert cli._SUITE_NAMES == tuple(verify.SUITES)
         assert cli.build_parser().parse_args(["verify"]).suites == ",".join(verify.SUITES)
+
+    def test_flag_table_keywords_are_suite_parameters(self):
+        # a suite keyword renamed away from the table would turn its flag
+        # into an "ignored" note on every run
+        parameters = set()
+        for suite in verify.SUITES.values():
+            parameters |= set(inspect.signature(suite).parameters)
+        for flag, (key, _, _) in cli._VERIFY_FLAGS.items():
+            assert key in parameters, flag
+
+    def test_parser_options_are_the_flag_table(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {s for action in sub.choices["verify"]._actions for s in action.option_strings}
+        assert options == {"-h", "--help", "--suites", "--out", *cli._VERIFY_FLAGS}
 
     def test_nan_tolerance_exit_2(self, capsys):
         code, out, err = run(

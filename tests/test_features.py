@@ -1,7 +1,9 @@
+import ast
 import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +114,36 @@ class TestGreedyAction:
         with pytest.raises(ValueError) as info:
             per_stage(h, PolicyParams((1.0, -1.0, 1.0)))
         assert str(info.value) == f"stage h={h} out of range [1, 3]"
+
+
+class TestPolicyParamsRecord:
+    def test_vectors_are_instance_fields(self):
+        # both per-stage vectors are set at construction, as plain instance
+        # attributes, with no descriptor on the class to run on each read
+        params = PolicyParams((0.4, -1.0, 0.0))
+        assert vars(params)["greedy_actions"] == (1, 0, 0)
+        assert vars(params)["softmax_probs"] == tuple(softmax_prob(h, params) for h in (1, 2, 3))
+        for name in ("greedy_actions", "softmax_probs"):
+            assert all(name not in vars(cls) for cls in PolicyParams.__mro__)
+
+    def test_no_cached_property_in_the_package(self):
+        # every record fills its derived fields in __post_init__
+        def names(node):
+            for child in ast.walk(node):
+                if isinstance(child, ast.Name):
+                    yield child.id
+                elif isinstance(child, ast.Attribute):
+                    yield child.attr
+                elif isinstance(child, ast.alias):
+                    yield child.name
+
+        package = Path(sat2mdp.policies.__file__).parent
+        sites = [
+            path.stem
+            for path in sorted(package.glob("*.py"))
+            if "cached_property" in names(ast.parse(path.read_text()))
+        ]
+        assert sites == []
 
 
 class TestSoftmaxProb:

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import pkgutil
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -354,9 +355,8 @@ class TestOneDerivationPerPolicy:
                 if at_stage in (None, stage(state))]
 
     def test_greedy_readers(self, instance):
-        params = PolicyParams(self.THETA)
-
         def read_all():
+            params = PolicyParams(self.THETA)
             for h in range(1, self.N + 1):
                 sat2mdp.features.greedy_weight(instance, params, h)
             for state, action in self.cells(at_stage=self.N - 1):
@@ -374,10 +374,10 @@ class TestOneDerivationPerPolicy:
         assert counts == {"greedy_action": self.N, "f_threshold": 0}
 
     def test_softmax_readers(self, instance):
-        params = PolicyParams(self.THETA)
         root = initial_state(self.N)
 
         def read_all():
+            params = PolicyParams(self.THETA)
             for h in range(1, self.N + 1):
                 softmax_weight(instance, params, h)
                 softmax_weight_by_enumeration(instance, [params], h)
@@ -391,6 +391,26 @@ class TestOneDerivationPerPolicy:
 
         _, counts = call_counts(read_all, softmax_prob=softmax_prob)
         assert counts == {"softmax_prob": self.N}
+
+
+class TestTieRuleReadsPlayedActions:
+    def test_flipped_stage_one_action_is_caught(self, monkeypatch):
+        # the stage-1 action reaches extraction alone: no live weight entry
+        # and no roll-out past a stage h >= 1 reads it, so only the tie-rule
+        # check, which reads the played vector, can see it go wrong
+        post_init = PolicyParams.__post_init__
+
+        def flipped(params):
+            post_init(params)
+            first, *rest = params.greedy_actions
+            object.__setattr__(params, "greedy_actions", (1 - first, *rest))
+
+        monkeypatch.setattr(PolicyParams, "__post_init__", flipped)
+        result = check_realizability_greedy(n_max=4, formulas_per_n=3, seed=0)
+        assert {(f["kind"], f["h"]) for f in result.failures} == {("tie_rule_mismatch", 1)}
+        per_n = Counter(f["n"] for f in result.failures)
+        assert per_n == {n: 3 * 2**n for n in range(1, 5)}
+        assert extract_assignment_greedy(PolicyParams.from_signs("+-+"), 3) == (0, 0, 1)
 
 
 class TestFaultStaysWithItsPolicy:
@@ -698,11 +718,13 @@ def test_tolerance_must_be_finite_and_nonnegative(suite, name, value):
 SUITE_COVERAGE: dict[str, list[str]] = {
     "features.psp_feature": [],
     "features.greedy_action": [
-        "realizability_greedy", "construction_scaling", "reduction_roundtrip"
+        "realizability_greedy", "realizability_softmax", "construction_scaling",
+        "reduction_roundtrip",
     ],
     "features.f_threshold": ["realizability_greedy"],
     "features.softmax_prob": [
-        "realizability_softmax", "construction_scaling", "reduction_roundtrip"
+        "realizability_greedy", "realizability_softmax", "construction_scaling",
+        "reduction_roundtrip",
     ],
     "features.realizability_feature": [
         "realizability_greedy", "realizability_softmax", "construction_scaling"
