@@ -93,7 +93,7 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def parse_theta(text: str, n: int | None = None) -> PolicyParams:
+def parse_theta(text: str, n: int) -> PolicyParams:
     """theta' from '+-+' sign shorthand, a comma list, or @file.json: {"theta_prime": [...]}.
 
     Every refusal is a ValueError that names --theta."""
@@ -123,7 +123,7 @@ def parse_theta(text: str, n: int | None = None) -> PolicyParams:
     # false for nan, an infinity, and a JSON integer too large for a float
     if not all(abs(v) <= sys.float_info.max for v in values):
         raise ValueError(f"--theta entries must be finite floats, got {text!r}")
-    if n is not None and len(values) != n:
+    if len(values) != n:
         raise ValueError(f"--theta has {len(values)} entries, expected n={n}")
     return PolicyParams.from_values(values)
 
@@ -206,7 +206,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+# decide's softmax-only flags -> default; greedy decide notes each one set off it
+_SOFTMAX_DECIDE_FLAGS = {"--mode": "sample", "--seed": 0}
+
+
 def cmd_decide(args: argparse.Namespace) -> int:
+    if args.policy_class == "greedy":
+        for flag, default in _SOFTMAX_DECIDE_FLAGS.items():
+            if getattr(args, flag[2:]) != default:
+                _say(f"note: decide --class greedy does not read {flag}; it is ignored")
     formula = parse_dimacs(_read_input(args.cnf))
     report = decide_max3sat(
         formula,
@@ -388,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True)
     p.add_argument("--epsilon", default=None)
     p.add_argument("--class", dest="policy_class", choices=("greedy", "softmax"), default="greedy")
-    p.add_argument("--mode", choices=("round", "sample"), default="sample",
-                   help="softmax extraction mode")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=("round", "sample"),
+                   default=_SOFTMAX_DECIDE_FLAGS["--mode"], help="softmax extraction mode")
+    p.add_argument("--seed", type=int, default=_SOFTMAX_DECIDE_FLAGS["--seed"])
     p.add_argument("--p0", default="1/8", help="tail probability for the softmax budget")
     p.add_argument("--v-star", default=None, help="optimum value, if known, for the budget check")
     add_common(p)

@@ -3,8 +3,8 @@
 Each suite sweeps a seeded family of random instances and records every
 violated identity with enough inputs to reproduce it.  Suites are
 deterministic given their seed; failures are sorted canonically before
-serialization so result JSON is stable (wall time is reported separately
-and excluded from the canonical form).
+serialization so the canonical JSON is stable (it leaves out wall time
+and ``measured``, the scaling suite's times and slopes).
 
 The realizability feature phi(s, a) depends on the formula alone and only
 the weight depends on the policy, so the greedy and softmax suites build
@@ -56,7 +56,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -119,6 +119,13 @@ from .reduction import (
 # continuations per stage on top of that.
 GREEDY_SUITE_N_MAX = 8
 SOFTMAX_SUITE_N_MAX = 5
+# Settings no CLI flag sets: the softmax suite's tolerance for its weight
+# and trajectory oracles, and the scaling suite's timed sizes (universe
+# sizes are counted up to the largest) and slope caps.
+SOFTMAX_WEIGHT_TOL = 1e-12
+SCALING_N_LIST = (5, 10, 20, 40)
+SCALING_GREEDY_SLOPE_MAX = 3.5
+SCALING_SOFTMAX_SLOPE_MAX = 4.5
 
 
 @dataclass
@@ -129,6 +136,7 @@ class SuiteResult:
     seed: int | None
     params: dict
     wall_time: float = 0.0
+    measured: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -137,7 +145,7 @@ class SuiteResult:
     def sorted_failures(self) -> list[dict]:
         return sorted(self.failures, key=lambda f: json.dumps(f, sort_keys=True, default=str))
 
-    def to_json(self, include_wall_time: bool = True) -> dict:
+    def to_json(self, timed: bool = True) -> dict:
         out = {
             "suite": self.suite,
             "cases": self.cases,
@@ -146,13 +154,14 @@ class SuiteResult:
             "params": self.params,
             "passed": self.passed,
         }
-        if include_wall_time:
+        if timed:
             out["wall_time_s"] = round(self.wall_time, 6)
+            out["measured"] = self.measured
         return out
 
     def canonical_json(self) -> str:
-        """Byte-stable serialization: canonical failure order, no timing."""
-        return json.dumps(self.to_json(include_wall_time=False), sort_keys=True, default=str)
+        """Byte-stable serialization: canonical failure order, no timing or ``measured``."""
+        return json.dumps(self.to_json(timed=False), sort_keys=True, default=str)
 
 
 def random_formula(
@@ -196,14 +205,6 @@ def _require_positive(**counts: int) -> None:
     for name, value in counts.items():
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-
-
-def _require_tolerance(**tolerances: float) -> None:
-    """ValueError unless each tolerance is finite and >= 0: a NaN or infinite
-    one would switch its check off."""
-    for name, value in tolerances.items():
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _feature_cells(
@@ -474,71 +475,66 @@ def check_realizability_softmax(
     formulas_per_n: int = 10,
     thetas_per_formula: int = 50,
     tol: float = 1e-9,
-    weight_tol: float = 1e-12,
     seed: int = 0,
 ) -> SuiteResult:
     """Linear realizability of softmax q-values plus the weight-definition check.
 
     q (per-clause probability path) must match the feature/weight inner
     product within tol on every non-terminal cell, and the closed-form
-    weights must match the enumeration-defined weights within weight_tol.
+    weights must match the enumeration-defined weights within
+    ``SOFTMAX_WEIGHT_TOL``, which inputs and params record as weight_tol.
     The features, each cell's split and each leaf's reward are built
     once per formula; the probability vector is built once per theta' draw
     and scores every cell's q from its split.  ValueError when n_max,
     formulas_per_n or thetas_per_formula is below 1, n_max is above the cap,
-    or tol or weight_tol is not finite and >= 0.
+    or tol is not finite and >= 0.
     """
     _require_positive(
         n_max=n_max, formulas_per_n=formulas_per_n, thetas_per_formula=thetas_per_formula
     )
-    _require_tolerance(tol=tol, weight_tol=weight_tol)
+    if not (math.isfinite(tol) and tol >= 0):
+        # a NaN or infinite tol would switch its check off
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     _check_cap("softmax suite", "n_max", n_max, SOFTMAX_SUITE_N_MAX, ValueError)
+    tols = {"tol": tol, "weight_tol": SOFTMAX_WEIGHT_TOL}
 
     def inputs(n: int, rng: np.random.Generator) -> dict:
         # a formula's theta' draws come right after it, before the next formula
         thetas = [[float(v) for v in rng.uniform(-3.0, 3.0, size=n)]
                   for _ in range(thetas_per_formula)]
-        return {"thetas": thetas, "tol": tol, "weight_tol": weight_tol}
+        return {"thetas": thetas, **tols}
 
-    settings = {"thetas_per_formula": thetas_per_formula, "tol": tol, "weight_tol": weight_tol}
-    return _sweep("realizability_softmax", n_max, formulas_per_n, seed, inputs, **settings)
+    return _sweep("realizability_softmax", n_max, formulas_per_n, seed, inputs,
+                  thetas_per_formula=thetas_per_formula, **tols)
 
 
-def _timed(fn, repeats: int = 3) -> float:
+def _timed(fn) -> float:
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(3):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
 
 
-def check_construction_scaling(
-    n_list: Sequence[int] = (5, 10, 20, 40),
-    greedy_slope_max: float = 3.5,
-    softmax_slope_max: float = 4.5,
-    size_check_max: int = 40,
-    seed: int = 0,
-) -> SuiteResult:
+def check_construction_scaling(seed: int = 0) -> SuiteResult:
     """Polynomial-time construction: exact universe sizes and log-log slopes.
 
     Universe block sizes are compared against their closed forms for every
-    n up to size_check_max.  Wall times for universe enumeration, a full
-    stage sweep of features, and all-stage weight construction are fitted
-    with a log-log slope over n_list; slopes above the caps fail.
-    ValueError unless both caps are finite and >= 0, size_check_max is at
-    least 1 and n_list holds at least two distinct sizes, each at least 1.
+    n up to the largest of ``SCALING_N_LIST``.  Wall times for universe
+    enumeration, a full stage sweep of features, and all-stage weight
+    construction are fitted with a log-log slope over ``SCALING_N_LIST``;
+    a slope above its cap (``SCALING_SOFTMAX_SLOPE_MAX`` for the softmax
+    weights, ``SCALING_GREEDY_SLOPE_MAX`` for the rest) fails.  The times
+    and slopes go to ``measured``, out of ``canonical_json``, though a
+    slope failure carries its times, to replay from.
     """
-    _require_tolerance(greedy_slope_max=greedy_slope_max, softmax_slope_max=softmax_slope_max)
-    _require_positive(size_check_max=size_check_max)
-    if len(set(n_list)) < 2 or min(n_list) < 1:
-        raise ValueError("n_list must hold at least two distinct sizes, each at least 1, "
-                         f"got {list(n_list)}")
+    n_list = list(SCALING_N_LIST)
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     timings: dict[str, list[float]] = {"universe": [], "features": [], "greedy_weights": [], "softmax_weights": []}
     for n in n_list:
-        formula = random_formula(n, rng, max_occurrences=3, clause_count=n)
+        formula = random_formula(n, rng)
         instance = build_mdp(formula)
         signs = tuple(int(v) for v in rng.integers(0, 2, size=n))
         g_params = PolicyParams.from_signs(signs)
@@ -567,20 +563,24 @@ def check_construction_scaling(
 
         timings["softmax_weights"].append(_timed(softmax_sweep))
 
-    cases = [("universe_size", {"n": n}) for n in range(1, size_check_max + 1)] + [
-        ("slope", {"item": name, "n_list": list(n_list), "times_s": times,
-                   "cap": softmax_slope_max if name == "softmax_weights" else greedy_slope_max})
+    cases = [("universe_size", {"n": n}) for n in range(1, max(n_list) + 1)] + [
+        ("slope", {"item": name, "n_list": n_list, "times_s": times,
+                   "cap": SCALING_SOFTMAX_SLOPE_MAX if name == "softmax_weights"
+                   else SCALING_GREEDY_SLOPE_MAX})
         for name, times in timings.items()
     ]
     params = {
-        "n_list": list(n_list),
-        "greedy_slope_max": greedy_slope_max,
-        "softmax_slope_max": softmax_slope_max,
-        "size_check_max": size_check_max,
+        "n_list": n_list,
+        "greedy_slope_max": SCALING_GREEDY_SLOPE_MAX,
+        "softmax_slope_max": SCALING_SOFTMAX_SLOPE_MAX,
+        "size_check_max": max(n_list),
+    }
+    result = _run("construction_scaling", cases, seed, params, started)
+    result.measured = {
         "slopes": {name: _fit_slope(n_list, times) for name, times in timings.items()},
         "timings_s": timings,
     }
-    return _run("construction_scaling", cases, seed, params, started)
+    return result
 
 
 def _universe_size(n: int) -> tuple[int, list[dict]]:

@@ -54,9 +54,7 @@ from golden.make_digests import DIGESTS, softmax_binds, suite_digest
 
 EXAMPLE1 = "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
 GREEDY_SUITE = dict(n_max=6, formulas_per_n=20, seed=0)
-SOFTMAX_SUITE = dict(
-    n_max=5, formulas_per_n=10, thetas_per_formula=50, tol=1e-9, weight_tol=1e-12, seed=0
-)
+SOFTMAX_SUITE = dict(n_max=5, formulas_per_n=10, thetas_per_formula=50, tol=1e-9, seed=0)
 ROUNDTRIP_SUITE = dict(count=100, n=10, delta=Fraction(1, 10), epsilon=Fraction(1, 20), seed=0)
 
 
@@ -198,14 +196,8 @@ def test_criterion_6_mcdiarmid_consistency():
 
 
 def test_criterion_7_polynomial_construction_scaling():
-    result = check_construction_scaling(
-        n_list=(5, 10, 20, 40),
-        greedy_slope_max=3.5,
-        softmax_slope_max=4.5,
-        size_check_max=40,
-        seed=0,
-    )
-    slopes = {k: round(v, 2) for k, v in result.params["slopes"].items()}
+    result = check_construction_scaling(seed=0)
+    slopes = {k: round(v, 2) for k, v in result.measured["slopes"].items()}
     report(7, "construction scaling and exact universe sizes", result.passed, f"slopes {slopes}")
 
 

@@ -48,15 +48,15 @@ def _untimed(verify_out):
 
 class TestThetaParsing:
     def test_sign_shorthand(self):
-        assert parse_theta("+-+").theta_prime == (1.0, -1.0, 1.0)
+        assert parse_theta("+-+", 3).theta_prime == (1.0, -1.0, 1.0)
 
     def test_comma_list(self):
-        assert parse_theta("1,0.5,-2").theta_prime == (1.0, 0.5, -2.0)
+        assert parse_theta("1,0.5,-2", 3).theta_prime == (1.0, 0.5, -2.0)
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "theta.json"
         path.write_text(json.dumps({"theta_prime": [1, -1]}))
-        assert parse_theta(f"@{path}").theta_prime == (1.0, -1.0)
+        assert parse_theta(f"@{path}", 2).theta_prime == (1.0, -1.0)
 
     @pytest.mark.parametrize("command", ["extract", "eval"])
     @pytest.mark.parametrize(
@@ -227,13 +227,31 @@ class TestDecide:
         assert "delta/2" in err
 
     def test_softmax_class(self, capsys, cnf_path):
-        code, out, _ = run(
+        code, out, err = run(
             capsys,
             ["decide", cnf_path, "--delta", "0.1", "--epsilon", "0.05",
-             "--class", "softmax", "--mode", "round"],
+             "--class", "softmax", "--mode", "round", "--seed", "5"],
         )
         assert code == 0
         assert json.loads(out)["policy_class"] == "softmax"
+        assert "note:" not in err
+
+    @pytest.mark.parametrize("flags, noted", [
+        (["--mode", "round"], ["--mode"]),
+        (["--seed", "5"], ["--seed"]),
+        (["--seed", "5", "--mode", "round"], ["--mode", "--seed"]),
+        (["--mode", "sample", "--seed", "0"], []),
+    ])
+    def test_greedy_notes_each_softmax_flag_off_its_default(self, capsys, cnf_path, flags,
+                                                            noted):
+        # greedy decide reads neither flag: one stderr note each, output unchanged
+        argv = ["decide", cnf_path, "--delta", "0.1", "--class", "greedy"]
+        code, out, err = run(capsys, argv + flags)
+        assert (code, out) == run(capsys, argv)[:2] and code == 0
+        notes = [line for line in err.splitlines() if line.startswith("note:")]
+        assert notes == [
+            f"note: decide --class greedy does not read {flag}; it is ignored" for flag in noted
+        ]
 
 
 class TestSolveAndExtract:
@@ -811,6 +829,22 @@ class TestVerifyCommand:
             parameters |= set(inspect.signature(suite).parameters)
         for flag, (key, _, _) in cli._VERIFY_FLAGS.items():
             assert key in parameters, flag
+
+    def test_scaling_reports_every_slope_and_timing(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "SCALING_N_LIST", (2, 4))
+        code, out, _ = run(capsys, ["verify", "--suites", "scaling"])
+        # a slope timed at these sizes may fail its cap; the report is the same
+        assert code in (0, 1)
+        (measured,) = [r["measured"] for r in json.loads(out)]
+        items = {"universe", "features", "greedy_weights", "softmax_weights"}
+        assert set(measured["slopes"]) == items
+        assert {k: len(v) for k, v in measured["timings_s"].items()} == dict.fromkeys(items, 2)
+
+    def test_suite_parameters_are_flag_table_keywords(self):
+        # a suite setting without a flag is a module constant in verify
+        keywords = {key for key, _, _ in cli._VERIFY_FLAGS.values()}
+        for name, suite in verify.SUITES.items():
+            assert set(inspect.signature(suite).parameters) <= keywords, name
 
     def test_parser_options_are_the_flag_table(self):
         sub = next(a for a in cli.build_parser()._actions

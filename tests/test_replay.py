@@ -1,7 +1,8 @@
 """Every failure kind of every suite replays from its record alone.
 
 Each kind has a fault that makes a suite emit it.  With the fault in place
-the suite runs small, and the check the record names, called with only the
+the suite runs small (the scaling suite, which has no size to set, at its
+constants), and the check the record names, called with only the
 record's fields for its parameters (``conftest.replay``), must return the
 same record again.  A manifest test ties every check of ``verify._CHECKS``
 to at least one fault, so a check added without one fails.
@@ -176,14 +177,14 @@ def widest_block_one_high(monkeypatch):
          lambda original: lambda n: original(n)[:2] + (original(n)[2] + 1,))
 
 
-def unchanged(monkeypatch):
-    pass
+def greedy_slope_cap_zero(monkeypatch):
+    monkeypatch.setattr(sat2mdp.verify, "SCALING_GREEDY_SLOPE_MAX", 0)
 
 
 ROUNDTRIP = partial(check_reduction_roundtrip, count=1, n=4, seed=0)
 GREEDY = partial(check_realizability_greedy, **GREEDY_FAULT_SUITE)
 SOFTMAX = partial(check_realizability_softmax, **SOFTMAX_FAULT_SUITE)
-SCALING = partial(check_construction_scaling, n_list=(2, 8), size_check_max=3)
+SCALING = partial(check_construction_scaling, seed=0)
 # kind, prefixed by its suite where two suites emit it -> (the check that
 # emits it, a fault that makes it, the suite run)
 FAULTS = {
@@ -210,7 +211,7 @@ FAULTS = {
     "softmax-dot_mismatch": ("realizability_softmax", digest_fault("softmax-continuation"),
                              SOFTMAX),
     "universe_size": ("universe_size", widest_block_one_high, SCALING),
-    "slope": ("slope", unchanged, partial(SCALING, greedy_slope_max=0)),
+    "slope": ("slope", greedy_slope_cap_zero, SCALING),
 }
 
 
