@@ -4,6 +4,11 @@ Subcommands: reduce, eval, decide, solve, extract, bound, verify.  JSON
 results go to --out or standard output; human summaries go to standard
 error.  decide exits 0 for Yes, 1 for No, 2 on any error; verify exits 0
 only if every requested suite passes.
+
+decide, extract, bound and verify each list in one flag table the flags
+that only some selections (a --class/--mode pair, a --kind, the named
+suites) read.  One set off its default that the selection does not read
+draws one note on standard error and changes nothing else.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 import sys
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .cnf import CnfError, parse_dimacs, universe_block_sizes
 from .features import (
@@ -53,8 +59,13 @@ _SUITE_NAMES = ("greedy", "softmax", "scaling", "roundtrip")
 
 
 # flags whose value is an exact number, as the library reads it with
-# ``as_fraction``: flag -> argparse dest
-_EXACT_FLAGS = {"--delta": "delta", "--epsilon": "epsilon", "--p0": "p0", "--v-star": "v_star"}
+# ``as_fraction``
+_EXACT_FLAGS = ("--delta", "--epsilon", "--p0", "--v-star")
+
+
+def _dest(flag: str) -> str:
+    """The argparse dest of a long flag."""
+    return flag[2:].replace("-", "_")
 
 
 def _check_flags(args: argparse.Namespace) -> None:
@@ -63,8 +74,8 @@ def _check_flags(args: argparse.Namespace) -> None:
     ValueError that names the flag.  An exact value stays text."""
     if getattr(args, "seed", None) is not None and args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    for flag, dest in _EXACT_FLAGS.items():
-        value = getattr(args, dest, None)
+    for flag in _EXACT_FLAGS:
+        value = getattr(args, _dest(flag), None)
         if value is None:
             continue
         try:
@@ -91,6 +102,23 @@ def _emit(payload, out: str | None) -> None:
 
 def _say(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+class _Flag(NamedTuple):
+    """One row of a command's flag table, as ``add_argument`` takes it."""
+
+    type: object = None
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+
+
+def _note_unread(args: argparse.Namespace, flags: dict[str, _Flag], reads, reader: str) -> None:
+    """Note '<reader> <flag>; it is ignored' on stderr for each flag of the
+    table that is set off its default and not in ``reads``."""
+    for flag, spec in flags.items():
+        if flag not in reads and getattr(args, _dest(flag)) != spec.default:
+            _say(f"note: {reader} {flag}; it is ignored")
 
 
 def parse_theta(text: str, n: int) -> PolicyParams:
@@ -206,15 +234,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-# decide's softmax-only flags -> default; greedy decide notes each one set off it
-_SOFTMAX_DECIDE_FLAGS = {"--mode": "sample", "--seed": 0}
+_MODES = ("round", "sample")
+# decide's and extract's flags that only a softmax selection reads; their
+# --mode defaults differ
+_DECIDE_FLAGS = {"--mode": _Flag(default="sample", help="softmax extraction mode", choices=_MODES),
+                 "--seed": _Flag(int, 0)}
+_EXTRACT_FLAGS = {"--mode": _Flag(default="round", choices=_MODES), "--seed": _Flag(int, 0)}
+# decide's and extract's --class/--mode selection -> the table flags it reads
+_EXTRACTION_READS = {"greedy": (), "softmax --mode round": ("--mode",),
+                     "softmax --mode sample": ("--mode", "--seed")}
+
+
+def _note_extraction(args: argparse.Namespace, command: str, flags: dict[str, _Flag]) -> None:
+    selection = "greedy" if args.policy_class == "greedy" else f"softmax --mode {args.mode}"
+    _note_unread(args, flags, _EXTRACTION_READS[selection],
+                 f"{command} --class {selection} does not read")
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    if args.policy_class == "greedy":
-        for flag, default in _SOFTMAX_DECIDE_FLAGS.items():
-            if getattr(args, flag[2:]) != default:
-                _say(f"note: decide --class greedy does not read {flag}; it is ignored")
+    _note_extraction(args, "decide", _DECIDE_FLAGS)
     formula = parse_dimacs(_read_input(args.cnf))
     report = decide_max3sat(
         formula,
@@ -252,6 +290,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    _note_extraction(args, "extract", _EXTRACT_FLAGS)
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     params = parse_theta(args.theta, args.n)
@@ -282,17 +321,15 @@ _BOUNDS = {
     "greedy-eps": (("--delta",), lambda args: frac_str(epsilon_bound_greedy(args.delta))),
     "softmax-eps": (("--v-star", "--H", "--b", "--C", "--delta", "--p0"), _softmax_eps),
 }
-# bound's value flags -> (argparse type, default), in the parser's order;
-# cmd_bound notes each one set off its default that the kind does not read
-_BOUND_FLAGS = {"--t": (float, 0.0), "--H": (int, 1), "--b": (int, 1), "--C": (int, 1),
-                "--p0": (str, "1/8"), "--delta": (str, "1/10"), "--v-star": (str, None)}
+# bound's value flags, in the parser's order
+_BOUND_FLAGS = {"--t": _Flag(float, 0.0), "--H": _Flag(int, 1), "--b": _Flag(int, 1),
+                "--C": _Flag(int, 1), "--p0": _Flag(str, "1/8"), "--delta": _Flag(str, "1/10"),
+                "--v-star": _Flag(str)}
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     reads, value_of = _BOUNDS[args.kind]
-    for flag, (_, default) in _BOUND_FLAGS.items():
-        if flag not in reads and getattr(args, flag[2:].replace("-", "_")) != default:
-            _say(f"note: bound --kind {args.kind} does not read {flag}; it is ignored")
+    _note_unread(args, _BOUND_FLAGS, reads, f"bound --kind {args.kind} does not read")
     value = value_of(args)
     if isinstance(value, float) and not math.isfinite(value):
         # strict JSON has no NaN or Infinity
@@ -301,20 +338,22 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-# verify's flags -> (suite keyword, argparse type, help), in the parser's
-# order; each suite reads the flags whose keyword its signature names, and
-# cmd_verify notes each one set that no named suite reads
+# verify's flags, in the parser's order
 _VERIFY_FLAGS = {
-    "--n-max": ("n_max", int, None),
-    "--formulas": ("formulas_per_n", int, "formulas per n"),
-    "--thetas": ("thetas_per_formula", int, "theta draws per formula"),
-    "--tol": ("tol", float, None),
-    "--count": ("count", int, "roundtrip instance count"),
-    "--n": ("n", int, "roundtrip variable count"),
-    "--delta": ("delta", None, None),
-    "--epsilon": ("epsilon", None, None),
-    "--seed": ("seed", int, None),
+    "--n-max": _Flag(int),
+    "--formulas": _Flag(int, help="formulas per n"),
+    "--thetas": _Flag(int, help="theta draws per formula"),
+    "--tol": _Flag(float),
+    "--count": _Flag(int, help="roundtrip instance count"),
+    "--n": _Flag(int, help="roundtrip variable count"),
+    "--delta": _Flag(),
+    "--epsilon": _Flag(),
+    "--seed": _Flag(int),
 }
+# verify's flag -> the suite keyword it sets; each suite reads the flags
+# whose keyword its signature names
+_SUITE_KEYWORDS = {flag: _dest(flag) for flag in _VERIFY_FLAGS} | {
+    "--formulas": "formulas_per_n", "--thetas": "thetas_per_formula"}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -327,25 +366,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"no suites named; available: {','.join(SUITES)}")
     if "softmax" in names and args.n_max is not None and args.n_max > SOFTMAX_SUITE_N_MAX:
         _say(f"note: the softmax suite runs at --n-max {SOFTMAX_SUITE_N_MAX}, not {args.n_max}")
-    values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in _VERIFY_FLAGS}
     overrides: dict[str, dict] = {name: {} for name in names}
     read = set()
     for name in names:
         if name not in SUITES:
             continue  # run_suites names it
         keywords = inspect.signature(SUITES[name]).parameters
-        for flag, (key, _, _) in _VERIFY_FLAGS.items():
+        for flag, key in _SUITE_KEYWORDS.items():
             if key not in keywords:
                 continue
             read.add(flag)
-            value = values[flag]
+            value = getattr(args, _dest(flag))
             if value is not None:
                 if name == "softmax" and key == "n_max":
                     value = min(value, SOFTMAX_SUITE_N_MAX)
                 overrides[name][key] = value
-    for flag, value in values.items():
-        if value is not None and flag not in read:
-            _say(f"note: none of the named suites reads {flag}; it is ignored")
+    _note_unread(args, _VERIFY_FLAGS, read, "none of the named suites reads")
     results = run_suites(names, overrides)
     _emit([r.to_json() for r in results], args.out)
     ok = True
@@ -375,6 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="write JSON here instead of stdout")
 
+    def add_flags(p: argparse.ArgumentParser, flags: dict[str, _Flag]) -> None:
+        for flag, spec in flags.items():
+            p.add_argument(flag, **spec._asdict())
+
     p = command("reduce", "compile a DIMACS CNF into the MDP descriptor")
     p.add_argument("cnf", help="DIMACS CNF path, or - for stdin")
     add_common(p)
@@ -396,9 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True)
     p.add_argument("--epsilon", default=None)
     p.add_argument("--class", dest="policy_class", choices=("greedy", "softmax"), default="greedy")
-    p.add_argument("--mode", choices=("round", "sample"),
-                   default=_SOFTMAX_DECIDE_FLAGS["--mode"], help="softmax extraction mode")
-    p.add_argument("--seed", type=int, default=_SOFTMAX_DECIDE_FLAGS["--seed"])
+    add_flags(p, _DECIDE_FLAGS)
     p.add_argument("--p0", default="1/8", help="tail probability for the softmax budget")
     p.add_argument("--v-star", default=None, help="optimum value, if known, for the budget check")
     add_common(p)
@@ -413,23 +451,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--class", dest="policy_class", choices=("greedy", "softmax"), default="greedy")
-    p.add_argument("--mode", choices=("round", "sample"), default="round")
-    p.add_argument("--seed", type=int, default=0)
+    add_flags(p, _EXTRACT_FLAGS)
     add_common(p)
     p.set_defaults(fn=cmd_extract)
 
     p = command("bound", "concentration and tolerance bounds")
     p.add_argument("--kind", choices=tuple(_BOUNDS), required=True)
-    for flag, (convert, default) in _BOUND_FLAGS.items():
-        p.add_argument(flag, type=convert, default=default)
+    add_flags(p, _BOUND_FLAGS)
     add_common(p)
     p.set_defaults(fn=cmd_bound)
 
     p = command("verify", "run the named verification suites")
     p.add_argument("--suites", default=",".join(_SUITE_NAMES),
                    help="comma list: " + ",".join(_SUITE_NAMES))
-    for flag, (_, convert, help) in _VERIFY_FLAGS.items():
-        p.add_argument(flag, type=convert, help=help)
+    add_flags(p, _VERIFY_FLAGS)
     add_common(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -289,7 +289,8 @@ def _realizability_greedy(formula: list, n: int) -> tuple[int, list[dict]]:
     times each q (``_q_numerators``); ``dots`` holds C times each
     <phi, w>, 1 b^T + M Y^T stage by stage, where b and Y are the cells'
     satisfied counts and undecided multiplicities and row p of M is
-    pattern p's stage weight.
+    pattern p's stage weight.  Y and M keep only the universe coordinates
+    that some cell's multiplicities name, since Y is zero on the others.
     """
     cnf = Formula.from_ints(n, formula)
     C = cnf.clause_count
@@ -300,6 +301,8 @@ def _realizability_greedy(formula: list, n: int) -> tuple[int, list[dict]]:
     for c, (*_, phi) in enumerate(cells):
         for idx, mult in phi.y_counts.items():
             y[c, idx] = mult
+    used = np.flatnonzero(y.any(axis=0))
+    y = y[:, used]
     patterns = list(product((0, 1), repeat=n))
     params_of = [PolicyParams.from_signs(bits) for bits in patterns]
     q = _q_numerators(cnf)
@@ -307,7 +310,7 @@ def _realizability_greedy(formula: list, n: int) -> tuple[int, list[dict]]:
     for h in range(1, n + 1):
         cols = slice(2**h - 2, 2 ** (h + 1) - 2)
         m = np.stack([ft.greedy_weight(instance, params, h).m_dense() for params in params_of])
-        dots[:, cols] = b[cols] + m @ y[cols].T
+        dots[:, cols] = b[cols] + m[:, used] @ y[cols].T
     # each failure names its sign pattern, and its cell where it has one
     def where(c: int) -> dict:
         state, _, action, _ = cells[c]

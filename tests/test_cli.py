@@ -3,6 +3,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import time
 from itertools import product
 
@@ -39,10 +40,10 @@ def run(capsys, argv):
 
 
 def _untimed(verify_out):
-    """verify's JSON results without their wall times."""
+    """verify's JSON results without their wall times and measured timings."""
     results = json.loads(verify_out)
     for r in results:
-        del r["wall_time_s"]
+        del r["wall_time_s"], r["measured"]
     return results
 
 
@@ -230,7 +231,7 @@ class TestDecide:
         code, out, err = run(
             capsys,
             ["decide", cnf_path, "--delta", "0.1", "--epsilon", "0.05",
-             "--class", "softmax", "--mode", "round", "--seed", "5"],
+             "--class", "softmax", "--mode", "sample", "--seed", "5"],
         )
         assert code == 0
         assert json.loads(out)["policy_class"] == "softmax"
@@ -827,7 +828,8 @@ class TestVerifyCommand:
         parameters = set()
         for suite in verify.SUITES.values():
             parameters |= set(inspect.signature(suite).parameters)
-        for flag, (key, _, _) in cli._VERIFY_FLAGS.items():
+        assert set(cli._SUITE_KEYWORDS) == set(cli._VERIFY_FLAGS)
+        for flag, key in cli._SUITE_KEYWORDS.items():
             assert key in parameters, flag
 
     def test_scaling_reports_every_slope_and_timing(self, capsys, monkeypatch):
@@ -842,7 +844,7 @@ class TestVerifyCommand:
 
     def test_suite_parameters_are_flag_table_keywords(self):
         # a suite setting without a flag is a module constant in verify
-        keywords = {key for key, _, _ in cli._VERIFY_FLAGS.values()}
+        keywords = set(cli._SUITE_KEYWORDS.values())
         for name, suite in verify.SUITES.items():
             assert set(inspect.signature(suite).parameters) <= keywords, name
 
@@ -915,6 +917,76 @@ class TestVerifyCommand:
         assert "none of the named suites" not in plain_err
         assert code == plain_code == 0
         assert _untimed(out) == _untimed(plain_out)
+
+
+# per command: its argv before the selection, and an off-default value for
+# each flag of its flag table, in the table's order
+NOTE_COMMANDS = {
+    "decide": (["decide", "{cnf}", "--delta", "0.1", "--epsilon", "0.05"],
+               {"--mode": "round", "--seed": "5"}),
+    "extract": (["extract", "--theta=1,-1,1", "--n", "3"], {"--mode": "sample", "--seed": "4"}),
+    "bound": (["bound"], {"--t": "0.5", "--H": "4", "--b": "3", "--C": "10", "--p0": "0.25",
+                          "--delta": "0.2", "--v-star": "1"}),
+    "verify": (["verify"], {"--n-max": "1", "--formulas": "1", "--thetas": "1", "--tol": "1e-9",
+                            "--count": "1", "--n": "3", "--delta": "1/10", "--epsilon": "1/20",
+                            "--seed": "1"}),
+}
+NOTE_TABLES = {"decide": cli._DECIDE_FLAGS, "extract": cli._EXTRACT_FLAGS,
+               "bound": cli._BOUND_FLAGS, "verify": cli._VERIFY_FLAGS}
+# (command, selection argv, a note's words before its flag, the table flags
+# the selection reads)
+SELECTIONS = [
+    ("decide", ["--class", "greedy"], "decide --class greedy does not read", ()),
+    ("decide", ["--class", "softmax", "--mode", "round"],
+     "decide --class softmax --mode round does not read", ("--mode",)),
+    ("decide", ["--class", "softmax", "--mode", "sample"], None, ("--mode", "--seed")),
+    ("extract", ["--class", "greedy"], "extract --class greedy does not read", ()),
+    ("extract", ["--class", "softmax", "--mode", "round"],
+     "extract --class softmax --mode round does not read", ("--mode",)),
+    ("extract", ["--class", "softmax", "--mode", "sample"], None, ("--mode", "--seed")),
+    ("bound", ["--kind", "mcdiarmid"], "bound --kind mcdiarmid does not read",
+     ("--t", "--H", "--b", "--C")),
+    ("bound", ["--kind", "calibration-t"], "bound --kind calibration-t does not read",
+     ("--H", "--b", "--C", "--p0")),
+    ("bound", ["--kind", "greedy-eps"], "bound --kind greedy-eps does not read", ("--delta",)),
+    ("bound", ["--kind", "softmax-eps"], "bound --kind softmax-eps does not read",
+     ("--H", "--b", "--C", "--p0", "--delta", "--v-star")),
+    ("verify", ["--suites", "greedy"], "none of the named suites reads",
+     ("--n-max", "--formulas", "--seed")),
+    ("verify", ["--suites", "softmax"], "none of the named suites reads",
+     ("--n-max", "--formulas", "--thetas", "--tol", "--seed")),
+    ("verify", ["--suites", "scaling"], "none of the named suites reads", ("--seed",)),
+    ("verify", ["--suites", "roundtrip"], "none of the named suites reads",
+     ("--count", "--n", "--delta", "--epsilon", "--seed")),
+]
+
+
+@pytest.mark.parametrize("command, selection, reader, reads", SELECTIONS,
+                         ids=[" ".join([command, *selection]) for command, selection, *_
+                              in SELECTIONS])
+def test_each_unread_flag_gets_one_note(capsys, monkeypatch, cnf_path, command, selection,
+                                        reader, reads):
+    # every table flag off its default: one note for each that the selection
+    # does not read, in table order; stdout and the exit code are those of
+    # the run with only the flags it reads, which draws no note
+    monkeypatch.setattr(verify, "SCALING_N_LIST", (2, 4))
+    monkeypatch.setattr(verify, "SCALING_GREEDY_SLOPE_MAX", math.inf)
+    monkeypatch.setattr(verify, "SCALING_SOFTMAX_SLOPE_MAX", math.inf)
+    before, values = NOTE_COMMANDS[command]
+    assert list(values) == list(NOTE_TABLES[command])
+    argv = [part.format(cnf=cnf_path) for part in before] + selection
+    flags = [flag for flag in values if flag not in selection]
+    unread = [flag for flag in flags if flag not in reads]
+    read_argv = [part for flag in flags if flag in reads for part in (flag, values[flag])]
+    code, out, err = run(capsys, argv + [part for flag in flags for part in (flag, values[flag])])
+    plain_code, plain_out, plain_err = run(capsys, argv + read_argv)
+    notes = [line for line in err.splitlines() if line.startswith("note:")]
+    assert notes == [f"note: {reader} {flag}; it is ignored" for flag in unread]
+    assert "note:" not in plain_err
+    assert code == plain_code == 0
+    if command == "verify":
+        out, plain_out = _untimed(out), _untimed(plain_out)
+    assert out == plain_out
 
 
 class TestParserReuse:
