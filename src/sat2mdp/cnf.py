@@ -24,8 +24,7 @@ block order (all 1-clauses, then 2-clauses, then 3-clauses), lexicographic
 by literal-key sequence within a block.  Its coordinates index the
 realizability feature and weight vectors built elsewhere.  The universe is
 stored packed, as a padded literal-key matrix plus each clause's smallest
-variable; clause-to-coordinate lookup is arithmetic, and ``Clause``
-objects for coordinates are built only on request.
+variable; clause-to-coordinate lookup is arithmetic.
 
 All arithmetic here is exact: counts are ints, fractions are
 ``fractions.Fraction``.
@@ -39,7 +38,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, combinations
 from math import comb
-from operator import or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # each function that builds an array imports numpy itself
@@ -114,18 +112,11 @@ class Clause:
         return cls(tuple(sorted(keys)))
 
     @property
-    def min_variable(self) -> int:
-        return (self.key[0] >> 1) + 1
-
-    @property
     def max_variable(self) -> int:
         return (self.key[-1] >> 1) + 1
 
     def to_ints(self) -> list[int]:
         return [-(k >> 1) - 1 if k & 1 else (k >> 1) + 1 for k in self.key]
-
-    def __len__(self) -> int:
-        return len(self.key)
 
 
 @dataclass(frozen=True)
@@ -161,7 +152,7 @@ class Formula:
             for k in clause.key:
                 bits[k ^ 1] |= 1 << i
         object.__setattr__(self, "value_bits", tuple(zip(bits[::2], bits[1::2])))
-        held = accumulate(reversed([b0 | b1 for b0, b1 in self.value_bits]), or_, initial=0)
+        held = accumulate(reversed([b0 | b1 for b0, b1 in self.value_bits]), operator.or_, initial=0)
         object.__setattr__(self, "open_bits", tuple(held)[::-1])
         count = len(self.clauses)
         object.__setattr__(
@@ -205,11 +196,6 @@ class Formula:
     def to_json(self) -> dict:
         return {"n": self.n, "clauses": [c.to_ints() for c in self.clauses]}
 
-    def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.n} {self.clause_count}"]
-        lines += [" ".join(map(str, c.to_ints())) + " 0" for c in self.clauses]
-        return "\n".join(lines) + "\n"
-
 
 # An assignment is a plain tuple of 0/1 values, one per variable.
 Assignment = tuple[int, ...]
@@ -218,20 +204,21 @@ Assignment = tuple[int, ...]
 def parse_dimacs(text: str) -> Formula:
     """Parse DIMACS CNF text into a canonicalized Formula.
 
-    Clauses may span lines and are terminated by 0.  Comment lines start
-    with 'c'; a line starting with '%' ends the input; one leading UTF-8
-    byte-order mark is skipped.  The header's variable count must be a
-    positive integer no larger than ``sys.maxsize``, and the declared
-    clause count must match the clauses found.
-    Duplicate literals inside one clause are dropped; complementary pairs,
-    clauses with more than three distinct variables, and out-of-range
-    variables are errors.
+    Lines end at LF, CRLF or CR; clauses may span lines and end at 0.
+    Comment lines start with 'c'; a line starting with '%' ends the input;
+    one leading byte-order mark is skipped.  A count or literal is an
+    optional sign then ASCII digits; a problem or clause line holding '_' or
+    any non-ASCII character is an error.  The header's n must be in
+    [1, ``sys.maxsize``] and its clause count must match the clauses found.
+    Duplicate literals in a clause are dropped; complementary pairs, clauses
+    with over three distinct variables, and out-of-range variables are errors.
     """
     n = None
     declared = None
     clauses: list[Clause] = []
     pending: list[int] = []
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line.startswith("%"):
             break  # SATLIB trailer: '%' then a lone '0'
@@ -244,7 +231,7 @@ def parse_dimacs(text: str) -> Formula:
             if len(fields) != 4 or fields[1] != "cnf":
                 raise CnfError(f"line {lineno}: bad problem line {line!r}, expected 'p cnf <n> <m>'")
             try:
-                n, declared = int(fields[2]), int(fields[3])
+                n, declared = _ascii_ints(raw, fields[2:])
             except ValueError:
                 raise CnfError(f"line {lineno}: non-integer counts in problem line") from None
             if not 1 <= n <= sys.maxsize:
@@ -256,7 +243,7 @@ def parse_dimacs(text: str) -> Formula:
         if n is None:
             raise CnfError(f"line {lineno}: clause before 'p cnf' header")
         try:
-            values = [int(tok) for tok in line.split()]
+            values = _ascii_ints(raw, line.split())
         except ValueError:
             raise CnfError(f"line {lineno}: non-integer token in clause") from None
         for value in values:
@@ -282,6 +269,12 @@ def parse_dimacs(text: str) -> Formula:
     if declared != len(clauses):
         raise CnfError(f"header declares {declared} clauses but {len(clauses)} were found")
     return Formula(n, tuple(clauses))
+
+
+def _ascii_ints(line: str, tokens: list[str]) -> list[int]:
+    if "_" in line or not line.isascii():
+        raise ValueError(line)
+    return [int(tok) for tok in tokens]
 
 
 def satisfied_fraction(formula: Formula, assignment: Sequence[int]) -> Fraction:
@@ -406,11 +399,6 @@ class ClauseUniverse:
             a, b = key
             return self._offset[-1][a] + b
         return key[0]
-
-    @property
-    def entries(self) -> tuple[Clause, ...]:
-        """Every clause in coordinate order, built on demand."""
-        return tuple(Clause(tuple(k for k in row if k >= 0)) for row in self.keys.tolist())
 
     def to_json(self) -> dict:
         import numpy as np

@@ -163,13 +163,6 @@ class RealizabilityFeature:
             return Fraction(acc, self.clause_count)
         return acc / self.clause_count
 
-    def to_json(self) -> dict:
-        """The scale 1/|C| and the dense unscaled entries [b, y_1, ..., y_{d-1}]."""
-        entries = [self.b] + [0] * (self.dim - 1)
-        for idx, mult in self.y_counts.items():
-            entries[1 + idx] = mult
-        return {"scale_num": 1, "scale_den": self.clause_count, "entries": entries}
-
 
 def realizability_feature(
     instance: MdpInstance, state: Sequence[int], action: int
@@ -227,13 +220,6 @@ class RealizabilityWeight:
         if self.kind == GREEDY:
             return (live & self._continuation).astype(np.int8)
         return np.where(live, self._continuation, 0.0)
-
-    def to_json(self) -> dict:
-        if self.kind == GREEDY:
-            entries: list = [1] + [int(v) for v in self.m_dense()]
-        else:
-            entries = ["1"] + [repr(float(v)) for v in self.m_dense()]
-        return {"scale_num": 1, "scale_den": 1, "entries": entries}
 
 
 @lru_cache(maxsize=512)

@@ -118,11 +118,13 @@ def command_digest(arg_lists: list[list[str]], *trailing: str) -> str:
 
 def run_corpus() -> tuple[int, dict[str, str]]:
     """(command count, "<input>/<kind>" -> digest) over the whole corpus."""
+    from reference import to_dimacs  # tests/ is on the path in the suite and in write_digests
+
     count, digests = 0, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, formula in inputs().items():
             path = Path(tmp, name + ".cnf")
-            path.write_text(formula.to_dimacs())
+            path.write_text(to_dimacs(formula))
             for kind, arg_lists in commands(formula.n).items():
                 digests[f"{name}/{kind}"] = command_digest(arg_lists, str(path))
                 count += len(arg_lists)

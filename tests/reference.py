@@ -1,5 +1,6 @@
 """Reference versions of the MDP's next-state rule, the greedy roll-out and
-the softmax episode's draw, and a depth-first client of generative access.
+the softmax episode's draw, a depth-first client of generative access, and
+the DIMACS writer.
 
 The package has one implementation of each: ``mdp.step`` is its next-state
 rule, ``eval_q_greedy`` builds the greedy roll-out's leaf from the
@@ -19,7 +20,10 @@ the package's paths to them:
   the Monte-Carlo tail must each draw from the same generator state;
 * ``depth_first_solve`` is an exhaustive solver that, unlike the
   package's sweep, backtracks: it queries each state's second action after
-  the whole subtree under its first, as a depth-first planner does.
+  the whole subtree under its first, as a depth-first planner does;
+* ``to_dimacs`` writes a formula as DIMACS text.  The package only reads
+  DIMACS; the golden corpus writes its inputs with this writer, and the
+  round-trip tests hold ``parse_dimacs`` to inverting it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from sat2mdp.cnf import Formula
 from sat2mdp.features import PolicyParams
 from sat2mdp.mdp import ACTIONS, MdpError, State, initial_state, stage
 
@@ -97,3 +102,10 @@ def depth_first_solve(
 
     visit(initial_state(n), (), Fraction(0))
     return best[0], best[1]
+
+
+def to_dimacs(formula: Formula) -> str:
+    """The problem line, then one 0-terminated line of signed literals per clause."""
+    lines = [f"p cnf {formula.n} {formula.clause_count}"]
+    lines += [" ".join(map(str, c.to_ints())) + " 0" for c in formula.clauses]
+    return "\n".join(lines) + "\n"

@@ -23,6 +23,7 @@ from sat2mdp.cnf import leaf_counts
 from sat2mdp.verify import random_formula
 
 from conftest import formulas
+from reference import to_dimacs
 
 
 def split_by_signed_ints(formula, prefix):
@@ -164,6 +165,43 @@ class TestParseDimacs:
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf 1_0 1\n10 0\n", "line 1: non-integer counts in problem line"),
+            ("p cnf 10 1\n1_0 0\n", "line 2: non-integer token in clause"),
+            ("p cnf ٣ 1\n1 0\n", "line 1: non-integer counts in problem line"),
+            ("p cnf 3 1\n١ 0\n", "line 2: non-integer token in clause"),
+            ("p cnf 3 1\n１ 0\n", "line 2: non-integer token in clause"),
+            ("c\np cnf 3 1\n1\u00a02 0\n", "line 3: non-integer token in clause"),
+            ("p cnf 3 1\n1\x852 0\n", "line 2: non-integer token in clause"),
+            ("p cnf 3 1\n1\u20282 0\n", "line 2: non-integer token in clause"),
+            ("p cnf 3 1\n1\u20292 0\n", "line 2: non-integer token in clause"),
+            ("p cnf 3 1\n1 2\x0cc comment\n3 0\n", "line 2: non-integer token in clause"),
+        ],
+        ids=["underscore-count", "underscore-literal", "arabic-indic-count",
+             "arabic-indic-literal", "fullwidth-literal", "no-break-space",
+             "next-line", "line-separator", "paragraph-separator", "form-feed"],
+    )
+    def test_only_ascii_integer_tokens(self, text, message):
+        # int() alone reads 1_0 as 10 and any Unicode decimal digit as a
+        # digit, str.split() splits at U+00A0, and str.splitlines() ends a
+        # line at U+0085, U+2028, U+2029 and a form feed
+        with pytest.raises(CnfError) as info:
+            parse_dimacs(text)
+        assert str(info.value) == message
+
+    def test_sign_and_leading_zeros_kept(self):
+        # the grammar: an optional sign, then ASCII digits; a comment may hold any text
+        f = parse_dimacs("c café 1_0\np cnf +03 1\n+1 02 -03 0\n")
+        assert f == Formula.from_ints(3, [[1, 2, -3]])
+
+    def test_line_endings(self):
+        # LF, CRLF and CR each end a line, and lines are numbered by them
+        assert parse_dimacs("p cnf 2 2\r1 0\r\n2 0\n") == Formula.from_ints(2, [[1], [2]])
+        with pytest.raises(CnfError, match="^line 3: non-integer token in clause$"):
+            parse_dimacs("c\rp cnf 1 1\r\nx 0\n")
+
+    @pytest.mark.parametrize(
         "declared", ["-3", "0", "99999999999999999999"], ids=["negative", "zero", "huge"]
     )
     def test_header_variable_count_checked(self, declared):
@@ -177,17 +215,17 @@ class TestParseDimacs:
         )
 
     def test_leading_byte_order_mark_skipped(self, example1):
-        assert parse_dimacs("\ufeff" + example1.to_dimacs()) == example1
+        assert parse_dimacs("\ufeff" + to_dimacs(example1)) == example1
         # only one, and only at the start
         with pytest.raises(CnfError, match="line 1: clause before 'p cnf' header"):
-            parse_dimacs("\ufeff\ufeff" + example1.to_dimacs())
+            parse_dimacs("\ufeff\ufeff" + to_dimacs(example1))
 
     def test_json_roundtrip(self, example1):
         data = example1.to_json()
         assert Formula.from_ints(data["n"], data["clauses"]) == example1
 
     def test_dimacs_roundtrip(self, example1):
-        assert parse_dimacs(example1.to_dimacs()) == example1
+        assert parse_dimacs(to_dimacs(example1)) == example1
 
 
 class TestUniverse:
@@ -201,20 +239,22 @@ class TestUniverse:
     def test_n1_counts(self):
         u = enumerate_universe(1)
         assert u.size == 2
-        assert [c.to_ints() for c in u.entries] == [[1], [-1]]
+        assert u.to_json()["clauses"] == [[1], [-1]]
 
     def test_index_map_roundtrip(self):
         u = enumerate_universe(4)
-        for i, clause in enumerate(u.entries):
+        for i, row in enumerate(u.keys.tolist()):
+            clause = Clause(tuple(k for k in row if k >= 0))
             assert u.index_of(clause.key) == i
 
     def test_block_order(self):
         u = enumerate_universe(3)
-        lengths = [len(c) for c in u.entries]
+        clauses = [Clause(tuple(k for k in row if k >= 0)) for row in u.keys.tolist()]
+        lengths = [len(c.key) for c in clauses]
         assert lengths == sorted(lengths)
         # within each block, lexicographic by literal-key sequence
         for width in (1, 2, 3):
-            keys = [c.key for c in u.entries if len(c) == width]
+            keys = [c.key for c in clauses if len(c.key) == width]
             assert keys == sorted(keys)
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -233,7 +273,8 @@ class TestUniverse:
         assert universe_block_sizes(n) == tuple(expected)
         u = enumerate_universe(n)
         assert [tuple(k for k in row if k >= 0) for row in u.keys.tolist()] == ordered
-        for i, clause in enumerate(u.entries):
+        for i, row in enumerate(u.keys.tolist()):
+            clause = Clause(tuple(k for k in row if k >= 0))
             assert clause.key == ordered[i]
             assert u.index_of(clause.key) == i
         with pytest.raises(CnfError, match="not in the universe"):
@@ -255,8 +296,8 @@ class TestUniverse:
         valid = np.zeros((u.size, 3), dtype=bool)
         var0 = np.zeros((u.size, 3), dtype=np.int64)
         neg = np.zeros((u.size, 3), dtype=bool)
-        for i, clause in enumerate(u.entries):
-            for j, lit in enumerate(clause.to_ints()):
+        for i, row in enumerate(u.to_json()["clauses"]):
+            for j, lit in enumerate(row):
                 valid[i, j] = True
                 var0[i, j] = abs(lit) - 1
                 neg[i, j] = lit < 0
@@ -268,8 +309,8 @@ class TestUniverse:
 
     def test_no_tautologies(self):
         u = enumerate_universe(5)
-        for clause in u.entries:
-            variables = [abs(lit) for lit in clause.to_ints()]
+        for row in u.to_json()["clauses"]:
+            variables = [abs(lit) for lit in row]
             assert len(set(variables)) == len(variables)
 
     def test_rejects_n0(self):
@@ -479,7 +520,7 @@ class TestDimacsRoundtrip:
     @settings(max_examples=200, deadline=None)
     @given(formulas(max_n=30, max_clauses=40))
     def test_parse_inverts_to_dimacs(self, formula):
-        assert parse_dimacs(formula.to_dimacs()) == formula
+        assert parse_dimacs(to_dimacs(formula)) == formula
 
 
 class TestFormulaValidation:

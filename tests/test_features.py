@@ -35,7 +35,7 @@ from sat2mdp.reduction import SOFTMAX_SATURATION
 from sat2mdp.verify import random_formula
 
 from conftest import formulas
-from reference import is_terminal, lookahead_state, transition
+from reference import is_terminal, lookahead_state, to_dimacs, transition
 
 
 def satisfied_by(clause, prefix):
@@ -185,7 +185,7 @@ class TestRealizabilityFeature:
         assert phi.b == 1
         neg_x3 = example1_instance.universe.index_of(Clause.from_ints([-3]).key)
         assert phi.y_counts == {neg_x3: 1}
-        assert phi.to_json()["scale_den"] == 2
+        assert phi.clause_count == 2
         assert phi.dim == 27
 
     def test_no_clause_on_x1_gives_zero_b(self):
@@ -239,13 +239,6 @@ class TestRealizabilityFeature:
         with pytest.raises(ValueError) as info:
             phi.dot(weight)
         assert str(info.value) == "dimension mismatch: feature 27 vs weight 9"
-
-    def test_json_export(self, example1_instance):
-        phi = realizability_feature(example1_instance, (1, -1, -1), 0)
-        data = phi.to_json()
-        assert data["scale_den"] == 2
-        assert len(data["entries"]) == 27
-        assert data["entries"][0] == 1
 
 
 class TestLookaheadState:
@@ -304,15 +297,15 @@ class TestGreedyWeight:
         params = PolicyParams((1.0, 1.0, 1.0))
         w = greedy_weight(example1_instance, params, 2)
         universe = example1_instance.universe
-        for i, clause in enumerate(universe.entries):
-            if clause.min_variable <= 2:
+        for i, row in enumerate(universe.keys.tolist()):
+            clause = Clause(tuple(k for k in row if k >= 0))
+            if (clause.key[0] >> 1) + 1 <= 2:
                 assert w.entry(i) == 0
 
     def test_head_and_entries_binary(self, example1_instance):
         params = PolicyParams((-1.0, 1.0, -1.0))
         for h in (1, 2, 3):
             w = greedy_weight(example1_instance, params, h)
-            assert w.to_json()["entries"][0] == 1
             assert set(np.unique(w.m_dense())) <= {0, 1}
 
     def test_live_entries_match_lookahead_truth(self, example1_instance):
@@ -320,8 +313,9 @@ class TestGreedyWeight:
         h = 1
         w = greedy_weight(example1_instance, params, h)
         continuation = tuple(f_threshold(params, j) for j in (1, 2, 3))
-        for i, clause in enumerate(example1_instance.universe.entries):
-            if clause.min_variable > h:
+        for i, row in enumerate(example1_instance.universe.keys.tolist()):
+            clause = Clause(tuple(k for k in row if k >= 0))
+            if (clause.key[0] >> 1) + 1 > h:
                 assert w.entry(i) == int(satisfied_by(clause, continuation))
 
     def test_stage_range_checked(self, example1_instance):
@@ -336,15 +330,12 @@ class TestSoftmaxWeight:
         params = PolicyParams((0.0, 0.0, 0.0, 0.0))
         w = softmax_weight(instance, params, 1)
         by_size = {1: 0.5, 2: 0.75, 3: 0.875}
-        for i, clause in enumerate(instance.universe.entries):
-            if clause.min_variable > 1:
-                assert w.entry(i) == pytest.approx(by_size[len(clause)], abs=1e-15)
+        for i, row in enumerate(instance.universe.keys.tolist()):
+            clause = Clause(tuple(k for k in row if k >= 0))
+            if (clause.key[0] >> 1) + 1 > 1:
+                assert w.entry(i) == pytest.approx(by_size[len(clause.key)], abs=1e-15)
             else:
                 assert w.entry(i) == 0.0
-
-    def test_head_is_exactly_one(self, example1_instance):
-        w = softmax_weight(example1_instance, PolicyParams((0.3, -0.7, 2.0)), 2)
-        assert w.to_json()["entries"][0] == "1"
 
     def test_entries_are_probabilities(self, example1_instance):
         w = softmax_weight(example1_instance, PolicyParams((1.5, -2.5, 0.1)), 1)
@@ -358,12 +349,6 @@ class TestSoftmaxWeight:
                 soft = softmax_weight(example1_instance, params, h).m_dense()
                 hard = greedy_weight(example1_instance, params, h).m_dense()
                 assert np.max(np.abs(soft - hard)) < 1e-6
-
-    def test_json_uses_decimal_strings(self, example1_instance):
-        w = softmax_weight(example1_instance, PolicyParams((0.0, 0.0, 0.0)), 1)
-        data = w.to_json()
-        assert data["entries"][0] == "1"
-        assert all(isinstance(e, str) for e in data["entries"])
 
 
 @st.composite
@@ -531,7 +516,7 @@ class TestPartialRealizability:
     root = initial_state(2)
 
     def test_parity_policy_is_not_realizable(self):
-        phis = [realizability_feature(self.instance, self.root, a).to_json() for a in (0, 1)]
+        phis = [realizability_feature(self.instance, self.root, a) for a in (0, 1)]
         assert phis[0] == phis[1]
         assert [rollout_q(self.instance, parity, self.root, a) for a in (0, 1)] == [0, 1]
 
@@ -561,7 +546,7 @@ class TestRankWitness:
             formula = Formula.from_ints(n, clauses)
             instance = build_mdp(formula)
             if not unrealizable_stages(instance, lambda s, a: rollout_q(instance, policy, s, a)):
-                passing.append(formula.to_dimacs())
+                passing.append(to_dimacs(formula))
         # the rate on random formulas, reported beside the result, not asserted
         rng = np.random.default_rng(0)
         drawn = [random_formula(n, rng, 3, 2 * n) for n in (3, 4, 5) for _ in range(30)]

